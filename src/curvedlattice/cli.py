@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .evolve import PropagationError, dual_propagate, propagate
+from .evolve import EvolveError, PropagationError, dual_propagate, propagate, select_snapshots
 from .heatmap import write_ppm
 from .metric import MetricDomainError, distance_profile
 from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
@@ -157,8 +157,8 @@ def _write_trace(path, trace, discrepancy=None):
     _write_csv(path, header, rows)
 
 
-def _write_snapshots(cfg, trace, written):
-    for snap in trace.snapshots:
+def _write_snapshots(cfg, snapshots, written):
+    for snap in snapshots:
         path = _out(cfg, f"snapshot_t{snap.t:g}.csv")
         vals = snap.values
         _write_csv(
@@ -201,6 +201,7 @@ def cmd_evolve(cfg: RunConfig) -> list[str]:
             path = _out(cfg, "trace.csv")
             _write_trace(path, trace, discrepancy=disc)
             written.append(path)
+            _write_snapshots(cfg, select_snapshots(trace, snap_times), written)
         else:
             trace = propagate(
                 model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
@@ -209,7 +210,7 @@ def cmd_evolve(cfg: RunConfig) -> list[str]:
             path = _out(cfg, "trace.csv")
             _write_trace(path, trace)
             written.append(path)
-            _write_snapshots(cfg, trace, written)
+            _write_snapshots(cfg, trace.snapshots, written)
     except PropagationError as err:
         if err.partial is not None and err.partial.times.size:
             path = _out(cfg, "trace.csv")
@@ -373,6 +374,10 @@ def main(argv=None) -> int:
     except (MetricDomainError, OperatorError, SpectralError, SymmetryError, PropagationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except (EvolveError, OSError) as err:
+        # a request the metric cannot serve, or an unwritable output path
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     return 0

@@ -82,6 +82,12 @@ def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
 
 
 def _time_steps(t0: float, t1: float, dt: float):
+    """(t, step, t_next) triples covering [t0, t1].
+
+    Accumulating t leaves the last step a few ulps short of dt; such a step
+    is taken as exactly dt, so a static run needs a single step matrix,
+    while t_next of the last step stays at t1.
+    """
     if dt <= 0:
         raise EvolveError(f"time step must be positive, got dt={dt}")
     if t1 <= t0:
@@ -89,9 +95,10 @@ def _time_steps(t0: float, t1: float, dt: float):
     steps = []
     t = t0
     while t < t1 - 1e-12 * dt:
-        step = min(dt, t1 - t)
-        steps.append((t, step))
-        t += step
+        t_next = t + min(dt, t1 - t)
+        step = dt if t1 - t >= dt * (1.0 - 1e-9) else t1 - t
+        steps.append((t, step, t_next))
+        t = t_next
     return steps
 
 
@@ -101,6 +108,39 @@ def _snapshot_set(snapshot_times):
     if snapshot_times == "all":
         return "all"
     return sorted(float(t) for t in snapshot_times)
+
+
+class _SnapshotRecorder:
+    """Keeps the states a run reports: one per requested time (the first
+    step within dt/2 of it), every step for ``"all"``, and always the last."""
+
+    def __init__(self, snapshot_times, dt: float):
+        self.wanted = _snapshot_set(snapshot_times)
+        self.dt = dt
+        self.snapshots: list[SpinorField] = []
+
+    def offer(self, t: float, values: np.ndarray) -> None:
+        if self.wanted == "all":
+            self.snapshots.append(SpinorField(values.copy(), t))
+            return
+        while self.wanted and t >= self.wanted[0] - self.dt / 2:
+            self.wanted.pop(0)
+            self.snapshots.append(SpinorField(values.copy(), t))
+
+    def finish(self, t: float, values: np.ndarray) -> list[SpinorField]:
+        if not self.snapshots or self.snapshots[-1].t < t:
+            self.snapshots.append(SpinorField(values.copy(), t))
+        return self.snapshots
+
+
+def select_snapshots(trace: EvolutionTrace, snapshot_times) -> list[SpinorField]:
+    """The snapshots a run with ``snapshot_times`` records, taken from a
+    trace that was recorded with ``snapshot_times="all"``."""
+    recorder = _SnapshotRecorder(snapshot_times, trace.dt)
+    for snap in trace.snapshots:
+        recorder.offer(snap.t, snap.values)
+    last = trace.snapshots[-1]
+    return recorder.finish(last.t, last.values)
 
 
 class _Stepper:
@@ -145,27 +185,17 @@ def _run(
             f"initial field has {psi0.values.shape[0]} entries, expected {2 * model.L}"
         )
     steps = _time_steps(t0, t1, dt)
-    wanted = _snapshot_set(snapshot_times)
+    recorder = _SnapshotRecorder(snapshot_times, dt)
     times = [t0]
     psi = psi0.values.astype(complex, copy=True)
     beta0 = model.sample(t0).beta
     phys = transform(psi, t0)
     norms = [float(np.linalg.norm(phys))]
     eta_norms = [_eta_norm(phys, beta0)]
-    snapshots = []
 
-    def _maybe_snapshot(t, values):
-        if wanted == "all":
-            snapshots.append(SpinorField(values.copy(), t))
-            return
-        while wanted and t >= wanted[0] - dt / 2:
-            wanted.pop(0)
-            snapshots.append(SpinorField(values.copy(), t))
-
-    _maybe_snapshot(t0, phys)
+    recorder.offer(t0, phys)
     stepper = _Stepper(static)
-    for t, step in steps:
-        t_next = t + step
+    for t, step, t_next in steps:
         try:
             H = build_step_operator(t + step / 2)
             psi = stepper.apply(H, step, psi)
@@ -173,19 +203,18 @@ def _run(
             eta = _eta_norm(phys, model.sample(t_next).beta)
         except (MetricDomainError, SpectralError, EvolveError) as err:
             partial = EvolutionTrace(
-                np.asarray(times), np.asarray(norms), np.asarray(eta_norms), snapshots, dt
+                np.asarray(times), np.asarray(norms), np.asarray(eta_norms),
+                recorder.snapshots, dt,
             )
             raise PropagationError(f"propagation stopped at t={t_next:g}: {err}", partial) from err
         times.append(t_next)
         norms.append(float(np.linalg.norm(phys)))
         eta_norms.append(eta)
-        _maybe_snapshot(t_next, phys)
-    trace = EvolutionTrace(
-        np.asarray(times), np.asarray(norms), np.asarray(eta_norms), snapshots, dt
+        recorder.offer(t_next, phys)
+    return EvolutionTrace(
+        np.asarray(times), np.asarray(norms), np.asarray(eta_norms),
+        recorder.finish(times[-1], phys), dt,
     )
-    if not snapshots or snapshots[-1].t < times[-1]:
-        trace.snapshots.append(SpinorField(phys.copy(), times[-1]))
-    return trace
 
 
 def propagate(

@@ -1,19 +1,15 @@
 """Dense eigensolvers and the matrix-exponential propagator kernel.
 
-Two decomposition paths:
+Two decomposition paths, both thin wrappers over numpy's LAPACK routines:
 
-* :func:`eig_hermitian` — unitary Householder reduction to real symmetric
-  tridiagonal form followed by implicit-shift QL iteration (vectors
-  accumulated through both stages).
-* :func:`eig_general`  — balancing, unitary Hessenberg reduction, complex
-  single-shift (Wilkinson) QR iteration to Schur form with deflation, then
-  back-substitution for the right eigenvectors.
+* :func:`eig_hermitian` — ``numpy.linalg.eigh`` of the symmetrized matrix,
+  so the eigenvalues are exactly real.
+* :func:`eig_general`  — ``numpy.linalg.eig`` (``eigvals`` when no vectors
+  are wanted); LAPACK ``geev`` balances the matrix itself.
 
-Both are written directly on numpy array arithmetic (no library eig/schur
-calls); deflation uses the criterion |h_{k+1,k}| <= eps·(|h_kk|+|h_{k+1,k+1}|)
-and the iteration budget is 30 sweeps per matrix dimension.  This is
-deterministic and entirely adequate for dense matrices up to a few thousand
-rows, which is the scale of the lattice operators here.
+Both return a :class:`SpectralDecomposition` sorted by (Re, Im) with
+residuals measured against the original matrix, and map a LAPACK
+convergence failure to :class:`SpectralError`.
 
 The propagator kernel :func:`expm_apply` computes exp(-iH·dt)·psi by Padé
 scaling-and-squaring, or synthesizes it from a cached decomposition when its
@@ -33,14 +29,6 @@ _SMLNUM = np.finfo(float).tiny / _EPS
 
 class SpectralError(Exception):
     """Eigensolver precondition failure or numerical breakdown."""
-
-
-class ConvergenceError(SpectralError):
-    """QR/QL iteration hit its sweep budget; carries the stuck index."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass
@@ -79,348 +67,42 @@ def _fro(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(A) ** 2)))
 
 
-# ---------------------------------------------------------------------------
-# Householder Hessenberg reduction (tridiagonal for hermitian input)
-
-
-def _hessenberg(A: np.ndarray, want_q: bool = True):
-    """Unitary similarity A = Q H Q† with H upper Hessenberg."""
-    n = A.shape[0]
-    H = np.array(A, dtype=complex, copy=True)
-    Q = np.eye(n, dtype=complex) if want_q else None
-    for k in range(n - 2):
-        x = H[k + 1 :, k]
-        xnorm = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if xnorm <= _SMLNUM:
-            H[k + 2 :, k] = 0.0
-            continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        alpha = -phase * xnorm
-        v = x.copy()
-        v[0] -= alpha
-        vsq = float(np.sum(np.abs(v) ** 2))
-        if vsq == 0.0:
-            continue
-        tau = 2.0 / vsq
-        w = tau * (v.conj() @ H[k + 1 :, k:])
-        H[k + 1 :, k:] -= np.outer(v, w)
-        u = tau * (H[:, k + 1 :] @ v)
-        H[:, k + 1 :] -= np.outer(u, v.conj())
-        if want_q:
-            uq = tau * (Q[:, k + 1 :] @ v)
-            Q[:, k + 1 :] -= np.outer(uq, v.conj())
-        H[k + 1, k] = alpha
-        H[k + 2 :, k] = 0.0
-    return H, Q
-
-
-# ---------------------------------------------------------------------------
-# Balancing (diagonal similarity with powers of two; exact in floating point)
-
-
-def _balance(A: np.ndarray, max_sweeps: int = 100):
-    B = np.array(A, dtype=complex, copy=True)
-    n = B.shape[0]
-    scale = np.ones(n)
-    for _ in range(max_sweeps):
-        converged = True
-        for i in range(n):
-            c = float(np.sum(np.abs(B[:, i]))) - abs(B[i, i])
-            r = float(np.sum(np.abs(B[i, :]))) - abs(B[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c > r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if (c + r) < 0.95 * s and f != 1.0:
-                converged = False
-                scale[i] *= f
-                B[i, :] /= f
-                B[:, i] *= f
-        if converged:
-            break
-    return B, scale
-
-
-# ---------------------------------------------------------------------------
-# Complex single-shift QR iteration with deflation
-
-
-def _givens(x: complex, y: complex):
-    """(c, s) with c real >= 0 so that [[c, s], [-s̄, c]] @ (x, y) = (r, 0)."""
-    if y == 0:
-        return 1.0, 0.0 + 0.0j
-    ax = abs(x)
-    ay = abs(y)
-    if ax == 0.0:
-        return 0.0, y.conjugate() / ay
-    nrm = math.hypot(ax, ay)
-    return ax / nrm, (x / ax) * y.conjugate() / nrm
-
-
-def _wilkinson_shift(H: np.ndarray, hi: int) -> complex:
-    a = H.item(hi - 1, hi - 1)
-    b = H.item(hi - 1, hi)
-    c = H.item(hi, hi - 1)
-    d = H.item(hi, hi)
-    tr2 = (a + d) / 2.0
-    disc = complex(np.sqrt(complex(tr2 * tr2 - (a * d - b * c))))
-    e1 = tr2 + disc
-    e2 = tr2 - disc
-    return e1 if abs(e1 - d) <= abs(e2 - d) else e2
-
-
-def _qr_schur(H: np.ndarray, QT: np.ndarray | None, cap: int):
-    """Reduce Hessenberg H to (quasi-)triangular form in place.
-
-    ``QT`` holds the transformation transposed (rows, not columns), so the
-    accumulation touches contiguous row pairs.  With QT given the full Schur
-    form is produced (rotations applied across all trailing columns and
-    leading rows); without it updates stay inside the active window, which
-    is enough for eigenvalues.
-    """
-    n = H.shape[0]
-    full = QT is not None
-    hi = n - 1
-    total = 0
-    since_deflation = 0
-    G = np.empty((2, 2), dtype=complex)
-    Gh = np.empty((2, 2), dtype=complex)
-    Gc = np.empty((2, 2), dtype=complex)
-    while hi > 0:
-        lo = hi
-        while lo > 0:
-            thresh = max(
-                _EPS * (abs(H.item(lo - 1, lo - 1)) + abs(H.item(lo, lo))), _SMLNUM
-            )
-            if abs(H.item(lo, lo - 1)) <= thresh:
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            hi -= 1
-            since_deflation = 0
-            continue
-        total += 1
-        since_deflation += 1
-        if total > cap:
-            raise ConvergenceError(
-                f"QR iteration exceeded {cap} sweeps at index {hi}", index=hi
-            )
-        if since_deflation % 10 == 0:
-            # exceptional shift to break rare cycling
-            extra = abs(H.item(hi, hi - 1)) + (
-                abs(H.item(hi - 1, hi - 2)) if hi - 2 >= lo else 0.0
-            )
-            shift = H.item(hi, hi) + 0.75 * extra
-        else:
-            shift = _wilkinson_shift(H, hi)
-        x = H.item(lo, lo) - shift
-        y = H.item(lo + 1, lo)
-        for k in range(lo, hi):
-            c, s = _givens(x, y)
-            sc = s.conjugate()
-            G[0, 0] = c
-            G[0, 1] = s
-            G[1, 0] = -sc
-            G[1, 1] = c
-            Gh[0, 0] = c
-            Gh[0, 1] = -s
-            Gh[1, 0] = sc
-            Gh[1, 1] = c
-            c0 = k - 1 if k > lo else lo
-            c1 = n if full else hi + 1
-            H[k : k + 2, c0:c1] = G @ H[k : k + 2, c0:c1]
-            r0 = 0 if full else lo
-            r1 = min(k + 3, hi + 1)
-            H[r0:r1, k : k + 2] = H[r0:r1, k : k + 2] @ Gh
-            if full:
-                Gc[0, 0] = c
-                Gc[0, 1] = sc
-                Gc[1, 0] = -s
-                Gc[1, 1] = c
-                QT[k : k + 2, :] = Gc @ QT[k : k + 2, :]
-            if k > lo:
-                H[k + 1, k - 1] = 0.0
-            if k + 2 <= hi:
-                x = H.item(k + 1, k)
-                y = H.item(k + 2, k)
-    return H, QT
-
-
-def _triangular_eigenvectors(T: np.ndarray) -> np.ndarray:
-    """Right eigenvectors of an upper triangular matrix (batched columns)."""
-    n = T.shape[0]
-    lam = np.diag(T).copy()
-    X = np.eye(n, dtype=complex)
-    smin = _EPS * max(float(np.max(np.abs(lam))), 1.0) + _SMLNUM
-    cols = np.arange(n)
-    for i in range(n - 2, -1, -1):
-        num = T[i, i + 1 :] @ X[i + 1 :, :]
-        den = T[i, i] - lam
-        den = np.where(np.abs(den) < smin, smin, den)
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = -num / den
-        X[i, :] = np.where(cols > i, row, X[i, :])
-    # rare overflow fallback: rescale the offending columns and redo serially
-    bad = ~np.isfinite(X).all(axis=0)
-    for j in np.flatnonzero(bad):
-        X[:, j] = _eigvec_column_scaled(T, lam, j, smin)
-    return X
-
-
-def _eigvec_column_scaled(T, lam, j, smin):
-    x = np.zeros(T.shape[0], dtype=complex)
-    x[j] = 1.0
-    for i in range(j - 1, -1, -1):
-        num = T[i, i + 1 : j + 1] @ x[i + 1 : j + 1]
-        den = T[i, i] - lam[j]
-        if abs(den) < smin:
-            den = smin
-        x[i] = -num / den
-        big = abs(x[i])
-        if big > 1e120:  # renormalize to keep the recursion representable
-            x[: j + 1] /= big
-    return x
+def _residuals(A: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    R = A @ V - V * lam[None, :]
+    return np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
 
 
 def _sorted_order(eigenvalues: np.ndarray) -> np.ndarray:
     return np.lexsort((eigenvalues.imag, eigenvalues.real))
 
 
-def eig_general(H, compute_vectors: bool = True, balance: bool = True) -> SpectralDecomposition:
-    """Full complex spectrum (and right eigenvectors) of a square matrix.
-
-    The sweep budget is 30 per matrix dimension; exhaustion raises
-    :class:`ConvergenceError` with the index that failed to deflate.
-    """
+def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
+    """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix."""
     A0 = _as_matrix(H)
-    n = A0.shape[0]
     hnorm = _fro(A0)
-    if n == 1:
-        lam = A0.diagonal().copy()
-        vec = np.ones((1, 1), dtype=complex)
-        res = np.array([0.0]) if compute_vectors else None
-        return SpectralDecomposition(
-            lam, vec if compute_vectors else None, res, hnorm
-        )
-    if balance:
-        Ab, scale = _balance(A0)
-    else:
-        Ab, scale = A0.copy(), np.ones(n)
-    Hm, Q = _hessenberg(Ab, want_q=compute_vectors)
-    QT = np.ascontiguousarray(Q.T) if compute_vectors else None
-    T, QT = _qr_schur(Hm, QT, cap=30 * n)
-    lam = np.diag(T).copy()
+    try:
+        if compute_vectors:
+            lam, V = np.linalg.eig(A0)
+        else:
+            lam, V = np.linalg.eigvals(A0), None
+    except np.linalg.LinAlgError as err:
+        raise SpectralError(f"eigensolver failed: {err}") from err
     order = _sorted_order(lam)
     lam = lam[order]
-    if not compute_vectors:
+    if V is None:
         return SpectralDecomposition(lam, None, None, hnorm)
-    X = _triangular_eigenvectors(T)
-    V = QT.T @ X
-    V = scale[:, None] * V
     V = V[:, order]
-    norms = np.sqrt(np.sum(np.abs(V) ** 2, axis=0))
-    norms[norms == 0.0] = 1.0
-    V /= norms
-    R = A0 @ V - V * lam[None, :]
-    residuals = np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
-    return SpectralDecomposition(lam, V, residuals, hnorm)
-
-
-# ---------------------------------------------------------------------------
-# Hermitian path: tridiagonalization + implicit-shift QL
-
-
-def _tql2(d: np.ndarray, e: np.ndarray, ZT: np.ndarray, iter_cap: int = 30):
-    """Implicit-shift QL on a real symmetric tridiagonal (d, e).
-
-    Rotations are accumulated into the basis ``ZT`` whose *rows* are the
-    (complex) basis vectors — row pairs are contiguous, which keeps the
-    million-rotation inner loop memory-friendly.  Classic EISPACK tql2
-    recurrence.
-    """
-    n = d.size
-    d = [float(v) for v in d]  # scalar recurrence runs on Python floats
-    e = [float(v) for v in e] + [0.0]
-    buf = np.empty(ZT.shape[1], dtype=complex)
-    buf2 = np.empty(ZT.shape[1], dtype=complex)
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd + _SMLNUM:
-                    break
-                m += 1
-            if m == l:
-                break
-            iters += 1
-            if iters > iter_cap:
-                raise ConvergenceError(
-                    f"QL iteration exceeded {iter_cap} sweeps for eigenvalue {l}", index=l
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            restarted = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    restarted = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                # rotate basis rows i, i+1: (zi, zi1) -> (c zi - s zi1, s zi + c zi1)
-                zi = ZT[i]
-                zi1 = ZT[i + 1]
-                np.multiply(zi, s, out=buf)
-                zi *= c
-                np.multiply(zi1, s, out=buf2)
-                zi -= buf2
-                zi1 *= c
-                zi1 += buf
-            if restarted:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    d = np.asarray(d)
-    order = np.argsort(d, kind="stable")
-    return d[order], ZT[order, :]
+    return SpectralDecomposition(lam, V, _residuals(A0, V, lam), hnorm)
 
 
 def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     """Spectrum of a (numerically) hermitian matrix; eigenvalues exactly real.
 
     Precondition: relative hermiticity residual at most ``herm_tol``.  The
-    matrix is symmetrized before reduction, so the output imaginary parts
+    matrix is symmetrized before decomposition, so the output imaginary parts
     are identically zero.
     """
     A0 = _as_matrix(H)
-    n = A0.shape[0]
     hnorm = _fro(A0)
     if hnorm > 0:
         res = _fro(A0 - A0.conj().T) / hnorm
@@ -428,31 +110,12 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
             raise SpectralError(
                 f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})"
             )
-    A = 0.5 * (A0 + A0.conj().T)
-    T, Q = _hessenberg(A, want_q=True)
-    d = T.diagonal().real.copy()
-    if n > 1:
-        e = T.diagonal(-1).copy()
-        # fold subdiagonal phases into the basis so (d, e) is real
-        p = np.ones(n, dtype=complex)
-        ereal = np.empty(n - 1)
-        for k in range(n - 1):
-            z = e[k] * p[k]
-            az = abs(z)
-            ereal[k] = az
-            p[k + 1] = z / az if az > _SMLNUM else p[k]
-        ZT = np.ascontiguousarray((Q * p[None, :]).T)
-        d, ZT = _tql2(d, ereal, ZT)
-        Z = ZT.T
-    else:
-        Z = Q
-    lam = d.astype(complex)  # imaginary parts exactly zero
-    norms = np.sqrt(np.sum(np.abs(Z) ** 2, axis=0))
-    norms[norms == 0.0] = 1.0
-    V = Z / norms
-    R = A0 @ V - V * lam[None, :]
-    residuals = np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
-    return SpectralDecomposition(lam, V, residuals, hnorm)
+    try:
+        d, V = np.linalg.eigh(0.5 * (A0 + A0.conj().T))
+    except np.linalg.LinAlgError as err:
+        raise SpectralError(f"eigensolver failed: {err}") from err
+    lam = d.astype(complex)  # ascending, imaginary parts exactly zero
+    return SpectralDecomposition(lam, V, _residuals(A0, V, lam), hnorm)
 
 
 # ---------------------------------------------------------------------------

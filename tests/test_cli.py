@@ -168,6 +168,44 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert 150 < len(rows) < 250  # flushed partial trace up to t ~ 2
 
 
+def test_exit_code_2_on_duality_for_non_conformal_metric(tmp_path, capsys):
+    code = main([
+        "evolve", "--family", "rindler", "--L", "10", "--t1", "0.01", "--dt", "1e-2",
+        "--check-duality", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "conformally flat" in err
+    assert err.count("\n") == 1
+
+
+def test_exit_code_2_on_unwritable_out_dir(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([
+        "spectrum", "--family", "flat", "--L", "4", "--out-dir", str(blocker / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_evolve_check_duality_writes_snapshots(tmp_path):
+    # the duality route writes the same snapshot files as the plain route
+    args = [
+        "evolve", "--family", "weyl", "--q", "0.01", "--r", "0.5", "--L", "20",
+        "--t0", "0", "--t1", "0.02", "--dt", "1e-3", "--snapshot-times", "0.005",
+    ]
+    plain, dual = tmp_path / "plain", tmp_path / "dual"
+    assert main([*args, "--out-dir", str(plain)]) == 0
+    assert main([*args, "--check-duality", "--out-dir", str(dual)]) == 0
+    snaps = sorted(p for p in os.listdir(plain) if p.startswith("snapshot"))
+    assert snaps == ["snapshot_t0.005.csv", "snapshot_t0.02.csv"]
+    assert sorted(p for p in os.listdir(dual) if p.startswith("snapshot")) == snaps
+    for name in snaps:
+        assert (plain / name).read_bytes() == (dual / name).read_bytes()
+
+
 def test_flags_override_config_file(tmp_path):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"family": "rindler", "L": 30, "M": 1.0}))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvedlattice import evolve
 from curvedlattice.evolve import (
     EvolveError,
     PropagationError,
@@ -12,6 +13,7 @@ from curvedlattice.evolve import (
 )
 from curvedlattice.metric import MetricModel
 from curvedlattice.operator import build
+from curvedlattice.spectral import propagator
 
 
 def _final(trace):
@@ -181,3 +183,23 @@ def test_snapshots_at_requested_times():
     assert times[0] == 0.0
     assert any(abs(t - 0.5) < 1e-2 for t in times)
     assert times[-1] == pytest.approx(1.0)
+
+
+def test_static_run_builds_one_step_matrix(monkeypatch):
+    # 0.25 / 1e-3 leaves the accumulated last step a few ulps short of dt;
+    # it must still reuse the cached step matrix
+    calls = []
+
+    def counting_propagator(H, dt):
+        calls.append(dt)
+        return propagator(H, dt)
+
+    monkeypatch.setattr(evolve, "propagator", counting_propagator)
+    model = MetricModel.weyl(q=0.05, r=0.3, L=20)  # massless Weyl: static operator
+    psi0 = gaussian_packet(10.0, 3.0, 0.5, 20)
+    for route in (propagate, dual_propagate):
+        calls.clear()
+        trace = route(model, 0.0, psi0, 0.0, 0.25, 1e-3)
+        assert calls == [1e-3]
+        assert trace.times.size == 251
+        assert trace.times[-1] == 0.25

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from curvedlattice.metric import MetricModel
-from curvedlattice.operator import build, flat_dispersion
+from curvedlattice.operator import build, flat_dispersion, hermitian_residual
 from curvedlattice.spectral import (
     SpectralError,
     eig_general,
@@ -24,12 +24,45 @@ def test_eig_hermitian_trivial():
     assert np.all(dec.eigenvalues.imag == 0.0)
 
 
+def _open_chain_levels(L, M, a):
+    """Open flat chain: E = ±√(M² + cos²(jπ/(L+1))/a²), j = 1..L, sorted.
+
+    Each spinor component hops uniformly with standing waves sin(jπn/(L+1));
+    the mass couples the two branches at equal |cos|.
+    """
+    c = np.cos(np.arange(1, L + 1) * np.pi / (L + 1)) / a
+    e = np.sqrt(M**2 + c**2)
+    return np.sort(np.concatenate([-e, e]))
+
+
 def test_eig_hermitian_flat_chain_dispersion():
-    H = build(MetricModel.flat(L=8).sample(), M=0.0, a=1.0, bc="periodic")
-    dec = eig_hermitian(H)
-    np.testing.assert_allclose(dec.eigenvalues.real, flat_dispersion(8, 0.0), atol=1e-12)
-    assert np.all(dec.eigenvalues.imag == 0.0)
-    assert dec.max_residual <= 1e-12 * dec.h_norm
+    cases = [("periodic", 8, 0.0, 1.0)] + [
+        ("open", L, M, a) for L, M, a in [(2, 0.0, 1.0), (7, 0.5, 1.0), (40, 1.0, 0.5), (101, 0.3, 1.0)]
+    ]
+    for bc, L, M, a in cases:
+        H = build(MetricModel.flat(L=L, a=a).sample(), M=M, a=a, bc=bc)
+        ref = flat_dispersion(L, M, a) if bc == "periodic" else _open_chain_levels(L, M, a)
+        dec = eig_hermitian(H)
+        np.testing.assert_allclose(dec.eigenvalues.real, ref, atol=1e-12)
+        assert np.all(dec.eigenvalues.imag == 0.0)
+        assert dec.max_residual <= 1e-12 * dec.h_norm
+        if bc == "open":
+            gen = eig_general(H)
+            np.testing.assert_allclose(gen.eigenvalues.real, ref, atol=1e-12)
+            assert np.abs(gen.eigenvalues.imag).max() <= 1e-12
+
+
+def test_eig_general_hatano_nelson_open_chain():
+    # static Weyl chain (r = 0, M = 0, open ends): each spinor component is a
+    # Hatano-Nelson chain with hoppings e^{±qa/2}/(2a), whose open-chain
+    # spectrum is that of the uniform chain, ±|cos(jπ/(L+1))|/a
+    for L, q, a in [(2, 0.1, 1.0), (10, 0.2, 1.0), (60, 0.05, 0.5), (101, 0.02, 1.0)]:
+        H = build(MetricModel.weyl(q=q, r=0.0, L=L, a=a).sample(), M=0.0, a=a, bc="open")
+        assert hermitian_residual(H) > 1e-3
+        for vectors in (True, False):
+            dec = eig_general(H, compute_vectors=vectors)
+            np.testing.assert_allclose(dec.eigenvalues.real, _open_chain_levels(L, 0.0, a), atol=1e-12)
+            assert np.abs(dec.eigenvalues.imag).max() <= 1e-12
 
 
 def test_eig_hermitian_rejects_nonhermitian():
@@ -48,6 +81,18 @@ def test_eig_hermitian_vs_library_oracle():
         # orthonormality of the eigenbasis
         V = dec.right_eigenvectors
         np.testing.assert_allclose(V.conj().T @ V, np.eye(n), atol=1e-10)
+
+
+def test_lapack_failure_is_spectral_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for name in ("eig", "eigvals", "eigh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    A = np.eye(3, dtype=complex)
+    for call in (eig_hermitian, eig_general, lambda H: eig_general(H, compute_vectors=False)):
+        with pytest.raises(SpectralError, match="did not converge"):
+            call(A)
 
 
 def test_eig_general_trivial():

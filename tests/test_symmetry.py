@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvedlattice.metric import MetricModel
+from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.operator import build, hermitian_residual
-from curvedlattice.spectral import eig_general, spectral_mismatch
+from curvedlattice.spectral import eig_general, eig_hermitian, spectral_mismatch
 from curvedlattice.symmetry import SymmetryError, classify, imaginary_gauge, unbroken_pt
 
 
@@ -59,6 +61,30 @@ def test_gauge_isospectral_on_catalog():
         e1 = eig_general(H, compute_vectors=False).eigenvalues
         e2 = eig_general(G, compute_vectors=False).eigenvalues
         assert spectral_mismatch(e1, e2) < 1e-9
+
+
+_POSITIVE = st.floats(min_value=0.2, max_value=5.0)
+_STATIC_PROFILES = st.integers(min_value=2, max_value=8).flatmap(
+    lambda L: st.tuples(
+        st.lists(_POSITIVE, min_size=L, max_size=L),
+        st.lists(_POSITIVE, min_size=L, max_size=L),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(profiles=_STATIC_PROFILES, M=st.floats(min_value=0.0, max_value=2.0))
+def test_gauge_isospectral_random_static_metric(profiles, M):
+    # any positive static (alpha, beta) gives a quasi-hermitian operator:
+    # the general path must see a real spectrum equal to the hermitian
+    # path's spectrum of the gauge partner
+    alpha, beta = (np.array(p) for p in profiles)
+    s = SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=np.zeros_like(alpha))
+    H = build(s, M=M, a=1.0)
+    ev = eig_general(H).eigenvalues
+    assert np.abs(ev.imag).max() <= 1e-9 * np.abs(ev).max()
+    partner = eig_hermitian(imaginary_gauge(H, beta)).eigenvalues
+    assert spectral_mismatch(ev, partner) < 1e-9
 
 
 def test_classify_rindler_hermitian_exact_zero():

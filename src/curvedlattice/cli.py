@@ -181,15 +181,16 @@ def _write_snapshots(cfg, snapshots, written):
 def cmd_evolve(cfg: RunConfig) -> list[str]:
     model = cfg.model()
     psi0 = cfg.initial_state()
-    written = []
     snap_times = list(cfg.snapshot_times)
+    disc = None
     try:
+        # the duality check keeps every step, so the discrepancy column covers the trace
+        trace = propagate(
+            model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
+            snapshot_times="all" if cfg.check_duality else snap_times,
+        )
+        snapshots = trace.snapshots
         if cfg.check_duality:
-            # snapshot every step so the discrepancy column covers the trace
-            trace = propagate(
-                model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
-                snapshot_times="all",
-            )
             dual = dual_propagate(
                 model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
                 snapshot_times="all",
@@ -198,24 +199,16 @@ def cmd_evolve(cfg: RunConfig) -> list[str]:
             for sa, sb in zip(trace.snapshots, dual.snapshots):
                 na = np.linalg.norm(sa.values)
                 disc.append(np.linalg.norm(sa.values - sb.values) / na if na > 0 else 0.0)
-            path = _out(cfg, "trace.csv")
-            _write_trace(path, trace, discrepancy=disc)
-            written.append(path)
-            _write_snapshots(cfg, select_snapshots(trace, snap_times), written)
-        else:
-            trace = propagate(
-                model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
-                snapshot_times=snap_times,
-            )
-            path = _out(cfg, "trace.csv")
-            _write_trace(path, trace)
-            written.append(path)
-            _write_snapshots(cfg, trace.snapshots, written)
+            snapshots = select_snapshots(trace, snap_times)
     except PropagationError as err:
         if err.partial is not None and err.partial.times.size:
             path = _out(cfg, "trace.csv")
             _write_trace(path, err.partial)
         raise
+    path = _out(cfg, "trace.csv")
+    _write_trace(path, trace, discrepancy=disc)
+    written = [path]
+    _write_snapshots(cfg, snapshots, written)
     return written
 
 

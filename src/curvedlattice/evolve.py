@@ -1,11 +1,12 @@
 """Spinor-field propagation under (non)hermitian lattice Hamiltonians.
 
-Stepping is midpoint-sampled exponential: ψ(t+dt) = exp(−iH(t+dt/2)·dt)ψ(t)
-with the operator rebuilt from the metric at each midpoint.  This is exact
-for time-independent operators and second order in dt otherwise, and remains
-well defined for nonhermitian H (where the norm genuinely grows or decays).
-When the model reports a static operator the step matrix is built once and
-reused — the same scheme, evaluated once.
+Stepping is midpoint-sampled exponential: ψ(t+dt) = exp(−iH(t+dt/2)·dt)ψ(t).
+This is exact for time-independent operators and second order in dt
+otherwise, and remains well defined for nonhermitian H (where the norm
+genuinely grows or decays).  The metric's structure decides what is
+recomputed: a t-independent metric is sampled once; a static operator is
+built and exponentiated once per step length and applied as a matrix; a
+time-dependent one is built from the metric at each midpoint.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent
@@ -74,11 +75,14 @@ class EvolutionTrace:
 
 def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
     """Curved-space norm √(ψ† diag(β_n) ψ): conserved where the lattice
-    evolution is quasi-unitary in the metric inner product."""
+    evolution is quasi-unitary in the metric inner product.
+
+    Sites with β_n = ∞ are left out: they are decoupled horizon sites, whose
+    row and column of H vanish, so their amplitude never changes.
+    """
     w = np.repeat(beta, 2)
-    if not np.all(np.isfinite(w)):
-        return float("nan")
-    return float(np.sqrt(np.real(np.sum(w * np.abs(values) ** 2))))
+    keep = ~np.isinf(w)
+    return float(np.sqrt(np.real(np.sum(w[keep] * np.abs(values[keep]) ** 2))))
 
 
 def _time_steps(t0: float, t1: float, dt: float):
@@ -143,26 +147,6 @@ def select_snapshots(trace: EvolutionTrace, snapshot_times) -> list[SpinorField]
     return recorder.finish(last.t, last.values)
 
 
-class _Stepper:
-    """Caches the step matrix while consecutive (H, dt) stay identical."""
-
-    def __init__(self, static: bool):
-        self.static = static
-        self._dt = None
-        self._U = None
-
-    def apply(self, H: LatticeOperator, dt: float, psi: np.ndarray) -> np.ndarray:
-        if not self.static:
-            return expm_apply(H, dt, psi)
-        if self._U is None or dt != self._dt:
-            self._U = propagator(H, dt)
-            self._dt = dt
-        out = self._U @ psi
-        if not np.all(np.isfinite(out)):
-            raise SpectralError("overflow in nonunitary propagation")
-        return out
-
-
 def _run(
     model: MetricModel,
     psi0: SpinorField,
@@ -176,9 +160,11 @@ def _run(
 ):
     """Shared trace loop for both propagation routes.
 
-    ``build_step_operator(t_mid)`` yields the stepping Hamiltonian;
-    ``transform(values, t)`` maps the internally evolved field to the
-    physical one recorded in the trace.
+    ``build_step_operator(metric)`` yields the stepping Hamiltonian from the
+    metric sampled at a step's midpoint; ``transform(values, metric)`` maps
+    the internally evolved field to the physical one recorded in the trace.
+    A t-independent metric is sampled once, at t0.  A static operator is
+    built and exponentiated only when the step length changes.
     """
     if psi0.values.shape[0] != 2 * model.L:
         raise EvolveError(
@@ -186,21 +172,34 @@ def _run(
         )
     steps = _time_steps(t0, t1, dt)
     recorder = _SnapshotRecorder(snapshot_times, dt)
+    fixed = None if model.time_dependent else model.sample(t0)
+
+    def sample(t):
+        return fixed if fixed is not None else model.sample(t)
+
     times = [t0]
     psi = psi0.values.astype(complex, copy=True)
-    beta0 = model.sample(t0).beta
-    phys = transform(psi, t0)
+    metric = sample(t0)
+    phys = transform(psi, metric)
     norms = [float(np.linalg.norm(phys))]
-    eta_norms = [_eta_norm(phys, beta0)]
+    eta_norms = [_eta_norm(phys, metric.beta)]
 
     recorder.offer(t0, phys)
-    stepper = _Stepper(static)
+    U, U_step = None, None
     for t, step, t_next in steps:
         try:
-            H = build_step_operator(t + step / 2)
-            psi = stepper.apply(H, step, psi)
-            phys = transform(psi, t_next)
-            eta = _eta_norm(phys, model.sample(t_next).beta)
+            if not static:
+                psi = expm_apply(build_step_operator(sample(t + step / 2)), step, psi)
+            else:
+                if step != U_step:
+                    U = propagator(build_step_operator(sample(t + step / 2)), step)
+                    U_step = step
+                psi = U @ psi
+                if not np.all(np.isfinite(psi)):
+                    raise SpectralError("overflow in nonunitary propagation")
+            metric = sample(t_next)
+            phys = transform(psi, metric)
+            eta = _eta_norm(phys, metric.beta)
         except (MetricDomainError, SpectralError, EvolveError) as err:
             partial = EvolutionTrace(
                 np.asarray(times), np.asarray(norms), np.asarray(eta_norms),
@@ -227,14 +226,14 @@ def propagate(
     bc: str = "open",
     snapshot_times=None,
 ) -> EvolutionTrace:
-    """Evolve the curved-space field under H(t) rebuilt per midpoint."""
+    """Evolve the curved-space field under H(t) built per midpoint."""
 
-    def step_operator(t_mid):
-        return build(model.sample(t_mid), M, model.a, bc)
+    def step_operator(metric):
+        return build(metric, M, model.a, bc)
 
     return _run(
         model, psi0, t0, t1, dt, snapshot_times,
-        step_operator, lambda v, t: v, static=model.static_operator(M),
+        step_operator, lambda v, metric: v, static=model.static_operator(M),
     )
 
 
@@ -271,27 +270,26 @@ def dual_propagate(
     K0 = _flat_kinetic(L, a, bc, t0)
     idx = np.arange(L)
 
-    def sqrt_alpha(t):
-        alpha = model.sample(t).alpha
-        if np.any(alpha == 0.0):
-            raise EvolveError(f"alpha vanishes at t={t:g}: dual rescaling is singular")
-        return np.repeat(np.sqrt(alpha), 2)
+    def sqrt_alpha(metric):
+        if np.any(metric.alpha == 0.0):
+            raise EvolveError(f"alpha vanishes at t={metric.t:g}: dual rescaling is singular")
+        return np.repeat(np.sqrt(metric.alpha), 2)
 
-    def step_operator(t_mid):
+    def step_operator(metric):
         Ht = K0.copy()
         if M != 0.0:
-            m_site = M * model.sample(t_mid).alpha
+            m_site = M * metric.alpha
             Ht[2 * idx, 2 * idx + 1] += m_site
             Ht[2 * idx + 1, 2 * idx] += m_site
         return LatticeOperator(
-            matrix=Ht, t=t_mid, bc=bc, mass=M, spacing=a,
+            matrix=Ht, t=metric.t, bc=bc, mass=M, spacing=a,
             provenance=f"dual:{model.provenance()}",
         )
 
-    def transform(values, t):
-        return values / sqrt_alpha(t)
+    def transform(values, metric):
+        return values / sqrt_alpha(metric)
 
-    psi0_tilde = SpinorField(psi0.values * sqrt_alpha(t0), psi0.t)
+    psi0_tilde = SpinorField(psi0.values * sqrt_alpha(model.sample(t0)), psi0.t)
     static = (M == 0.0) or not model.time_dependent
     return _run(
         model, psi0_tilde, t0, t1, dt, snapshot_times,

@@ -11,9 +11,9 @@ Both return a :class:`SpectralDecomposition` sorted by (Re, Im) with
 residuals measured against the original matrix, and map a LAPACK
 convergence failure to :class:`SpectralError`.
 
-The propagator kernel :func:`expm_apply` computes exp(-iH·dt)·psi by Padé
-scaling-and-squaring, or synthesizes it from a cached decomposition when its
-residuals permit.
+The propagator kernels are :func:`propagator`, the step matrix exp(-iH·dt)
+by Padé scaling-and-squaring, and :func:`expm_apply`, which applies it to a
+state and checks the result for overflow.
 """
 
 from __future__ import annotations
@@ -222,19 +222,10 @@ def propagator(H, dt: float) -> np.ndarray:
     return expm(-1j * dt * _as_matrix(H))
 
 
-def expm_apply(
-    H,
-    dt: float,
-    psi: np.ndarray,
-    decomposition: SpectralDecomposition | None = None,
-    residual_tol: float = 1e-9,
-) -> np.ndarray:
-    """Apply exp(-i H dt) to a state vector.
+def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
+    """Apply exp(-i H dt) to a state vector by Padé scaling-and-squaring.
 
-    If a cached decomposition with vectors is supplied and its residuals are
-    small relative to ‖H‖, the exponential is synthesized spectrally;
-    otherwise the Padé route is used.  Raises on nonhermitian growth beyond
-    the representable range.
+    Raises on nonhermitian growth beyond the representable range.
     """
     A = _as_matrix(H)
     psi = np.asarray(psi, dtype=complex)
@@ -242,18 +233,8 @@ def expm_apply(
         raise SpectralError(f"state length {psi.shape} does not match matrix {A.shape}")
     if not math.isfinite(dt):
         raise SpectralError(f"non-finite time step {dt!r}")
-    if (
-        decomposition is not None
-        and decomposition.right_eigenvectors is not None
-        and decomposition.max_residual <= residual_tol * max(decomposition.h_norm, 1.0)
-    ):
-        V = decomposition.right_eigenvectors
-        y = np.linalg.solve(V, psi)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow checked below
-            out = V @ (np.exp(-1j * decomposition.eigenvalues * dt) * y)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = propagator(A, dt) @ psi
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow checked below
+        out = propagator(A, dt) @ psi
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")
     return out

@@ -13,7 +13,7 @@ from curvedlattice.evolve import (
 )
 from curvedlattice.metric import MetricModel
 from curvedlattice.operator import build
-from curvedlattice.spectral import propagator
+from curvedlattice.spectral import expm_apply, propagator
 
 
 def _final(trace):
@@ -187,19 +187,60 @@ def test_snapshots_at_requested_times():
 
 def test_static_run_builds_one_step_matrix(monkeypatch):
     # 0.25 / 1e-3 leaves the accumulated last step a few ulps short of dt;
-    # it must still reuse the cached step matrix
-    calls = []
+    # it must still reuse the cached step matrix.  A static operator is built
+    # once per step length, and a t-independent metric is sampled a fixed
+    # number of times, whatever the step count.
+    calls, builds, samples = [], [], []
+    sample = MetricModel.sample
 
     def counting_propagator(H, dt):
         calls.append(dt)
         return propagator(H, dt)
 
+    def counting_build(*args, **kwargs):
+        builds.append(args[0].t)
+        return build(*args, **kwargs)
+
+    def counting_sample(self, t=0.0):
+        samples.append(t)
+        return sample(self, t)
+
     monkeypatch.setattr(evolve, "propagator", counting_propagator)
-    model = MetricModel.weyl(q=0.05, r=0.3, L=20)  # massless Weyl: static operator
+    monkeypatch.setattr(evolve, "build", counting_build)
+    monkeypatch.setattr(MetricModel, "sample", counting_sample)
+    weyl = MetricModel.weyl(q=0.05, r=0.3, L=20)  # massless Weyl: static operator
+    static_custom = MetricModel.custom("exp(0.002*x)", "exp(0.002*x)", L=20)
     psi0 = gaussian_packet(10.0, 3.0, 0.5, 20)
+    for model in (weyl, static_custom):
+        for route in (propagate, dual_propagate):
+            for counted in (calls, builds, samples):
+                counted.clear()
+            trace = route(model, 0.0, psi0, 0.0, 0.25, 1e-3)
+            assert calls == [1e-3]
+            assert len(builds) <= 1
+            if not model.time_dependent:
+                assert len(samples) <= 2
+            assert trace.times.size == 251
+            assert trace.times[-1] == 0.25
+
+    # a short last step takes a second step matrix, built for its length
     for route in (propagate, dual_propagate):
         calls.clear()
-        trace = route(model, 0.0, psi0, 0.0, 0.25, 1e-3)
-        assert calls == [1e-3]
-        assert trace.times.size == 251
-        assert trace.times[-1] == 0.25
+        trace = route(weyl, 0.0, psi0, 0.0, 0.2505, 1e-3)
+        assert len(calls) == 2
+        assert calls[0] == 1e-3 and calls[1] == pytest.approx(5e-4, rel=1e-9)
+        assert trace.times.size == 252
+        assert trace.times[-1] == 0.2505
+        H = build(weyl.sample(0.0), 0.0, weyl.a)
+        full = expm_apply(H, 0.2505, psi0.values)
+        assert np.linalg.norm(_final(trace) - full) < 1e-10 * np.linalg.norm(full)
+
+
+def test_de_sitter_horizon_eta_norm_finite_and_conserved():
+    # the horizon on the last site decouples: it is left out of the eta-norm,
+    # which the quasi-hermitian chain then conserves
+    model = MetricModel.de_sitter(q=1 / 39, L=40)
+    trace = propagate(model, 1.0, gaussian_packet(20, 4, 0.5, 40), 0, 0.5, 1e-3)
+    assert np.all(np.isfinite(trace.eta_norms))
+    drift = np.abs(trace.eta_norms - trace.eta_norms[0]).max()
+    assert drift <= 1e-8 * trace.eta_norms[0]

@@ -218,16 +218,6 @@ def test_expm_apply_composition():
     np.testing.assert_allclose(once, twice, rtol=1e-9, atol=1e-9 * np.abs(twice).max())
 
 
-def test_expm_apply_spectral_synthesis():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    dec = eig_general(A)
-    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
-    direct = expm_apply(A, 0.4, psi)
-    synth = expm_apply(A, 0.4, psi, decomposition=dec)
-    np.testing.assert_allclose(synth, direct, rtol=1e-8, atol=1e-8 * np.abs(direct).max())
-
-
 def test_expm_apply_overflow_raises():
     gain = 1j * 800.0 * np.eye(4)  # exp(+800) overflows
     with pytest.raises(SpectralError, match="overflow"):

@@ -6,7 +6,9 @@ otherwise, and remains well defined for nonhermitian H (where the norm
 genuinely grows or decays).  The metric's structure decides what is
 recomputed: a t-independent metric is sampled once; a static operator is
 built and exponentiated once per step length and applied as a matrix; a
-time-dependent one is built from the metric at each midpoint.
+time-dependent one is built from the metric at each midpoint, and only the
+action of its exponential on the state is computed (a truncated Taylor
+series of matrix-vector products), so no step matrix is formed.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent

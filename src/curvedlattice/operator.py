@@ -82,21 +82,40 @@ class LatticeOperator:
         return self.matrix.shape[0]
 
 
-def _guarded_hop(alpha_from: float, alpha_to: float, beta_from: float) -> float:
-    """√(α_n α_m)/β_n with the analytic limit 0 whenever an α vanishes.
+def _guarded_hop(
+    alpha_from: np.ndarray, alpha_to: np.ndarray, beta_from: np.ndarray
+) -> np.ndarray:
+    """√(α_n α_m)/β_n elementwise, with the analytic limit 0 wherever an α vanishes.
 
     At a horizon site α → 0 while β may diverge (de Sitter has β = 1/α); the
     operator only ever needs the product, which vanishes there.
     """
-    prod = alpha_from * alpha_to
-    if prod == 0.0:
-        return 0.0
-    value = np.sqrt(prod) / beta_from
-    if not np.isfinite(value):
+    with np.errstate(all="ignore"):  # non-finite values are reported below
+        prod = alpha_from * alpha_to
+        value = np.where(prod == 0.0, 0.0, np.sqrt(prod) / beta_from)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        k = bad[0]
         raise OperatorError(
-            f"divergent hopping: sqrt({prod:g})/{beta_from:g} with nonvanishing alphas"
+            f"divergent hopping: sqrt({prod[k]:g})/{beta_from[k]:g} with nonvanishing alphas"
         )
     return value
+
+
+def _assemble(L: int, rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The 2L×2L matrix with ``blocks[k]`` added to block (rows[k], cols[k]).
+
+    Blocks that land on the same place are added in the order given.
+    """
+    s = np.arange(2)
+    H = np.zeros((2 * L, 2 * L), dtype=complex)
+    np.add.at(
+        H, (2 * rows[:, None, None] + s[None, :, None], 2 * cols[:, None, None] + s[None, None, :]),
+        blocks,
+    )
+    if not np.all(np.isfinite(H)):
+        raise OperatorError("non-finite entries in assembled Hamiltonian")
+    return H
 
 
 def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> LatticeOperator:
@@ -108,7 +127,8 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
     * backward  H[n,n-1] = +(i/2a) · √(α_n α_{n-1})/β_n · K
     * onsite    H[n,n]   = M α_n σ_x − (i/2)(∂₀β_n/β_n) I
 
-    Open boundaries drop out-of-range blocks; periodic wraps indices mod L.
+    Open boundaries drop out-of-range blocks; periodic wraps indices mod L
+    (for L = 2 both hops of a site land on the same block and add up).
     Assembly is pure: distinct time slices can be built concurrently.
     """
     if bc not in BOUNDARY_CONDITIONS:
@@ -118,25 +138,21 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
     K = gamma_algebra().hop_kernel
-    H = np.zeros((2 * L, 2 * L), dtype=complex)
     fwd = -1.0j / (2.0 * a) * K
     bwd = +1.0j / (2.0 * a) * K
-    for n in range(L):
-        i = 2 * n
-        H[i : i + 2, i : i + 2] += M * alpha[n] * _SIGMA_X
-        H[i : i + 2, i : i + 2] += -0.5j * dlog[n] * np.eye(2)
-        m_next = n + 1
-        if m_next < L or bc == "periodic":
-            m = m_next % L
-            j = 2 * m
-            H[i : i + 2, j : j + 2] += _guarded_hop(alpha[n], alpha[m], beta[n]) * fwd
-        m_prev = n - 1
-        if m_prev >= 0 or bc == "periodic":
-            m = m_prev % L
-            j = 2 * m
-            H[i : i + 2, j : j + 2] += _guarded_hop(alpha[n], alpha[m], beta[n]) * bwd
-    if not np.all(np.isfinite(H)):
-        raise OperatorError("non-finite entries in assembled Hamiltonian")
+    n = np.arange(L)
+    fwd_from, bwd_from = (n, n) if bc == "periodic" else (n[:-1], n[1:])
+    src = np.concatenate([fwd_from, bwd_from])
+    dst = np.concatenate([(fwd_from + 1) % L, (bwd_from - 1) % L])
+    hop = _guarded_hop(alpha[src], alpha[dst], beta[src])
+    nf = fwd_from.size
+    blocks = np.concatenate([
+        (M * alpha)[:, None, None] * _SIGMA_X,
+        (-0.5j * dlog)[:, None, None] * np.eye(2),
+        hop[:nf, None, None] * fwd,
+        hop[nf:, None, None] * bwd,
+    ])
+    H = _assemble(L, np.concatenate([n, n, src]), np.concatenate([n, n, dst]), blocks)
     return LatticeOperator(
         matrix=H, t=metric.t, bc=bc, mass=M, spacing=a, provenance=metric.provenance
     )
@@ -157,18 +173,18 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
     L = metric.L
     K = gamma_algebra().hop_kernel
     dalpha = np.gradient(alpha, a)
-    H = np.zeros((2 * L, 2 * L), dtype=complex)
-    for n in range(L):
-        i = 2 * n
-        H[i : i + 2, i : i + 2] += M * alpha[n] * _SIGMA_X
-        H[i : i + 2, i : i + 2] += -0.5j * dlog[n] * np.eye(2)
-        H[i : i + 2, i : i + 2] += -0.5j * (dalpha[n] / beta[n]) * K
-        if n + 1 < L:
-            H[i : i + 2, i + 2 : i + 4] += -1.0j / (2.0 * a) * (alpha[n] / beta[n]) * K
-        if n - 1 >= 0:
-            H[i : i + 2, i - 2 : i] += +1.0j / (2.0 * a) * (alpha[n] / beta[n]) * K
-    if not np.all(np.isfinite(H)):
-        raise OperatorError("non-finite entries in assembled Hamiltonian")
+    n = np.arange(L)
+    ratio = alpha / beta
+    blocks = np.concatenate([
+        (M * alpha)[:, None, None] * _SIGMA_X,
+        (-0.5j * dlog)[:, None, None] * np.eye(2),
+        (-0.5j * (dalpha / beta))[:, None, None] * K,
+        (-1.0j / (2.0 * a) * ratio[:-1])[:, None, None] * K,
+        (+1.0j / (2.0 * a) * ratio[1:])[:, None, None] * K,
+    ])
+    rows = np.concatenate([n, n, n, n[:-1], n[1:]])
+    cols = np.concatenate([n, n, n, n[1:], n[:-1]])
+    H = _assemble(L, rows, cols, blocks)
     return LatticeOperator(
         matrix=H, t=metric.t, bc="open", mass=M, spacing=a,
         provenance=f"naive:{metric.provenance}",

@@ -12,8 +12,11 @@ residuals measured against the original matrix, and map a LAPACK
 convergence failure to :class:`SpectralError`.
 
 The propagator kernels are :func:`propagator`, the step matrix exp(-iH·dt)
-by Padé scaling-and-squaring, and :func:`expm_apply`, which applies it to a
-state and checks the result for overflow.
+by Padé scaling-and-squaring, which a static operator forms once and reuses
+every step, and :func:`expm_apply`, the action of exp(-iH·dt) on one state
+by a truncated Taylor series of matrix-vector products (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011) 488), which forms no n×n exponential unless
+‖H·dt‖₁ exceeds n, where the Padé step matrix is the cheaper route.
 """
 
 from __future__ import annotations
@@ -222,19 +225,64 @@ def propagator(H, dt: float) -> np.ndarray:
     return expm(-1j * dt * _as_matrix(H))
 
 
-def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i H dt) to a state vector by Padé scaling-and-squaring.
+_TAYLOR_TOL = 2.0**-53  # unit roundoff of double precision
+_TAYLOR_MAX_TERMS = 60
 
-    Raises on nonhermitian growth beyond the representable range.
+
+def _taylor_action(B: np.ndarray, mu: complex, s: int, psi: np.ndarray) -> np.ndarray:
+    """exp(B + μ)ψ as s substeps of a truncated Taylor series, each sum
+    ended when two consecutive terms fall below the unit roundoff relative
+    to the partial sum (Al-Mohy & Higham's test)."""
+    shift = np.exp(mu / s)
+    out = psi.copy()
+    for _ in range(s):
+        term = out
+        prev = float(np.max(np.abs(term), initial=0.0))
+        for k in range(1, _TAYLOR_MAX_TERMS + 1):
+            term = (B @ term) / (s * k)
+            out = out + term
+            size = float(np.max(np.abs(term), initial=0.0))
+            if prev + size <= _TAYLOR_TOL * float(np.max(np.abs(out), initial=0.0)):
+                break
+            if not math.isfinite(size):
+                raise SpectralError("overflow in nonunitary propagation")
+            prev = size
+        else:
+            raise SpectralError(
+                f"Taylor series of exp(-iH·dt) did not converge in {_TAYLOR_MAX_TERMS} terms"
+            )
+        out = shift * out
+    return out
+
+
+def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
+    """Apply exp(-i H dt) to a state vector by a truncated Taylor series.
+
+    With B = -i·dt·H shifted by μ = tr(B)/n (exact: it removes a uniform
+    onsite part such as the Weyl −(i/2)∂₀β/β), the step is split into
+    s = max(1, ⌈‖B − μ‖₁⌉) substeps, and each costs a few matrix-vector
+    products.  When s exceeds the dimension n, the substeps together would
+    cost more than the dense Padé step matrix, and that is applied instead.
+
+    Raises on nonhermitian growth beyond the representable range, and when
+    the series has not converged after 60 terms.
     """
     A = _as_matrix(H)
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (A.shape[0],):
+    n = A.shape[0]
+    if psi.shape != (n,):
         raise SpectralError(f"state length {psi.shape} does not match matrix {A.shape}")
     if not math.isfinite(dt):
         raise SpectralError(f"non-finite time step {dt!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow checked below
-        out = propagator(A, dt) @ psi
+    with np.errstate(all="ignore"):  # overflow checked below
+        B = (-1j * dt) * A
+        mu = np.trace(B) / max(n, 1)
+        B[np.diag_indices(n)] -= mu
+        norm1 = float(np.max(np.sum(np.abs(B), axis=0), initial=0.0))
+        if not (math.isfinite(norm1) and np.isfinite(mu)):
+            raise SpectralError("overflow in nonunitary propagation")
+        s = max(1, math.ceil(norm1))
+        out = propagator(A, dt) @ psi if s > n else _taylor_action(B, mu, s, psi)
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")
     return out

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvedlattice.metric import MetricModel
+from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.operator import (
     GammaAlgebra,
     OperatorError,
@@ -14,6 +16,129 @@ from curvedlattice.operator import (
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+# -- per-site reference assembly ---------------------------------------------
+# The site-by-site loops that `build` and `naive_build` replace with
+# vectorized assembly; the vectorized code must reproduce them byte for byte.
+
+
+def _reference_hop(alpha_from, alpha_to, beta_from):
+    prod = alpha_from * alpha_to
+    if prod == 0.0:
+        return 0.0
+    value = np.sqrt(prod) / beta_from
+    if not np.isfinite(value):
+        raise OperatorError(f"divergent hopping: sqrt({prod:g})/{beta_from:g}")
+    return value
+
+
+def reference_build(metric, M, a, bc="open"):
+    alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
+    L = metric.L
+    K = gamma_algebra().hop_kernel
+    H = np.zeros((2 * L, 2 * L), dtype=complex)
+    fwd = -1.0j / (2.0 * a) * K
+    bwd = +1.0j / (2.0 * a) * K
+    for n in range(L):
+        i = 2 * n
+        H[i : i + 2, i : i + 2] += M * alpha[n] * SX
+        H[i : i + 2, i : i + 2] += -0.5j * dlog[n] * np.eye(2)
+        if n + 1 < L or bc == "periodic":
+            j = 2 * ((n + 1) % L)
+            H[i : i + 2, j : j + 2] += _reference_hop(alpha[n], alpha[(n + 1) % L], beta[n]) * fwd
+        if n - 1 >= 0 or bc == "periodic":
+            j = 2 * ((n - 1) % L)
+            H[i : i + 2, j : j + 2] += _reference_hop(alpha[n], alpha[(n - 1) % L], beta[n]) * bwd
+    return H
+
+
+def reference_naive_build(metric, M, a):
+    alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
+    L = metric.L
+    K = gamma_algebra().hop_kernel
+    dalpha = np.gradient(alpha, a)
+    H = np.zeros((2 * L, 2 * L), dtype=complex)
+    for n in range(L):
+        i = 2 * n
+        H[i : i + 2, i : i + 2] += M * alpha[n] * SX
+        H[i : i + 2, i : i + 2] += -0.5j * dlog[n] * np.eye(2)
+        H[i : i + 2, i : i + 2] += -0.5j * (dalpha[n] / beta[n]) * K
+        if n + 1 < L:
+            H[i : i + 2, i + 2 : i + 4] += -1.0j / (2.0 * a) * (alpha[n] / beta[n]) * K
+        if n - 1 >= 0:
+            H[i : i + 2, i - 2 : i] += +1.0j / (2.0 * a) * (alpha[n] / beta[n]) * K
+    return H
+
+
+def _assert_byte_identical(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()  # also the signs of zeros
+
+
+# Random profiles: alpha >= 0 with zeros, beta = inf where alpha vanishes
+# (a decoupled horizon site), arbitrary d(log beta)/dt.
+_SITE = st.tuples(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+_PROFILES = st.integers(min_value=2, max_value=9).flatmap(
+    lambda L: st.lists(_SITE, min_size=L, max_size=L)
+)
+
+
+def _sampled(sites):
+    alpha, beta, dlog = (np.array(col) for col in zip(*sites))
+    beta = np.where(alpha == 0.0, np.inf, beta)
+    return SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=dlog, provenance="random")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    sites=_PROFILES,
+    M=st.floats(min_value=0.0, max_value=3.0),
+    a=st.sampled_from([1.0, 0.5, 0.3]),
+    bc=st.sampled_from(["open", "periodic"]),
+)
+def test_build_matches_per_site_reference(sites, M, a, bc):
+    s = _sampled(sites)
+    _assert_byte_identical(build(s, M=M, a=a, bc=bc).matrix, reference_build(s, M, a, bc))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sites=_PROFILES, M=st.floats(min_value=0.0, max_value=3.0), a=st.sampled_from([1.0, 0.5]))
+def test_naive_build_matches_per_site_reference(sites, M, a):
+    s = _sampled(sites)
+    _assert_byte_identical(naive_build(s, M=M, a=a).matrix, reference_naive_build(s, M, a))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MetricModel.rindler(q=0.01, L=13),
+        MetricModel.de_sitter(q=1.0 / 12, L=13),
+        MetricModel.weyl(q=0.1, r=0.5, L=13),
+        MetricModel.linear_conformal(q=0.1, r=0.0, L=13),  # alpha_0 = beta_0 = 0
+        MetricModel.linear_conformal(q=0.1, r=0.5, L=2),
+    ],
+    ids=["rindler", "de_sitter", "weyl", "linear_conformal_r0", "linear_conformal_L2"],
+)
+def test_build_matches_per_site_reference_on_catalog(model):
+    s = model.sample(0.4)
+    for bc in ("open", "periodic"):
+        _assert_byte_identical(build(s, M=0.7, a=1.0, bc=bc).matrix, reference_build(s, 0.7, 1.0, bc))
+
+
+def test_divergent_hop_raises():
+    # nonvanishing alphas with beta = 0: sqrt(alpha_n alpha_m)/beta_n diverges
+    s = SampledMetric(
+        t=0.0, alpha=np.array([1.0, 2.0, 1.0]), beta=np.array([1.0, 0.0, 1.0]),
+        dlog_beta_dt=np.zeros(3),
+    )
+    with pytest.raises(OperatorError, match="divergent hopping"):
+        build(s, M=0.0, a=1.0)
 
 
 def test_gamma_algebra_relations():

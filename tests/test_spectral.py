@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from curvedlattice import spectral
 from curvedlattice.metric import MetricModel
 from curvedlattice.operator import build, flat_dispersion, hermitian_residual
 from curvedlattice.spectral import (
@@ -220,8 +223,56 @@ def test_expm_apply_composition():
 
 def test_expm_apply_overflow_raises():
     gain = 1j * 800.0 * np.eye(4)  # exp(+800) overflows
-    with pytest.raises(SpectralError, match="overflow"):
-        expm_apply(gain, 1.0, np.ones(4, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may leak
+        with pytest.raises(SpectralError, match="overflow"):
+            expm_apply(gain, 1.0, np.ones(4, dtype=complex))
+
+
+def test_expm_apply_unconverged_series_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_TAYLOR_MAX_TERMS", 3)
+    H = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(SpectralError, match="did not converge"):
+        expm_apply(H, 0.9, np.array([1.0, 0.0], dtype=complex))
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "model, M",
+    [
+        (MetricModel.rindler(q=0.02, L=50), 0.5),  # hermitian
+        (MetricModel.de_sitter(q=1.0 / 49, L=50), 1.0),  # quasi-hermitian, horizon site
+        (MetricModel.linear_conformal(q=0.1, r=0.5, L=50), 0.3),  # nonhermitian
+    ],
+    ids=["rindler", "de_sitter", "linear_conformal"],
+)
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 2.0])
+def test_expm_apply_vs_scipy_on_catalog(model, M, dt):
+    H = build(model.sample(0.5), M=M, a=1.0).matrix
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+    ref = scipy.linalg.expm(-1j * dt * H) @ psi
+    assert _rel_err(expm_apply(H, dt, psi), ref) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("norm1", [1e-4, 0.3, 1.0, 4.0, 17.0, 50.0])
+def test_expm_apply_vs_scipy_random(n, norm1, monkeypatch):
+    # ||H dt||_1 above 1 takes several Taylor substeps; above n, the dense
+    # Padé step matrix is applied instead
+    calls = []
+    monkeypatch.setattr(spectral, "propagator", lambda *a: calls.append(a) or propagator(*a))
+    rng = np.random.default_rng(n)
+    H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dt = norm1 / np.max(np.sum(np.abs(H), axis=0))
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ref = scipy.linalg.expm(-1j * dt * H) @ psi
+    assert _rel_err(expm_apply(H, dt, psi), ref) <= 1e-10
+    shifted = -1j * dt * (H - np.trace(H) / n * np.eye(n))
+    assert len(calls) == (np.max(np.sum(np.abs(shifted), axis=0)) > n)
 
 
 def test_match_eigenvalues():

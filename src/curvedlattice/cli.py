@@ -248,12 +248,8 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     L = sample.L
     hop_f = np.zeros(L)
     hop_b = np.zeros(L)
-    for n in range(L):
-        j = 2 * n
-        if n + 1 < L:
-            hop_f[n] = abs(A[j, j + 2])
-        if n - 1 >= 0:
-            hop_b[n] = abs(A[j, j - 2])
+    hop_f[:-1] = np.abs(np.diagonal(A, 2)[::2])
+    hop_b[1:] = np.abs(np.diagonal(A, -2)[::2])
     tpath = _out(cfg, "metric.csv")
     _write_csv(
         tpath,
@@ -352,7 +348,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         }
     if args.config:
         return RunConfig.from_file(args.config, overrides)
-    return RunConfig.from_dict(overrides, apply_env="out_dir" not in overrides)
+    return RunConfig.from_dict(overrides)
 
 
 def main(argv=None) -> int:

@@ -66,13 +66,13 @@ class RunConfig:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_dict(cls, data: dict, apply_env: bool = True) -> "RunConfig":
+    def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
-        if apply_env and "out_dir" not in data:
+        if "out_dir" not in data:
             cfg.out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
         cfg.validate()
         return cfg
@@ -89,16 +89,8 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
         merged = dict(data)
-        explicit_out = "out_dir" in merged
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                merged[key] = value
-                if key == "out_dir":
-                    explicit_out = True
-        cfg = cls.from_dict(merged, apply_env=False)
-        if not explicit_out:
-            cfg.out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
-        return cfg
+        merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        return cls.from_dict(merged)
 
     # -- validation ------------------------------------------------------
 

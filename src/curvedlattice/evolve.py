@@ -269,7 +269,9 @@ def dual_propagate(
     elif model.family not in ("flat", "weyl", "linear_conformal"):
         raise EvolveError(f"metric family {model.family!r} is not conformally flat")
     L, a = model.L, model.a
-    K0 = _flat_kinetic(L, a, bc, t0)
+    # the onsite mass entries of the flat kinetic matrix are exactly 0, so each
+    # step writes M·α_n(t) into the one matrix; a step consumes it before the next
+    Ht = _flat_kinetic(L, a, bc, t0)
     idx = np.arange(L)
 
     def sqrt_alpha(metric):
@@ -278,11 +280,8 @@ def dual_propagate(
         return np.repeat(np.sqrt(metric.alpha), 2)
 
     def step_operator(metric):
-        Ht = K0.copy()
         if M != 0.0:
-            m_site = M * metric.alpha
-            Ht[2 * idx, 2 * idx + 1] += m_site
-            Ht[2 * idx + 1, 2 * idx] += m_site
+            Ht[2 * idx, 2 * idx + 1] = Ht[2 * idx + 1, 2 * idx] = M * metric.alpha
         return LatticeOperator(
             matrix=Ht, t=metric.t, bc=bc, mass=M, spacing=a,
             provenance=f"dual:{model.provenance()}",

@@ -11,12 +11,12 @@ Both return a :class:`SpectralDecomposition` sorted by (Re, Im) with
 residuals measured against the original matrix, and map a LAPACK
 convergence failure to :class:`SpectralError`.
 
-The propagator kernels are :func:`propagator`, the step matrix exp(-iH·dt)
-by Padé scaling-and-squaring, which a static operator forms once and reuses
-every step, and :func:`expm_apply`, the action of exp(-iH·dt) on one state
-by a truncated Taylor series of matrix-vector products (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33 (2011) 488), which forms no n×n exponential unless
-‖H·dt‖₁ exceeds n, where the Padé step matrix is the cheaper route.
+Both propagator kernels sum one truncated Taylor series of B = −iH·dt − μI,
+μ = tr/n, to a degree fixed in advance (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33 (2011) 488): :func:`propagator` forms the step matrix, which a
+static operator reuses every step, by scaling and squaring; :func:`expm_apply`
+applies it to one state by matrix-vector products, and forms no n×n
+exponential unless ‖B‖₁ exceeds n.
 """
 
 from __future__ import annotations
@@ -122,102 +122,65 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Matrix exponential (Padé scaling-and-squaring) and the propagator kernel
+# Matrix exponential and the propagator kernel: one truncated Taylor series
 
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0,
-        8821612800.0,
-        2075673600.0,
-        302702400.0,
-        30270240.0,
-        2162160.0,
-        110880.0,
-        3960.0,
-        90.0,
-        1.0,
-    ),
-    13: (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ),
-}
-
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
+_TAYLOR_TOL = 2.0**-53  # unit roundoff of double precision
 
 
-def _pade_uv(A: np.ndarray, m: int):
-    b = _PADE_B[m]
-    n = A.shape[0]
-    eye = np.eye(n, dtype=complex)
-    A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A2 @ A4
-        U = A @ (
-            A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-            + b[7] * A6
-            + b[5] * A4
-            + b[3] * A2
-            + b[1] * eye
-        )
-        V = (
-            A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-            + b[6] * A6
-            + b[4] * A4
-            + b[2] * A2
-            + b[0] * eye
-        )
-        return U, V
-    powers = {0: eye, 2: A2}
-    for k in range(4, m, 2):
-        powers[k] = powers[k - 2] @ A2
-    U = np.zeros_like(A)
-    V = np.zeros_like(A)
-    for k in range(0, m + 1, 2):
-        V += b[k] * powers[k]
-    Uacc = np.zeros_like(A)
-    for k in range(1, m + 1, 2):
-        Uacc += b[k] * powers[k - 1]
-    U = A @ Uacc
-    return U, V
+def _shifted(B: np.ndarray):
+    """B − μI in place, μ = tr(B)/n (exact: it removes a uniform onsite part
+    such as the Weyl −(i/2)∂₀β/β), and its 1-norm, which must be finite."""
+    n = B.shape[0]
+    mu = np.trace(B) / max(n, 1)
+    B[np.diag_indices(n)] -= mu
+    norm1 = float(np.max(np.sum(np.abs(B), axis=0), initial=0.0))
+    if not math.isfinite(norm1):
+        raise SpectralError("overflow in nonunitary propagation")
+    return B, mu, norm1
+
+
+def _taylor_degree(norm1: float) -> int:
+    """Smallest m whose first omitted term ‖B‖^(m+1)/(m+1)! is at most the
+    unit roundoff; 18 at most for ‖B‖₁ ≤ 1."""
+    m, term = 0, norm1
+    while term > _TAYLOR_TOL:
+        m += 1
+        term *= norm1 / (m + 1)
+    return m
+
+
+def _taylor_poly(X: np.ndarray, m: int) -> np.ndarray:
+    """Σ_{k≤m} X^k/k! by Paterson & Stockmeyer (SIAM J. Comput. 2 (1973) 60):
+    form X², …, X^q with q = ⌊√m⌋, then run Horner in X^q over blocks of q
+    coefficients (the top block takes up to q + 1), about 2√m products."""
+    q = max(1, math.isqrt(m))
+    powers = [None, X]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ X)
+    diag = np.diag_indices(X.shape[0])
+    P = None
+    for start in reversed(range(0, max(m, 1), q)):
+        stop = m + 1 if P is None else start + q
+        P = np.zeros_like(X) if P is None else P @ powers[q]
+        P[diag] += 1.0 / math.factorial(start)
+        for k in range(start + 1, stop):
+            P += powers[k - start] / math.factorial(k)
+    return P
 
 
 def expm(A) -> np.ndarray:
-    """Matrix exponential by Padé approximation with scaling and squaring."""
+    """Matrix exponential by a truncated Taylor series: B = A − μI is scaled
+    by 2^-j until ‖B‖₁ ≤ 1, its Taylor polynomial is summed by Paterson–
+    Stockmeyer, squared j times and multiplied by e^μ."""
     A = _as_matrix(A)
-    norm1 = float(np.max(np.sum(np.abs(A), axis=0))) if A.size else 0.0
-    m = next((deg for deg in (3, 5, 7, 9) if norm1 <= _PADE_THETA[deg]), 13)
-    s = 0
-    if m == 13 and norm1 > _PADE_THETA[13]:
-        s = int(math.ceil(math.log2(norm1 / _PADE_THETA[13])))
-    U, V = _pade_uv(A / (2.0**s), m)
-    R = np.linalg.solve(V - U, V + U)
-    with np.errstate(over="ignore", invalid="ignore"):  # caller checks finiteness
-        for _ in range(s):
+    with np.errstate(all="ignore"):  # caller checks finiteness
+        B, mu, norm1 = _shifted(A.copy())
+        j = math.ceil(math.log2(norm1)) if norm1 > 1.0 else 0
+        B *= 0.5**j
+        R = _taylor_poly(B, _taylor_degree(norm1 * 0.5**j))
+        for _ in range(j):
             R = R @ R
-    return R
+        return np.exp(mu) * R
 
 
 def propagator(H, dt: float) -> np.ndarray:
@@ -225,47 +188,27 @@ def propagator(H, dt: float) -> np.ndarray:
     return expm(-1j * dt * _as_matrix(H))
 
 
-_TAYLOR_TOL = 2.0**-53  # unit roundoff of double precision
-_TAYLOR_MAX_TERMS = 60
-
-
-def _taylor_action(B: np.ndarray, mu: complex, s: int, psi: np.ndarray) -> np.ndarray:
-    """exp(B + μ)ψ as s substeps of a truncated Taylor series, each sum
-    ended when two consecutive terms fall below the unit roundoff relative
-    to the partial sum (Al-Mohy & Higham's test)."""
-    shift = np.exp(mu / s)
-    out = psi.copy()
+def _taylor_action(B: np.ndarray, mu: complex, s: int, norm1: float, psi: np.ndarray) -> np.ndarray:
+    """exp(B + μ)ψ as s substeps, each e^{μ/s} times the Taylor polynomial of
+    B/s (‖B‖₁ = norm1) applied by Horner's rule, one product per degree."""
+    m, shift, out = _taylor_degree(norm1 / s), np.exp(mu / s), psi
     for _ in range(s):
-        term = out
-        prev = float(np.max(np.abs(term), initial=0.0))
-        for k in range(1, _TAYLOR_MAX_TERMS + 1):
-            term = (B @ term) / (s * k)
-            out = out + term
-            size = float(np.max(np.abs(term), initial=0.0))
-            if prev + size <= _TAYLOR_TOL * float(np.max(np.abs(out), initial=0.0)):
-                break
-            if not math.isfinite(size):
-                raise SpectralError("overflow in nonunitary propagation")
-            prev = size
-        else:
-            raise SpectralError(
-                f"Taylor series of exp(-iH·dt) did not converge in {_TAYLOR_MAX_TERMS} terms"
-            )
-        out = shift * out
+        v = out
+        for k in range(m, 0, -1):
+            v = out + (B @ v) / (s * k)
+        out = shift * v
     return out
 
 
 def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i H dt) to a state vector by a truncated Taylor series.
 
-    With B = -i·dt·H shifted by μ = tr(B)/n (exact: it removes a uniform
-    onsite part such as the Weyl −(i/2)∂₀β/β), the step is split into
-    s = max(1, ⌈‖B − μ‖₁⌉) substeps, and each costs a few matrix-vector
-    products.  When s exceeds the dimension n, the substeps together would
-    cost more than the dense Padé step matrix, and that is applied instead.
-
-    Raises on nonhermitian growth beyond the representable range, and when
-    the series has not converged after 60 terms.
+    With B = -i·dt·H shifted by μ = tr(B)/n, the step is split into
+    s = max(1, ⌈‖B − μ‖₁⌉) substeps, each the Taylor polynomial of degree
+    :func:`_taylor_degree` (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When
+    s exceeds the dimension n, the dense step matrix of :func:`propagator`
+    is cheaper, and that is applied instead.  Raises on nonhermitian growth
+    beyond the representable range.
     """
     A = _as_matrix(H)
     psi = np.asarray(psi, dtype=complex)
@@ -275,14 +218,9 @@ def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     if not math.isfinite(dt):
         raise SpectralError(f"non-finite time step {dt!r}")
     with np.errstate(all="ignore"):  # overflow checked below
-        B = (-1j * dt) * A
-        mu = np.trace(B) / max(n, 1)
-        B[np.diag_indices(n)] -= mu
-        norm1 = float(np.max(np.sum(np.abs(B), axis=0), initial=0.0))
-        if not (math.isfinite(norm1) and np.isfinite(mu)):
-            raise SpectralError("overflow in nonunitary propagation")
+        B, mu, norm1 = _shifted((-1j * dt) * A)
         s = max(1, math.ceil(norm1))
-        out = propagator(A, dt) @ psi if s > n else _taylor_action(B, mu, s, psi)
+        out = propagator(A, dt) @ psi if s > n else _taylor_action(B, mu, s, norm1, psi)
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")
     return out

@@ -166,6 +166,14 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     _, rows = _read_csv(tmp_path / "trace.csv")
     assert 150 < len(rows) < 250  # flushed partial trace up to t ~ 2
+    # one step so long that -i·H·dt overflows
+    code = main([
+        "evolve", "--family", "flat", "--L", "4", "--M", "1", "--t0", "0",
+        "--t1", "1e308", "--dt", "1e308", "--out-dir", str(tmp_path / "huge"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and err.count("\n") == 1
 
 
 def test_exit_code_2_on_duality_for_non_conformal_metric(tmp_path, capsys):

@@ -113,17 +113,18 @@ def test_duality_agreement_weyl():
 
 def test_duality_integrator_second_order():
     # linear-conformal: the rescaling D(t) does not factorize in time, so the
-    # route difference is pure midpoint-integrator error, which is O(dt²)
+    # route difference is pure midpoint-integrator error, which is O(dt²);
+    # with M > 0 the dual route's mass M·α_n(t) changes at every step
     model = MetricModel.linear_conformal(q=0.01, r=0.5, L=60)
     psi0 = gaussian_packet(30.0, 6.0, np.pi / 8, 60)
 
-    def disc(dt):
-        fa = _final(propagate(model, 0.0, psi0, 0.25, 0.75, dt))
-        fb = _final(dual_propagate(model, 0.0, psi0, 0.25, 0.75, dt))
+    def disc(M, dt):
+        fa = _final(propagate(model, M, psi0, 0.25, 0.75, dt))
+        fb = _final(dual_propagate(model, M, psi0, 0.25, 0.75, dt))
         return np.linalg.norm(fa - fb) / np.linalg.norm(fa)
 
-    d1, d2 = disc(4e-3), disc(2e-3)
-    assert 3.5 < d1 / d2 < 4.5
+    for M in (0.0, 1.0):
+        assert 3.5 < disc(M, 4e-3) / disc(M, 2e-3) < 4.5
 
 
 def test_dual_static_weyl_eta_norm_conserved():

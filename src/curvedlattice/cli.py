@@ -231,14 +231,22 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     H = build(sample, cfg.M, cfg.a, cfg.bc)
     written = []
     mpath = _out(cfg, "matrix.csv")
-    A = H.matrix
-    rows, cols = np.nonzero(A)
+    # the nonzero entries of the band, in row-major order
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    for k, d in H.diagonals.items():
+        i, j = H.positions(k)
+        rows.append(i)
+        cols.append(j)
+        vals.append(d)
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    keep = np.flatnonzero(vals)
+    order = keep[np.lexsort((cols[keep], rows[keep]))]
     _write_csv(
         mpath,
         "row,col,re,im",
         (
-            [str(i), str(j), _fmt(A[i, j].real), _fmt(A[i, j].imag)]
-            for i, j in zip(rows, cols)
+            [str(rows[e]), str(cols[e]), _fmt(vals[e].real), _fmt(vals[e].imag)]
+            for e in order
         ),
     )
     written.append(mpath)
@@ -248,8 +256,9 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     L = sample.L
     hop_f = np.zeros(L)
     hop_b = np.zeros(L)
-    hop_f[:-1] = np.abs(np.diagonal(A, 2)[::2])
-    hop_b[1:] = np.abs(np.diagonal(A, -2)[::2])
+    no_hops = np.zeros(2 * L - 2, dtype=complex)
+    hop_f[:-1] = np.abs(H.diagonals.get(2, no_hops)[::2])
+    hop_b[1:] = np.abs(H.diagonals.get(-2, no_hops)[::2])
     tpath = _out(cfg, "metric.csv")
     _write_csv(
         tpath,
@@ -363,8 +372,9 @@ def main(argv=None) -> int:
     except (MetricDomainError, OperatorError, SpectralError, SymmetryError, PropagationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (EvolveError, OSError) as err:
-        # a request the metric cannot serve, or an unwritable output path
+    except (ConfigError, EvolveError, OSError) as err:
+        # a setting found invalid only when used (the initial state), a
+        # request the metric cannot serve, or an unwritable output path
         print(f"config error: {err}", file=sys.stderr)
         return 2
     for path in written:

@@ -95,6 +95,13 @@ class RunConfig:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
+        # NaN fails no `<=` test below, and an infinite t1 never ends a run
+        for name in ("gamma", "tol", "e_min", "e_max", "t0", "t1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(t) for t in self.times):
+            raise ConfigError(f"times must be finite, got {self.times}")
         if self.schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {self.schema} (expected {SCHEMA_VERSION})")
         if self.L < 2:

@@ -6,9 +6,10 @@ otherwise, and remains well defined for nonhermitian H (where the norm
 genuinely grows or decays).  The metric's structure decides what is
 recomputed: a t-independent metric is sampled once; a static operator is
 built and exponentiated once per step length and applied as a matrix; a
-time-dependent one is built from the metric at each midpoint, and only the
-action of its exponential on the state is computed (a truncated Taylor
-series of matrix-vector products), so no step matrix is formed.
+time-dependent one is built, as its band of nonzero diagonals, from the
+metric at each midpoint, and only the action of its exponential on the state
+is computed (a truncated Taylor series of band products), so no dense
+matrix is formed per step.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent
@@ -239,11 +240,11 @@ def propagate(
     )
 
 
-def _flat_kinetic(L: int, a: float, bc: str, t: float) -> np.ndarray:
+def _flat_kinetic(L: int, a: float, bc: str, t: float) -> dict[int, np.ndarray]:
     flat = SampledMetric(
         t=t, alpha=np.ones(L), beta=np.ones(L), dlog_beta_dt=np.zeros(L), provenance="flat"
     )
-    return build(flat, M=0.0, a=a, bc=bc).matrix
+    return build(flat, M=0.0, a=a, bc=bc).diagonals
 
 
 def dual_propagate(
@@ -269,10 +270,9 @@ def dual_propagate(
     elif model.family not in ("flat", "weyl", "linear_conformal"):
         raise EvolveError(f"metric family {model.family!r} is not conformally flat")
     L, a = model.L, model.a
-    # the onsite mass entries of the flat kinetic matrix are exactly 0, so each
-    # step writes M·α_n(t) into the one matrix; a step consumes it before the next
-    Ht = _flat_kinetic(L, a, bc, t0)
-    idx = np.arange(L)
+    # the flat kinetic band has no ±1 diagonals (its mass entries are exactly
+    # 0), so each step shares it and adds a fresh mass diagonal M·α_n(t)
+    kinetic = _flat_kinetic(L, a, bc, t0)
 
     def sqrt_alpha(metric):
         if np.any(metric.alpha == 0.0):
@@ -280,10 +280,13 @@ def dual_propagate(
         return np.repeat(np.sqrt(metric.alpha), 2)
 
     def step_operator(metric):
+        diagonals = kinetic
         if M != 0.0:
-            Ht[2 * idx, 2 * idx + 1] = Ht[2 * idx + 1, 2 * idx] = M * metric.alpha
+            mass = np.zeros(2 * L - 1, dtype=complex)
+            mass[::2] = M * metric.alpha  # entries (2n, 2n+1) and (2n+1, 2n)
+            diagonals = {**kinetic, 1: mass, -1: mass}
         return LatticeOperator(
-            matrix=Ht, t=metric.t, bc=bc, mass=M, spacing=a,
+            diagonals=diagonals, dim=2 * L, t=metric.t, bc=bc, mass=M, spacing=a,
             provenance=f"dual:{model.provenance()}",
         )
 

@@ -10,12 +10,15 @@ symmetric-difference discretization as a contrast oracle.
 
 Matrix layout: site-major spinor ordering, index = 2n + s with spinor
 component s ∈ {0, 1}; 2×2 blocks per site, block-tridiagonal (plus corner
-blocks under periodic boundary conditions).
+blocks under periodic boundary conditions).  The operator is stored as its
+nonzero diagonals (offsets 0, ±1, ±2, and ±(2L−2) for the corner blocks) and
+assembled in O(L); the dense matrix is a view built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +67,17 @@ def gamma_algebra() -> GammaAlgebra:
 
 @dataclass
 class LatticeOperator:
-    """Dense 2L×2L complex Hamiltonian with its build metadata."""
+    """The 2L×2L complex Hamiltonian, stored as its nonzero diagonals, with
+    its build metadata.
 
-    matrix: np.ndarray
+    ``diagonals[k]`` holds the entries H[i, i+k] in ``np.diagonal`` order.  A
+    nearest-neighbour chain has the offsets 0, ±1 and ±2, and periodic
+    boundaries add the corner blocks at ±(2L−2).  ``matrix`` is the dense
+    view, built on first use; nothing mutates the diagonals afterwards.
+    """
+
+    diagonals: dict[int, np.ndarray]
+    dim: int
     t: float
     bc: str
     mass: float
@@ -75,11 +86,19 @@ class LatticeOperator:
 
     @property
     def L(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.dim // 2
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def positions(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the entries of diagonal k."""
+        rows = np.arange(self.dim - abs(k)) + max(-k, 0)
+        return rows, rows + k
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        A = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, d in self.diagonals.items():
+            A[self.positions(k)] = d
+        return A
 
 
 def _guarded_hop(
@@ -102,20 +121,28 @@ def _guarded_hop(
     return value
 
 
-def _assemble(L: int, rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The 2L×2L matrix with ``blocks[k]`` added to block (rows[k], cols[k]).
+def _assemble(L: int, terms) -> dict[int, np.ndarray]:
+    """The nonzero diagonals of the 2L×2L sum of 2×2 blocks: each
+    ``(start, b, coef, kernel)`` of ``terms`` puts ``coef[m] · kernel`` at
+    block (start + m, start + m + b).
 
-    Blocks that land on the same place are added in the order given.
+    Entries are summed into zeros in the order given, so the dense view holds
+    the bytes a dense accumulation in that order would.  Zero entries of a
+    kernel add nothing (a non-finite ``coef`` also shows on its nonzero
+    entries), and a diagonal that stays zero is dropped.
     """
-    s = np.arange(2)
-    H = np.zeros((2 * L, 2 * L), dtype=complex)
-    np.add.at(
-        H, (2 * rows[:, None, None] + s[None, :, None], 2 * cols[:, None, None] + s[None, None, :]),
-        blocks,
-    )
-    if not np.all(np.isfinite(H)):
+    n = 2 * L
+    band: dict[int, np.ndarray] = {}
+    for start, b, coef, kernel in terms:
+        for r, c in zip(*np.nonzero(kernel)):
+            k = int(2 * b + c - r)
+            first = 2 * start + r if k >= 0 else 2 * (start + b) + c  # np.diagonal order
+            d = band.setdefault(k, np.zeros(n - abs(k), dtype=complex))
+            d[first : first + 2 * coef.size : 2] += coef * kernel[r, c]
+    band = {k: d for k, d in sorted(band.items()) if d.any()}
+    if not all(np.all(np.isfinite(d)) for d in band.values()):
         raise OperatorError("non-finite entries in assembled Hamiltonian")
-    return H
+    return band
 
 
 def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> LatticeOperator:
@@ -129,7 +156,7 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
 
     Open boundaries drop out-of-range blocks; periodic wraps indices mod L
     (for L = 2 both hops of a site land on the same block and add up).
-    Assembly is pure: distinct time slices can be built concurrently.
+    Assembly is pure and O(L): distinct time slices can be built concurrently.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise OperatorError(f"unknown boundary condition {bc!r}")
@@ -138,23 +165,24 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
     K = gamma_algebra().hop_kernel
-    fwd = -1.0j / (2.0 * a) * K
-    bwd = +1.0j / (2.0 * a) * K
+    fwd, bwd = -1.0j / (2.0 * a) * K, +1.0j / (2.0 * a) * K
+    periodic = bc == "periodic"
     n = np.arange(L)
-    fwd_from, bwd_from = (n, n) if bc == "periodic" else (n[:-1], n[1:])
-    src = np.concatenate([fwd_from, bwd_from])
-    dst = np.concatenate([(fwd_from + 1) % L, (bwd_from - 1) % L])
-    hop = _guarded_hop(alpha[src], alpha[dst], beta[src])
-    nf = fwd_from.size
-    blocks = np.concatenate([
-        (M * alpha)[:, None, None] * _SIGMA_X,
-        (-0.5j * dlog)[:, None, None] * np.eye(2),
-        hop[:nf, None, None] * fwd,
-        hop[nf:, None, None] * bwd,
-    ])
-    H = _assemble(L, np.concatenate([n, n, src]), np.concatenate([n, n, dst]), blocks)
+    fwd_from, bwd_from = (n, n) if periodic else (n[:-1], n[1:])
+    hop_f = _guarded_hop(alpha[fwd_from], alpha[(fwd_from + 1) % L], beta[fwd_from])
+    hop_b = _guarded_hop(alpha[bwd_from], alpha[(bwd_from - 1) % L], beta[bwd_from])
+    # in the order of a dense accumulation: mass, ∂₀β/β, forward hops, backward
+    # hops; a periodic wrap is its own run of one block, at block offset ∓(L−1)
+    terms = [(0, 0, M * alpha, _SIGMA_X), (0, 0, -0.5j * dlog, np.eye(2)), (0, 1, hop_f[: L - 1], fwd)]
+    if periodic:
+        terms.append((L - 1, 1 - L, hop_f[L - 1 :], fwd))
+    terms.append((1, -1, hop_b[-(L - 1) :], bwd))
+    if periodic:
+        terms.append((0, L - 1, hop_b[:1], bwd))
+    diagonals = _assemble(L, terms)
     return LatticeOperator(
-        matrix=H, t=metric.t, bc=bc, mass=M, spacing=a, provenance=metric.provenance
+        diagonals=diagonals, dim=2 * L, t=metric.t, bc=bc, mass=M, spacing=a,
+        provenance=metric.provenance,
     )
 
 
@@ -173,20 +201,16 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
     L = metric.L
     K = gamma_algebra().hop_kernel
     dalpha = np.gradient(alpha, a)
-    n = np.arange(L)
     ratio = alpha / beta
-    blocks = np.concatenate([
-        (M * alpha)[:, None, None] * _SIGMA_X,
-        (-0.5j * dlog)[:, None, None] * np.eye(2),
-        (-0.5j * (dalpha / beta))[:, None, None] * K,
-        (-1.0j / (2.0 * a) * ratio[:-1])[:, None, None] * K,
-        (+1.0j / (2.0 * a) * ratio[1:])[:, None, None] * K,
+    diagonals = _assemble(L, [
+        (0, 0, M * alpha, _SIGMA_X),
+        (0, 0, -0.5j * dlog, np.eye(2)),
+        (0, 0, -0.5j * (dalpha / beta), K),
+        (0, 1, -1.0j / (2.0 * a) * ratio[:-1], K),
+        (1, -1, +1.0j / (2.0 * a) * ratio[1:], K),
     ])
-    rows = np.concatenate([n, n, n, n[:-1], n[1:]])
-    cols = np.concatenate([n, n, n, n[1:], n[:-1]])
-    H = _assemble(L, rows, cols, blocks)
     return LatticeOperator(
-        matrix=H, t=metric.t, bc="open", mass=M, spacing=a,
+        diagonals=diagonals, dim=2 * L, t=metric.t, bc="open", mass=M, spacing=a,
         provenance=f"naive:{metric.provenance}",
     )
 

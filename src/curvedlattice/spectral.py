@@ -13,10 +13,11 @@ convergence failure to :class:`SpectralError`.
 
 Both propagator kernels sum one truncated Taylor series of B = −iH·dt − μI,
 μ = tr/n, to a degree fixed in advance (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33 (2011) 488): :func:`propagator` forms the step matrix, which a
-static operator reuses every step, by scaling and squaring; :func:`expm_apply`
-applies it to one state by matrix-vector products, and forms no n×n
-exponential unless ‖B‖₁ exceeds n.
+Comput. 33 (2011) 488): :func:`propagator` forms the dense step matrix, which
+a static operator reuses every step, by scaling and squaring;
+:func:`expm_apply` applies it to one state by products with the operator's
+nonzero diagonals (the shift, the 1-norm and the checks run there too), so
+a lattice step is O(L), and forms no n×n exponential unless ‖B‖₁ exceeds n.
 """
 
 from __future__ import annotations
@@ -188,14 +189,57 @@ def propagator(H, dt: float) -> np.ndarray:
     return expm(-1j * dt * _as_matrix(H))
 
 
-def _taylor_action(B: np.ndarray, mu: complex, s: int, norm1: float, psi: np.ndarray) -> np.ndarray:
+def _band(H) -> tuple[dict[int, np.ndarray], int]:
+    """The nonzero diagonals {k: entries H[i, i+k]} of a lattice operator,
+    or of a square matrix, and the dimension n; all entries must be finite."""
+    diagonals = getattr(H, "diagonals", None)
+    if diagonals is None:
+        A = _as_matrix(H)
+        n = A.shape[0]
+        return {k: d for k in range(1 - n, n) if (d := np.diagonal(A, k)).any()}, n
+    if not all(np.all(np.isfinite(d)) for d in diagonals.values()):
+        raise SpectralError("matrix has non-finite entries")
+    return diagonals, H.dim
+
+
+def _band_matvec(B: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    y = np.zeros(n, dtype=complex)
+    for k, d in B.items():
+        if k >= 0:
+            y[: n - k] += d * x[k:]
+        else:
+            y[-k:] += d * x[: n + k]
+    return y
+
+
+def _band_shifted(diagonals: dict[int, np.ndarray], n: int, c: complex):
+    """B = c·H − μI, μ = tr(c·H)/n, and ‖B‖₁, which must be finite; as in
+    :func:`_shifted`, with each column summed from the top row down."""
+    B = {k: c * d for k, d in diagonals.items()}
+    mu = np.sum(B[0]) / max(n, 1) if 0 in B else 0j
+    if 0 in B:
+        B[0] = B[0] - mu
+    col = np.zeros(n)
+    for k in sorted(B, reverse=True):  # row i = j − k rises as k falls
+        if k >= 0:
+            col[k:] += np.abs(B[k])
+        else:
+            col[: n + k] += np.abs(B[k])
+    norm1 = float(np.max(col, initial=0.0))
+    if not math.isfinite(norm1):
+        raise SpectralError("overflow in nonunitary propagation")
+    return B, mu, norm1
+
+
+def _taylor_action(B: dict, mu: complex, s: int, norm1: float, psi: np.ndarray) -> np.ndarray:
     """exp(B + μ)ψ as s substeps, each e^{μ/s} times the Taylor polynomial of
-    B/s (‖B‖₁ = norm1) applied by Horner's rule, one product per degree."""
+    B/s (‖B‖₁ = norm1) applied by Horner's rule, one band product per degree."""
     m, shift, out = _taylor_degree(norm1 / s), np.exp(mu / s), psi
     for _ in range(s):
         v = out
         for k in range(m, 0, -1):
-            v = out + (B @ v) / (s * k)
+            v = out + _band_matvec(B, v) / (s * k)
         out = shift * v
     return out
 
@@ -203,24 +247,28 @@ def _taylor_action(B: np.ndarray, mu: complex, s: int, norm1: float, psi: np.nda
 def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i H dt) to a state vector by a truncated Taylor series.
 
-    With B = -i·dt·H shifted by μ = tr(B)/n, the step is split into
+    All work runs on the nonzero diagonals of H (a :class:`LatticeOperator`'s
+    band, or those of a dense matrix), so a lattice step costs O(L) per
+    product.  With B = -i·dt·H shifted by μ = tr(B)/n, the step is split into
     s = max(1, ⌈‖B − μ‖₁⌉) substeps, each the Taylor polynomial of degree
     :func:`_taylor_degree` (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When
     s exceeds the dimension n, the dense step matrix of :func:`propagator`
     is cheaper, and that is applied instead.  Raises on nonhermitian growth
     beyond the representable range.
     """
-    A = _as_matrix(H)
+    diagonals, n = _band(H)
     psi = np.asarray(psi, dtype=complex)
-    n = A.shape[0]
     if psi.shape != (n,):
-        raise SpectralError(f"state length {psi.shape} does not match matrix {A.shape}")
+        raise SpectralError(f"state length {psi.shape} does not match matrix {(n, n)}")
     if not math.isfinite(dt):
         raise SpectralError(f"non-finite time step {dt!r}")
     with np.errstate(all="ignore"):  # overflow checked below
-        B, mu, norm1 = _shifted((-1j * dt) * A)
+        B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
         s = max(1, math.ceil(norm1))
-        out = propagator(A, dt) @ psi if s > n else _taylor_action(B, mu, s, norm1, psi)
+        if s > n:
+            out = propagator(getattr(H, "matrix", H), dt) @ psi
+        else:
+            out = _taylor_action(B, mu, s, norm1, psi)
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")
     return out

@@ -63,39 +63,54 @@ def _as_matrix(H) -> np.ndarray:
     return H.matrix if isinstance(H, LatticeOperator) else np.asarray(H, dtype=complex)
 
 
-def _diag_similarity(A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """diag(s) A diag(s)⁻¹ with guards for horizon-divergent scale factors.
-
-    Exactly-zero entries of A stay exactly zero (decoupled horizon rows and
-    columns), and the diagonal ratio is pinned to 1, so the analytic limits
-    0·inf → 0 and inf/inf → 1 are taken instead of producing NaN.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.outer(s, 1.0 / s)
-        np.fill_diagonal(ratio, 1.0)
+def _guarded_product(A: np.ndarray, ratio) -> np.ndarray:
+    """A·ratio entrywise, with exactly-zero entries of A kept exactly zero
+    (decoupled horizon rows and columns), so the analytic limit 0·inf → 0 is
+    taken instead of NaN; a non-finite product on a coupled entry raises."""
+    with np.errstate(invalid="ignore", over="ignore"):
         out = np.where(A == 0.0, 0.0, A * ratio)
     if not np.all(np.isfinite(out)):
         raise SymmetryError("divergent scale factor on a coupled entry")
     return out
 
 
+def _diag_similarity(A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """diag(s) A diag(s)⁻¹ with guards for horizon-divergent scale factors.
+
+    The diagonal ratio is pinned to 1, so the analytic limit inf/inf → 1 is
+    taken; see :func:`_guarded_product` for the entries off the diagonal.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.outer(s, 1.0 / s)
+    np.fill_diagonal(ratio, 1.0)
+    return _guarded_product(A, ratio)
+
+
 def imaginary_gauge(H: LatticeOperator, beta: np.ndarray) -> LatticeOperator:
-    """Similarity S H S⁻¹ with S = diag(√β_n)⊗I₂ (isospectral rescaling).
+    """Similarity S H S⁻¹ with S = diag(√β_n)⊗I₂ (isospectral rescaling),
+    applied diagonal by diagonal with the guards of :func:`_guarded_product`.
 
     For operators built from static metrics this returns the hermitian
     partner; for the uniform Hatano-Nelson-like chain (Weyl, r=0, M=0) the
     asymmetric hoppings e^{±qa/2}/(2a) collapse to the uniform 1/(2a).
     """
     beta = np.asarray(beta, dtype=float)
-    A = _as_matrix(H)
-    if 2 * beta.shape[0] != A.shape[0]:
-        raise SymmetryError(f"beta length {beta.shape[0]} does not match operator {A.shape}")
+    n = H.dim
+    if 2 * beta.shape[0] != n:
+        raise SymmetryError(f"beta length {beta.shape[0]} does not match operator {(n, n)}")
     if np.any(beta <= 0):
         raise SymmetryError("imaginary gauge transform requires beta > 0 at all sites")
     s = np.repeat(np.sqrt(beta), 2)
-    out = _diag_similarity(A, s)
+    inv = 1.0 / s
+    diagonals = {}
+    for k, d in H.diagonals.items():
+        rows, cols = H.positions(k)
+        with np.errstate(invalid="ignore"):  # inf·0 at a horizon site
+            ratio = 1.0 if k == 0 else s[rows] * inv[cols]
+        diagonals[k] = _guarded_product(d, ratio)
     return LatticeOperator(
-        matrix=out,
+        diagonals=diagonals,
+        dim=n,
         t=H.t,
         bc=H.bc,
         mass=H.mass,

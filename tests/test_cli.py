@@ -34,6 +34,20 @@ def test_config_rejects_unknown_keys_and_bad_values():
         RunConfig.from_dict({"axis": "diagonal"})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"schema": 99})
+    # non-finite values fail no ordering test, so each is rejected by name
+    for bad in [
+        {"gamma": float("nan")},
+        {"tol": float("nan")},
+        {"e_min": float("nan"), "e_max": 1.0},
+        {"e_min": -1.0, "e_max": float("inf")},
+        {"t0": float("nan")},
+        {"t1": float("inf")},
+        {"t1": float("nan")},
+        {"times": [0.0, float("nan")]},
+        {"times": [float("-inf")]},
+    ]:
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig.from_dict(bad)
 
 
 def test_spectrum_command_rindler(tmp_path):
@@ -150,6 +164,12 @@ def test_spectrum_multiple_time_slices(tmp_path):
 def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert main(["spectrum", "--family", "weyl", "--q", "-1", "--out-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    # a setting found invalid only inside the command: k outside the Brillouin zone
+    argv = ["evolve", "--family", "weyl", "--L", "4", "--t1", "0.01", "--k", "10",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):

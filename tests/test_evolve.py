@@ -12,7 +12,7 @@ from curvedlattice.evolve import (
     single_site,
 )
 from curvedlattice.metric import MetricModel
-from curvedlattice.operator import build
+from curvedlattice.operator import LatticeOperator, build
 from curvedlattice.spectral import expm_apply, propagator
 
 
@@ -235,6 +235,20 @@ def test_static_run_builds_one_step_matrix(monkeypatch):
         H = build(weyl.sample(0.0), 0.0, weyl.a)
         full = expm_apply(H, 0.2505, psi0.values)
         assert np.linalg.norm(_final(trace) - full) < 1e-10 * np.linalg.norm(full)
+
+
+def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):
+    # both routes step a time-dependent operator on its band of diagonals
+    def no_dense(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    model = MetricModel.linear_conformal(q=0.01, r=0.5, L=30)
+    assert model.time_dependent and not model.static_operator(1.0)
+    psi0 = gaussian_packet(15.0, 3.0, 0.5, 30)
+    for route in (propagate, dual_propagate):
+        trace = route(model, 1.0, psi0, 0.25, 0.3, 1e-3)
+        assert trace.times.size == 51 and np.all(np.isfinite(trace.norms))
 
 
 def test_de_sitter_horizon_eta_norm_finite_and_conserved():

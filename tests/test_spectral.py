@@ -246,21 +246,26 @@ def _rel_err(got, ref):
 
 
 @pytest.mark.parametrize(
-    "model, M",
+    "model, M, bc",
     [
-        (MetricModel.rindler(q=0.02, L=50), 0.5),  # hermitian
-        (MetricModel.de_sitter(q=1.0 / 49, L=50), 1.0),  # quasi-hermitian, horizon site
-        (MetricModel.linear_conformal(q=0.1, r=0.5, L=50), 0.3),  # nonhermitian
+        (MetricModel.rindler(q=0.02, L=50), 0.5, "open"),  # hermitian
+        (MetricModel.de_sitter(q=1.0 / 49, L=50), 1.0, "open"),  # quasi-hermitian, horizon site
+        (MetricModel.linear_conformal(q=0.1, r=0.5, L=50), 0.3, "open"),  # nonhermitian
+        (MetricModel.linear_conformal(q=0.1, r=0.5, L=50), 0.3, "periodic"),  # corner blocks
+        (MetricModel.weyl(q=0.3, r=0.5, L=2), 1.0, "periodic"),  # corners on the ±2 diagonals
     ],
-    ids=["rindler", "de_sitter", "linear_conformal"],
+    ids=["rindler", "de_sitter", "linear_conformal", "linear_conformal_periodic", "weyl_periodic_L2"],
 )
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 2.0])
-def test_expm_apply_vs_scipy_on_catalog(model, M, dt):
-    H = build(model.sample(0.5), M=M, a=1.0).matrix
+def test_expm_apply_vs_scipy_on_catalog(model, M, bc, dt):
+    # the operator itself (its band) and its dense matrix are both accepted
+    op = build(model.sample(0.5), M=M, a=1.0, bc=bc)
+    H = op.matrix
     rng = np.random.default_rng(5)
     psi = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
     ref = scipy.linalg.expm(-1j * dt * H) @ psi
-    assert _rel_err(expm_apply(H, dt, psi), ref) <= 1e-10
+    for given in (H, op):
+        assert _rel_err(expm_apply(given, dt, psi), ref) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 16, 64])

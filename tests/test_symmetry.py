@@ -49,6 +49,38 @@ def test_gauge_rejects_nonpositive_beta():
         imaginary_gauge(H, s.beta)
 
 
+def _dense_gauge(A, beta):
+    s = np.repeat(np.sqrt(beta), 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.outer(s, 1.0 / s)
+        np.fill_diagonal(ratio, 1.0)
+        return np.where(A == 0.0, 0.0, A * ratio)
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+def test_gauge_on_band_matches_dense_similarity(bc):
+    # the similarity runs diagonal by diagonal; its dense view has the bytes
+    # of the entrywise guarded similarity, horizon site (beta = inf) included
+    for model, M in [
+        (MetricModel.de_sitter(q=1.0 / 19, L=20), 1.0),
+        (MetricModel.anti_de_sitter(q=0.05, L=20), 0.5),
+        (MetricModel.weyl(q=0.3, r=0.0, L=2), 1.0),
+    ]:
+        s = model.sample()
+        H = build(s, M=M, a=1.0, bc=bc)
+        G = imaginary_gauge(H, s.beta)
+        assert G.matrix.tobytes() == _dense_gauge(H.matrix, s.beta).tobytes()
+
+
+def test_gauge_rejects_divergent_scale_on_coupled_entry():
+    # beta = inf on a site whose mass term couples its two components
+    s = SampledMetric(
+        t=0.0, alpha=np.ones(3), beta=np.array([1.0, np.inf, 1.0]), dlog_beta_dt=np.zeros(3)
+    )
+    with pytest.raises(SymmetryError, match="divergent scale"):
+        imaginary_gauge(build(s, M=1.0, a=1.0), s.beta)
+
+
 def test_gauge_isospectral_on_catalog():
     for model, M in [
         (MetricModel.de_sitter(q=1.0 / 49, L=50), 1.0),

@@ -34,15 +34,16 @@ from .spectral import SpectralError, eig_general, eig_hermitian
 from .symmetry import SymmetryError, classify
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(values) -> list[float]:
+    """The values as Python floats, so that ``repr`` writes each number."""
+    return np.asarray(values, dtype=float).tolist()
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _write_csv(path, header: str, *columns) -> None:
+    """One row per index of the equal-length columns, each value as its ``repr``."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 
 
 def _slice_suffix(times, t) -> str:
@@ -69,13 +70,10 @@ def cmd_spectrum(cfg: RunConfig) -> list[str]:
         dec = _decompose(H, cfg.tol)
         suffix = _slice_suffix(cfg.times, t)
         path = _out(cfg, f"spectrum{suffix}.csv")
+        ev = dec.eigenvalues
         _write_csv(
-            path,
-            "index,re_E,im_E,residual",
-            (
-                [str(j), _fmt(ev.real), _fmt(ev.imag), _fmt(dec.residuals[j])]
-                for j, ev in enumerate(dec.eigenvalues)
-            ),
+            path, "index,re_E,im_E,residual",
+            range(ev.size), _floats(ev.real), _floats(ev.imag), _floats(dec.residuals),
         )
         written.append(path)
         report = classify(H, sample, tol=cfg.tol, decomposition=dec)
@@ -113,15 +111,12 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
             ld = make(dec, grid, gamma)
             tag = "real" if axis == "real" else "imag"
             path = _out(cfg, f"ldos_{tag}{suffix}.csv")
-            _write_csv(
-                path,
-                "site,energy,value",
-                (
-                    [str(n), _fmt(grid[e]), _fmt(ld.values[n, e])]
-                    for n in range(ld.values.shape[0])
-                    for e in range(grid.size)
-                ),
-            )
+            energies = [f",{e!r}," for e in _floats(grid)]  # formatted once
+            with open(path, "w") as fh:
+                fh.write("site,energy,value\n")
+                for n, row in enumerate(ld.values):
+                    site, values = str(n), _floats(row)
+                    fh.write("".join([site + e + repr(v) + "\n" for e, v in zip(energies, values)]))
             written.append(path)
             meta[os.path.basename(path)] = {
                 "t": t,
@@ -146,34 +141,21 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
 
 def _write_trace(path, trace, discrepancy=None):
     header = "t,norm,eta_norm"
+    columns = [_floats(trace.times), _floats(trace.norms), _floats(trace.eta_norms)]
     if discrepancy is not None:
         header += ",duality_discrepancy"
-    rows = []
-    for i, t in enumerate(trace.times):
-        row = [_fmt(t), _fmt(trace.norms[i]), _fmt(trace.eta_norms[i])]
-        if discrepancy is not None:
-            row.append(_fmt(discrepancy[i]))
-        rows.append(row)
-    _write_csv(path, header, rows)
+        columns.append(_floats(discrepancy))
+    _write_csv(path, header, *columns)
 
 
 def _write_snapshots(cfg, snapshots, written):
     for snap in snapshots:
         path = _out(cfg, f"snapshot_t{snap.t:g}.csv")
-        vals = snap.values
+        up, down = snap.values[0::2], snap.values[1::2]
         _write_csv(
-            path,
-            "site,re_0,im_0,re_1,im_1",
-            (
-                [
-                    str(n),
-                    _fmt(vals[2 * n].real),
-                    _fmt(vals[2 * n].imag),
-                    _fmt(vals[2 * n + 1].real),
-                    _fmt(vals[2 * n + 1].imag),
-                ]
-                for n in range(vals.shape[0] // 2)
-            ),
+            path, "site,re_0,im_0,re_1,im_1",
+            range(up.size), _floats(up.real), _floats(up.imag),
+            _floats(down.real), _floats(down.imag),
         )
         written.append(path)
 
@@ -242,12 +224,9 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     keep = np.flatnonzero(vals)
     order = keep[np.lexsort((cols[keep], rows[keep]))]
     _write_csv(
-        mpath,
-        "row,col,re,im",
-        (
-            [str(rows[e]), str(cols[e]), _fmt(vals[e].real), _fmt(vals[e].imag)]
-            for e in order
-        ),
+        mpath, "row,col,re,im",
+        rows[order].tolist(), cols[order].tolist(),
+        _floats(vals[order].real), _floats(vals[order].imag),
     )
     written.append(mpath)
 
@@ -263,21 +242,9 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     _write_csv(
         tpath,
         "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",
-        (
-            [
-                str(n),
-                _fmt(n * cfg.a),
-                _fmt(alpha[n]),
-                _fmt(beta[n]),
-                _fmt(dlog[n]),
-                _fmt(delta[n]),
-                _fmt(hop_f[n]),
-                _fmt(hop_b[n]),
-                _fmt(cfg.M * alpha[n]),
-                _fmt(-0.5 * dlog[n]),
-            ]
-            for n in range(L)
-        ),
+        range(L), _floats(np.arange(L) * cfg.a), _floats(alpha), _floats(beta),
+        _floats(dlog), _floats(delta), _floats(hop_f), _floats(hop_b),
+        _floats(cfg.M * alpha), _floats(-0.5 * dlog),
     )
     written.append(tpath)
     return written

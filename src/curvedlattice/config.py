@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 
@@ -22,6 +23,14 @@ OUTDIR_ENV = "CURVEDLATTICE_OUTDIR"
 
 _AXES = ("real", "imaginary", "both")
 _INITIAL_KINDS = ("plane_wave", "gaussian", "kick")
+# fields that must hold a number (None where the field is optional) or a list of numbers
+_REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol")
+_INTEGERS = ("L", "n_e")
+_REAL_LISTS = ("times", "snapshot_times")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ConfigError(Exception):
@@ -95,6 +104,33 @@ class RunConfig:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
+        # a config file may hold any JSON type, and a string where a number
+        # belongs would end in a TypeError inside a command
+        for name in _REALS:
+            value = getattr(self, name)
+            if value is not None and not _is_real(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in _INTEGERS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_LISTS:
+            value = getattr(self, name)
+            if not (isinstance(value, list) and all(map(_is_real, value))):
+                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        if not (isinstance(self.params, dict) and all(map(_is_real, self.params.values()))):
+            raise ConfigError(f"params must map names to numbers, got {self.params!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be an expression string, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
+        if not (
+            isinstance(self.initial, dict)
+            and all(_is_real(v) for k, v in self.initial.items() if k != "kind")
+        ):
+            raise ConfigError(f"initial must be an object of numbers and a kind, got {self.initial!r}")
         # NaN fails no `<=` test below, and an infinite t1 never ends a run
         for name in ("gamma", "tol", "e_min", "e_max", "t0", "t1"):
             value = getattr(self, name)

@@ -12,11 +12,13 @@ Matrix layout: site-major spinor ordering, index = 2n + s with spinor
 component s ∈ {0, 1}; 2×2 blocks per site, block-tridiagonal (plus corner
 blocks under periodic boundary conditions).  The operator is stored as its
 nonzero diagonals (offsets 0, ±1, ±2, and ±(2L−2) for the corner blocks) and
-assembled in O(L); the dense matrix is a view built on demand.
+assembled in O(L); the dense matrix is a view built on demand.  Norms and
+the hermiticity residual are computed on the diagonals as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,8 +92,7 @@ class LatticeOperator:
 
     def positions(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the entries of diagonal k."""
-        rows = np.arange(self.dim - abs(k)) + max(-k, 0)
-        return rows, rows + k
+        return band_positions(self.dim, k)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -99,6 +100,31 @@ class LatticeOperator:
         for k, d in self.diagonals.items():
             A[self.positions(k)] = d
         return A
+
+
+def band_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries of diagonal k of an n×n matrix,
+    in ``np.diagonal`` order."""
+    rows = np.arange(n - abs(k)) + max(-k, 0)
+    return rows, rows + k
+
+
+def band_norm(pieces: dict) -> float:
+    """Frobenius norm of a matrix given as disjoint pieces of its entries
+    (its diagonals {k: entries}, or its 2×2 blocks by block offset)."""
+    return math.sqrt(sum(float(np.vdot(d, d).real) for d in pieces.values()))
+
+
+def band_distance(X: dict, Y: dict) -> float:
+    """‖X − Y‖_F of two matrices given as pieces under the same keys; a
+    missing key stands for zeros."""
+    return band_norm({k: X.get(k, 0.0) - Y.get(k, 0.0) for k in sorted(X.keys() | Y.keys())})
+
+
+def band_adjoint(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """The diagonals of A†: its diagonal k is the conjugate of A's diagonal
+    −k, in the same order."""
+    return {-k: d.conj() for k, d in diagonals.items()}
 
 
 def _guarded_hop(
@@ -216,12 +242,21 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
 
 
 def hermitian_residual(H: LatticeOperator | np.ndarray) -> float:
-    """Relative Frobenius norm of H − H† (0.0 for the zero matrix)."""
-    A = H.matrix if isinstance(H, LatticeOperator) else np.asarray(H)
-    scale = np.linalg.norm(A)
+    """Relative Frobenius norm of H − H† (0.0 for the zero matrix).
+
+    Computed on the diagonals, O(L) for a lattice operator: diagonal k
+    against the conjugate of diagonal −k, so an entrywise hermitian operator
+    gives exactly 0.0.
+    """
+    if isinstance(H, LatticeOperator):
+        diagonals = H.diagonals
+    else:
+        A = np.asarray(H)
+        diagonals = {k: np.diagonal(A, k) for k in range(1 - A.shape[0], A.shape[0])}
+    scale = band_norm(diagonals)
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(A - A.conj().T) / scale)
+    return band_distance(diagonals, band_adjoint(diagonals)) / scale
 
 
 def flat_dispersion(L: int, M: float, a: float = 1.0) -> np.ndarray:

@@ -4,8 +4,17 @@ Two decomposition paths, both thin wrappers over numpy's LAPACK routines:
 
 * :func:`eig_hermitian` — ``numpy.linalg.eigh`` of the symmetrized matrix,
   so the eigenvalues are exactly real.
-* :func:`eig_general`  — ``numpy.linalg.eig`` (``eigvals`` when no vectors
-  are wanted); LAPACK ``geev`` balances the matrix itself.
+* :func:`eig_general`  — any square matrix.  A quasi-hermitian one,
+  A = D⁻¹BD + icI with B hermitian, D = diag(d) > 0 and a uniform c (every
+  static diagonal metric, and the Weyl family's uniform −ir/2), is found
+  from its nonzero diagonals without a metric: a walk over the coupling
+  graph gives d, and B must pass a hermiticity residual check.  Then
+  ``eigh``/``eigvalsh`` of B decomposes it, the eigenvectors map back as
+  D⁻¹W, and the eigenvalues are exactly real up to the shift ic (the metric
+  operator of this quasi-hermiticity is η = D², Mostafazadeh, J. Math.
+  Phys. 43 (2002) 205).  Any other matrix, or one whose residuals fail,
+  goes to ``numpy.linalg.eig`` (``eigvals`` when no vectors are wanted);
+  LAPACK ``geev`` balances the matrix itself.
 
 Both return a :class:`SpectralDecomposition` sorted by (Re, Im) with
 residuals measured against the original matrix, and map a LAPACK
@@ -26,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .operator import band_adjoint, band_distance, band_norm, band_positions
 
 _EPS = np.finfo(float).eps
 _SMLNUM = np.finfo(float).tiny / _EPS
@@ -71,8 +82,9 @@ def _fro(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(A) ** 2)))
 
 
-def _residuals(A: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    R = A @ V - V * lam[None, :]
+def _residuals(AV: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Column norms of A·V − V·diag(lam), given the product A·V."""
+    R = AV - V * lam[None, :]
     return np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
 
 
@@ -81,7 +93,20 @@ def _sorted_order(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
-    """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix."""
+    """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix.
+
+    A quasi-hermitian matrix (see :func:`_symmetrizer`) is decomposed by
+    ``eigh`` of its hermitian partner, so its eigenvalues are exactly real
+    up to a uniform imaginary shift; with vectors, that path is kept only
+    when every residual is within n·ε·‖A‖_F, the backward-error level of
+    ``eig``.  Any other matrix goes to ``eig``/``eigvals``.
+    """
+    diagonals, n = _band(H)
+    found = _symmetrizer(diagonals, n)
+    if found is not None:
+        dec = _eig_symmetrized(diagonals, n, *found, compute_vectors)
+        if dec is not None:
+            return dec
     A0 = _as_matrix(H)
     hnorm = _fro(A0)
     try:
@@ -96,7 +121,97 @@ def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     if V is None:
         return SpectralDecomposition(lam, None, None, hnorm)
     V = V[:, order]
-    return SpectralDecomposition(lam, V, _residuals(A0, V, lam), hnorm)
+    return SpectralDecomposition(lam, V, _residuals(A0 @ V, V, lam), hnorm)
+
+
+_SYM_TOL = 1e-12  # largest accepted ‖B − B†‖_F/‖B‖_F of the symmetrized matrix
+
+
+def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
+    """(d, c, B) with B = D(A − icI)D⁻¹ hermitian, D = diag(d), d ≥ 1, c
+    real, and B given by its diagonals; None when A has no such form.
+
+    Cheap rejections first: the coupling pattern must be symmetric, every
+    product A_ij·A_ji real and ≥ 0, and the imaginary part of the diagonal
+    uniform (it is c).  Then log(d_j/d_i) = ½·log(|A_ij|/|A_ji|) is summed
+    along a spanning tree of each connected component of the coupling
+    graph, and each component is scaled so that its smallest d is 1; a
+    decoupled horizon site is a component of its own, so its β = ∞ never
+    enters.  Cycles that disagree (a periodic Hatano–Nelson ring) show in
+    the hermiticity residual of B, which must be at most ``_SYM_TOL``, and
+    a range of d that overflows (a long skin-effect chain) fails too.
+    """
+    if n == 0 or any(-k not in diagonals for k in diagonals):
+        return None
+    imag = diagonals[0].imag if 0 in diagonals else np.zeros(n)
+    if imag.max() - imag.min() > _SYM_TOL * band_norm(diagonals):
+        return None
+    c = 0.5 * (imag.max() + imag.min())  # exact when the part is uniform
+    for k, upper in diagonals.items():
+        if k > 0:
+            lower = diagonals[-k]
+            p = upper * lower
+            if (
+                not np.array_equal(upper != 0, lower != 0)
+                or np.any(p.real < 0)
+                or np.any(np.abs(p.imag) > _SYM_TOL * np.abs(p))
+            ):
+                return None
+    neighbours = [[] for _ in range(n)]
+    for k, upper in diagonals.items():
+        if k > 0:
+            i = np.flatnonzero(upper)
+            step = 0.5 * (np.log(np.abs(upper[i])) - np.log(np.abs(diagonals[-k][i])))
+            for a, b, w in zip(i.tolist(), (i + k).tolist(), step.tolist()):
+                neighbours[a].append((b, w))
+                neighbours[b].append((a, -w))
+    logd, root = [0.0] * n, [-1] * n
+    for r in range(n):
+        if root[r] < 0:
+            root[r], stack = r, [r]
+            while stack:
+                a = stack.pop()
+                for b, w in neighbours[a]:
+                    if root[b] < 0:
+                        root[b], logd[b] = r, logd[a] + w
+                        stack.append(b)
+    logd, root = np.array(logd), np.array(root)
+    low = np.full(n, np.inf)
+    np.minimum.at(low, root, logd)
+    with np.errstate(all="ignore"):  # an overflowing range is rejected below
+        d = np.exp(logd - low[root])
+        B = {}
+        for k, diag in diagonals.items():
+            rows, cols = band_positions(n, k)
+            B[k] = diag - 1j * c if k == 0 else diag * (d[rows] / d[cols])
+        residual = band_distance(B, band_adjoint(B))
+    if not (np.all(np.isfinite(d)) and residual <= _SYM_TOL * band_norm(B)):
+        return None
+    return d, c, B
+
+
+def _eig_symmetrized(diagonals, n, d, c, B, compute_vectors):
+    """Spectrum of A = D⁻¹BD + icI by ``eigh``/``eigvalsh`` of ½(B + B†),
+    ascending; eigenvectors V = D⁻¹W with unit columns, residuals against A.
+    None when a residual exceeds n·ε·‖A‖_F."""
+    hnorm = band_norm(diagonals)
+    S = np.zeros((n, n), dtype=complex)
+    for k, b in B.items():
+        S[band_positions(n, k)] = b
+    S = 0.5 * (S + S.conj().T)
+    try:
+        if not compute_vectors:
+            return SpectralDecomposition(np.linalg.eigvalsh(S) + 1j * c, None, None, hnorm)
+        w, W = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as err:
+        raise SpectralError(f"eigensolver failed: {err}") from err
+    lam = w + 1j * c
+    V = W / d[:, None]
+    V /= np.linalg.norm(V, axis=0)
+    residuals = _residuals(_band_matvec(diagonals, V), V, lam)
+    if not np.max(residuals, initial=0.0) <= n * _EPS * hnorm:  # NaN fails too
+        return None
+    return SpectralDecomposition(lam, V, residuals, hnorm)
 
 
 def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
@@ -119,7 +234,7 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     except np.linalg.LinAlgError as err:
         raise SpectralError(f"eigensolver failed: {err}") from err
     lam = d.astype(complex)  # ascending, imaginary parts exactly zero
-    return SpectralDecomposition(lam, V, _residuals(A0, V, lam), hnorm)
+    return SpectralDecomposition(lam, V, _residuals(A0 @ V, V, lam), hnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +318,12 @@ def _band(H) -> tuple[dict[int, np.ndarray], int]:
 
 
 def _band_matvec(B: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """B·x for B given by its diagonals; x is a vector or a matrix of columns."""
     n = x.shape[0]
-    y = np.zeros(n, dtype=complex)
+    y = np.zeros(x.shape, dtype=complex)
     for k, d in B.items():
+        if x.ndim == 2:
+            d = d[:, None]
         if k >= 0:
             y[: n - k] += d * x[k:]
         else:

@@ -12,6 +12,12 @@ The PT test (site reversal composed with a spinor rotation and complex
 conjugation) is reported alongside: plain site reversal alone does not close
 the algebra for site-dependent onsite profiles, so the best residual over
 spinor factors {I, σ_x, σ_y, σ_z} is recorded together with which factor won.
+
+All three residuals are computed on the operator's nonzero diagonals in
+O(L), without a dense matrix: the hermiticity residual compares diagonal k
+with the conjugate of diagonal −k, the η-similarity scales each diagonal,
+and the PT image of the 2×2 block on block offset m is σ·conj(block)·σ
+taken from block offset −m in reverse site order.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .metric import SampledMetric
-from .operator import LatticeOperator
+from .operator import LatticeOperator, band_adjoint, band_distance, band_norm, hermitian_residual
 from .spectral import SpectralDecomposition, eig_general
 
 CLASSIFICATIONS = ("Hermitian", "QuasiHermitian", "PTPseudoHermitian", "NonHermitian")
@@ -59,10 +65,6 @@ class SymmetryReport:
         return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
-def _as_matrix(H) -> np.ndarray:
-    return H.matrix if isinstance(H, LatticeOperator) else np.asarray(H, dtype=complex)
-
-
 def _guarded_product(A: np.ndarray, ratio) -> np.ndarray:
     """A·ratio entrywise, with exactly-zero entries of A kept exactly zero
     (decoupled horizon rows and columns), so the analytic limit 0·inf → 0 is
@@ -74,16 +76,19 @@ def _guarded_product(A: np.ndarray, ratio) -> np.ndarray:
     return out
 
 
-def _diag_similarity(A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """diag(s) A diag(s)⁻¹ with guards for horizon-divergent scale factors.
-
-    The diagonal ratio is pinned to 1, so the analytic limit inf/inf → 1 is
-    taken; see :func:`_guarded_product` for the entries off the diagonal.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.outer(s, 1.0 / s)
-    np.fill_diagonal(ratio, 1.0)
-    return _guarded_product(A, ratio)
+def _similarity(H: LatticeOperator, s: np.ndarray) -> dict[int, np.ndarray]:
+    """The diagonals of diag(s) H diag(s)⁻¹, with the guards of
+    :func:`_guarded_product`; the ratio on the main diagonal is pinned to 1,
+    so the analytic limit inf/inf → 1 is taken."""
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / s
+    out = {}
+    for k, d in H.diagonals.items():
+        rows, cols = H.positions(k)
+        with np.errstate(invalid="ignore"):  # inf·0 at a horizon site
+            ratio = 1.0 if k == 0 else s[rows] * inv[cols]
+        out[k] = _guarded_product(d, ratio)
+    return out
 
 
 def imaginary_gauge(H: LatticeOperator, beta: np.ndarray) -> LatticeOperator:
@@ -100,16 +105,8 @@ def imaginary_gauge(H: LatticeOperator, beta: np.ndarray) -> LatticeOperator:
         raise SymmetryError(f"beta length {beta.shape[0]} does not match operator {(n, n)}")
     if np.any(beta <= 0):
         raise SymmetryError("imaginary gauge transform requires beta > 0 at all sites")
-    s = np.repeat(np.sqrt(beta), 2)
-    inv = 1.0 / s
-    diagonals = {}
-    for k, d in H.diagonals.items():
-        rows, cols = H.positions(k)
-        with np.errstate(invalid="ignore"):  # inf·0 at a horizon site
-            ratio = 1.0 if k == 0 else s[rows] * inv[cols]
-        diagonals[k] = _guarded_product(d, ratio)
     return LatticeOperator(
-        diagonals=diagonals,
+        diagonals=_similarity(H, np.repeat(np.sqrt(beta), 2)),
         dim=n,
         t=H.t,
         bc=H.bc,
@@ -119,17 +116,28 @@ def imaginary_gauge(H: LatticeOperator, beta: np.ndarray) -> LatticeOperator:
     )
 
 
-def _relative_residual(delta: np.ndarray, scale: float) -> float:
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(delta) / scale)
+def _relative_residual(distance: float, scale: float) -> float:
+    return 0.0 if scale == 0.0 else distance / scale
 
 
-def _pt_image(A: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """P H* P with P = (site reversal) ⊗ sigma."""
-    L = A.shape[0] // 2
-    B = A.conj().reshape(L, 2, L, 2)[::-1, :, ::-1, :]
-    return np.einsum("ab,ibjc,cd->iajd", sigma, B, sigma).reshape(2 * L, 2 * L)
+def _blocks(H: LatticeOperator) -> dict[int, np.ndarray]:
+    """The 2×2 blocks of H by block offset m: ``X[m][p]`` is the block of
+    row site p + max(−m, 0) and column site p + max(−m, 0) + m.
+
+    Entry (2p + r, 2(p + m) + c) lies on diagonal k = 2m + c − r, so each
+    diagonal fills one spinor entry (r, c) of the blocks on one or (for odd
+    k) two block offsets.
+    """
+    L = H.L
+    out: dict[int, np.ndarray] = {}
+    for k, d in H.diagonals.items():
+        for r in (0, 1):
+            c = (r + k) % 2
+            m = (k + r - c) // 2
+            x = out.setdefault(m, np.zeros((L - abs(m), 2, 2), dtype=complex))
+            p = np.arange(L - abs(m)) + max(-m, 0)
+            x[:, r, c] = d[2 * p + r if k >= 0 else 2 * (p + m) + c]  # np.diagonal order
+    return out
 
 
 def classify(
@@ -142,23 +150,27 @@ def classify(
     """Classify the operator and report all three residuals.
 
     The quasi-hermiticity test uses the constructive metric operator
-    η = diag(β_n)⊗I₂ from the sampled metric.  ``decomposition`` (when the
-    caller already has one) avoids recomputing the spectrum for the
-    ``spectrum_real`` field.  Always returns a report, never raises on a
-    nonhermitian input.
+    η = diag(β_n)⊗I₂ from the sampled metric.  All three residuals are
+    relative Frobenius norms computed on the band in O(L).
+    ``decomposition`` (when the caller already has one) avoids recomputing
+    the spectrum for the ``spectrum_real`` field.  Always returns a report,
+    never raises on a nonhermitian input.
     """
-    A = _as_matrix(H)
-    scale = float(np.linalg.norm(A))
-    Ah = A.conj().T
-    herm = _relative_residual(A - Ah, scale)
+    scale = band_norm(H.diagonals)
+    herm = hermitian_residual(H)
     try:
-        eta = np.repeat(np.asarray(metric.beta, dtype=float), 2)
-        quasi = _relative_residual(_diag_similarity(A, eta) - Ah, scale)
+        similar = _similarity(H, np.repeat(np.asarray(metric.beta, dtype=float), 2))
+        quasi = _relative_residual(band_distance(similar, band_adjoint(H.diagonals)), scale)
     except SymmetryError:
         quasi = np.inf
+    # P H* P with P = (site reversal) ⊗ σ: the reversal takes block offset m
+    # to −m in reverse site order, then σ sandwiches each 2×2 block
+    X = _blocks(H)
+    reversed_conj = {-m: x[::-1].conj() for m, x in X.items()}
     pt_best, pt_name = np.inf, "I"
     for name, sigma in _PT_SPINORS.items():
-        res = _relative_residual(A - _pt_image(A, sigma), scale)
+        image = {m: sigma @ x @ sigma for m, x in reversed_conj.items()}
+        res = _relative_residual(band_distance(X, image), scale)
         if res < pt_best:
             pt_best, pt_name = res, name
     if herm <= tol:

@@ -170,6 +170,15 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    # a config file value of the wrong JSON type
+    custom = {"family": "custom", "alpha": "c*x", "beta": "1"}
+    for bad in ({"times": ["a"]}, {"gamma": "x"}, {"L": "4"}, dict(custom, params={"c": "x"}),
+                {"initial": {"kind": "plane_wave", "k": "x"}}, {"out_dir": 5}):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(dict({"family": "flat", "L": 4, "out_dir": str(tmp_path)}, **bad)))
+        assert main(["ldos", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedlattice import spectral
 from curvedlattice.metric import MetricModel
@@ -90,7 +92,7 @@ def test_lapack_failure_is_spectral_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    for name in ("eig", "eigvals", "eigh"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, fail)
     A = np.eye(3, dtype=complex)
     for call in (eig_hermitian, eig_general, lambda H: eig_general(H, compute_vectors=False)):
@@ -180,6 +182,76 @@ def test_trace_identity_both_paths():
     B = A + A.conj().T
     dech = eig_hermitian(B)
     assert abs(np.sum(dech.eigenvalues) - np.trace(B)) <= 1e-9 * dech.h_norm
+
+
+# -- quasi-hermitian matrices: the symmetrized eigh path ---------------------
+
+
+@st.composite
+def _quasi_hermitian(draw):
+    """A = D⁻¹BD + icI with B hermitian on a random symmetric pattern, D > 0,
+    optionally a uniform imaginary diagonal c and a decoupled zero site."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    coupled = rng.random((n, n)) < draw(st.floats(min_value=0.2, max_value=1.0))
+    B = np.where(coupled | coupled.T, X + X.conj().T, 0.0)
+    if draw(st.booleans()):
+        z = draw(st.integers(min_value=0, max_value=n - 1))
+        B[z, :] = B[:, z] = 0.0
+    d = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+    c = draw(st.sampled_from([0.0, -0.35, 1.5]))
+    return B * d[None, :] / d[:, None] + 1j * c * np.eye(n), c
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_quasi_hermitian())
+def test_eig_general_quasi_hermitian_vs_numpy_eig(case):
+    A, c = case
+    lam, _ = np.linalg.eig(A)
+    ev = eig_general(A, compute_vectors=False).eigenvalues
+    assert np.all(ev.imag == c)  # decomposed by eigvalsh of the partner
+    assert spectral_mismatch(ev, lam) < 1e-10
+    dec = eig_general(A)
+    if A.shape[0] >= 4:  # residuals within n·ε·‖A‖_F keep the eigh path
+        assert np.all(dec.eigenvalues.imag == c)
+    assert spectral_mismatch(dec.eigenvalues, lam) < 1e-10
+    V = dec.right_eigenvectors
+    np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-13)
+    R = np.linalg.norm(A @ V - V * dec.eigenvalues, axis=0)
+    np.testing.assert_allclose(dec.residuals, R, rtol=1e-6, atol=1e-15 * dec.h_norm)
+    assert dec.max_residual <= 1e-12 * dec.h_norm
+
+
+def _ring(n, g, periodic):
+    A = np.diag(np.full(n - 1, np.exp(g)), 1) + np.diag(np.full(n - 1, np.exp(-g)), -1)
+    if periodic:
+        A[n - 1, 0], A[0, n - 1] = np.exp(g), np.exp(-g)
+    return A.astype(complex)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        _ring(12, 0.3, periodic=True),  # cycle products e^{±gn} disagree: complex spectrum
+        np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),  # A_01·A_10 < 0: E = ±i
+        _ring(130, 0.5 * np.log(1e6), periodic=False),  # d spans 1e3^129: overflows
+    ],
+    ids=["periodic_hatano_nelson", "negative_product", "skin_chain_overflow"],
+)
+def test_eig_general_falls_back_to_eig(A, monkeypatch):
+    ref = np.linalg.eigvals(A)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("took the symmetrized path")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    for vectors in (True, False):
+        dec = eig_general(A, compute_vectors=vectors)
+        assert spectral_mismatch(dec.eigenvalues, ref) <= 1e-14
+    if A.shape[0] == 12:
+        assert np.abs(ref.imag).max() > 0.1
 
 
 # -- matrix exponential ------------------------------------------------------

@@ -119,6 +119,81 @@ def test_gauge_isospectral_random_static_metric(profiles, M):
     assert spectral_mismatch(ev, partner) < 1e-9
 
 
+_SPINORS = {
+    "I": np.eye(2),
+    "sigma_x": np.array([[0, 1], [1, 0]]),
+    "sigma_y": np.array([[0, -1j], [1j, 0]]),
+    "sigma_z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def _dense_classify(A, beta, tol=1e-12):
+    """Dense reference of classify's three residuals and label."""
+    scale = np.linalg.norm(A)
+    herm = np.linalg.norm(A - A.conj().T) / scale
+    try:
+        eta = np.repeat(beta, 2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.outer(eta, 1.0 / eta)
+            np.fill_diagonal(ratio, 1.0)
+            sim = np.where(A == 0.0, 0.0, A * ratio)
+        if not np.all(np.isfinite(sim)):
+            raise SymmetryError("divergent")
+        quasi = np.linalg.norm(sim - A.conj().T) / scale
+    except SymmetryError:
+        quasi = np.inf
+    L = A.shape[0] // 2
+    flipped = A.conj().reshape(L, 2, L, 2)[::-1, :, ::-1, :]
+    pt = {
+        name: np.linalg.norm(
+            A - np.einsum("ab,ibjc,cd->iajd", sigma, flipped, sigma).reshape(2 * L, 2 * L)
+        ) / scale
+        for name, sigma in _SPINORS.items()
+    }
+    best = min(pt, key=pt.get)  # first minimum, in the order I, σx, σy, σz
+    label = next(
+        (lab for lab, res in [("Hermitian", herm), ("QuasiHermitian", quasi), ("PTPseudoHermitian", pt[best])]
+         if res <= tol),
+        "NonHermitian",
+    )
+    return herm, quasi, pt[best], best, label
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize(
+    "sample,M",
+    [
+        (MetricModel.de_sitter(q=1.0 / 29, L=30).sample(), 1.0),  # horizon site, beta = inf
+        (MetricModel.de_sitter(q=1.0 / 29, L=30).sample(), 0.0),
+        (MetricModel.anti_de_sitter(q=0.04, L=30).sample(), 1.0),
+        (MetricModel.weyl(q=0.05, r=0.0, L=30).sample(), 1.0),
+        (MetricModel.weyl(q=0.05, r=0.4, L=30).sample(0.3), 0.5),
+        (MetricModel.linear_conformal(q=0.05, r=0.5, L=30).sample(0.5), 1.0),
+        (MetricModel.linear_conformal(q=0.1, r=0.0, L=30).sample(), 1.0),  # beta = 0 at site 0
+        (MetricModel.rindler(q=0.02, L=30).sample(), 1.0),
+        (MetricModel.weyl(q=0.3, r=0.2, L=2).sample(), 1.0),
+        (MetricModel.de_sitter(q=1.0, L=2).sample(), 1.0),
+        # beta = inf on a coupled site: no η-similarity
+        (SampledMetric(t=0.0, alpha=np.ones(3), beta=np.array([1.0, np.inf, 1.0]),
+                       dlog_beta_dt=np.zeros(3)), 1.0),
+    ],
+    ids=["de_sitter", "de_sitter_massless", "anti_de_sitter", "weyl_static", "weyl", "linear_conformal",
+         "linear_conformal_beta_zero", "rindler", "weyl_L2", "de_sitter_L2", "divergent_eta"],
+)
+def test_classify_on_band_matches_dense_reference(sample, M, bc):
+    H = build(sample, M=M, a=1.0, bc=bc)
+    herm, quasi, pt, spinor, label = _dense_classify(H.matrix, sample.beta)
+    rep = classify(H, sample)
+    assert rep.classification == label
+    assert rep.pt_spinor == spinor
+    assert abs(rep.hermitian_residual - herm) <= 1e-15
+    assert abs(rep.pt_residual - pt) <= 1e-15
+    if np.isinf(quasi):
+        assert np.isinf(rep.quasi_hermitian_residual)
+    else:
+        assert abs(rep.quasi_hermitian_residual - quasi) <= 1e-15
+
+
 def test_classify_rindler_hermitian_exact_zero():
     s = MetricModel.rindler(q=0.01, L=40).sample()
     H = build(s, M=1.0, a=1.0)

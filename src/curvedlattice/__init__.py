@@ -41,6 +41,7 @@ from .operator import (
 )
 from .spectral import (
     SpectralDecomposition,
+    StepOperator,
     eig_general,
     eig_hermitian,
     expm,

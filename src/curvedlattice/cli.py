@@ -26,9 +26,10 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .evolve import EvolveError, PropagationError, dual_propagate, propagate, select_snapshots
+from .expr import ExpressionError
 from .heatmap import write_ppm
-from .metric import MetricDomainError, distance_profile
-from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
+from .metric import MetricDomainError, MetricError, distance_profile
+from .observables import ObservableError, default_gamma, energy_grid, ldos_imag, ldos_real
 from .operator import OperatorError, build, hermitian_residual
 from .spectral import SpectralError, eig_general, eig_hermitian
 from .symmetry import SymmetryError, classify
@@ -336,12 +337,16 @@ def main(argv=None) -> int:
         return 2
     try:
         written = _COMMANDS[args.command](cfg)
-    except (MetricDomainError, OperatorError, SpectralError, SymmetryError, PropagationError) as err:
+    except (
+        MetricDomainError, OperatorError, SpectralError, SymmetryError, ObservableError,
+        PropagationError,
+    ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, EvolveError, OSError) as err:
-        # a setting found invalid only when used (the initial state), a
-        # request the metric cannot serve, or an unwritable output path
+    except (ConfigError, MetricError, ExpressionError, EvolveError, OSError) as err:
+        # a setting found invalid only when used (the initial state, a metric
+        # or an expression), a request the metric cannot serve, or an
+        # unwritable output path
         print(f"config error: {err}", file=sys.stderr)
         return 2
     for path in written:

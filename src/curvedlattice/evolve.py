@@ -5,11 +5,13 @@ This is exact for time-independent operators and second order in dt
 otherwise, and remains well defined for nonhermitian H (where the norm
 genuinely grows or decays).  The metric's structure decides what is
 recomputed: a t-independent metric is sampled once; a static operator is
-built and exponentiated once per step length and applied as a matrix; a
-time-dependent one is built, as its band of nonzero diagonals, from the
-metric at each midpoint, and only the action of its exponential on the state
-is computed (a truncated Taylor series of band products), so no dense
-matrix is formed per step.
+built once per step length and its step prepared by ``propagator`` (the
+shifted band, the substep count and the Taylor degree), then applied to the
+state every step; a time-dependent one is built, as its band of nonzero
+diagonals, from the metric at each midpoint.  Either way only the action of
+the exponential on the state is computed (a truncated Taylor series of band
+products), so no dense matrix is formed, unless a static step is so long
+that one dense product costs less than its band products.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent
@@ -167,7 +169,7 @@ def _run(
     metric sampled at a step's midpoint; ``transform(values, metric)`` maps
     the internally evolved field to the physical one recorded in the trace.
     A t-independent metric is sampled once, at t0.  A static operator is
-    built and exponentiated only when the step length changes.
+    built, and its step prepared, only when the step length changes.
     """
     if psi0.values.shape[0] != 2 * model.L:
         raise EvolveError(

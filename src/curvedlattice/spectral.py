@@ -20,13 +20,17 @@ Both return a :class:`SpectralDecomposition` sorted by (Re, Im) with
 residuals measured against the original matrix, and map a LAPACK
 convergence failure to :class:`SpectralError`.
 
-Both propagator kernels sum one truncated Taylor series of B = −iH·dt − μI,
-μ = tr/n, to a degree fixed in advance (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33 (2011) 488): :func:`propagator` forms the dense step matrix, which
-a static operator reuses every step, by scaling and squaring;
-:func:`expm_apply` applies it to one state by products with the operator's
-nonzero diagonals (the shift, the 1-norm and the checks run there too), so
-a lattice step is O(L), and forms no n×n exponential unless ‖B‖₁ exceeds n.
+Both propagator kernels apply one truncated Taylor series of B = −iH·dt − μI,
+μ = tr/n, of a degree fixed in advance, by products with the operator's
+nonzero diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
+the shift, the 1-norm and the checks run on the band too, so a lattice step
+is O(L).  :func:`propagator` prepares this once per step length as a
+:class:`StepOperator`, which a static operator reuses every step (``U @
+psi``); it forms the dense step matrix, by scaling and squaring in
+:func:`expm`, only when one dense product costs less than the band products
+of a step.  :func:`expm_apply` prepares and applies a step at once, and
+forms no n×n exponential unless ‖B‖₁ exceeds n.  :func:`expm` remains the
+public dense matrix exponential.
 """
 
 from __future__ import annotations
@@ -299,11 +303,6 @@ def expm(A) -> np.ndarray:
         return np.exp(mu) * R
 
 
-def propagator(H, dt: float) -> np.ndarray:
-    """The step matrix exp(-i H dt)."""
-    return expm(-1j * dt * _as_matrix(H))
-
-
 def _band(H) -> tuple[dict[int, np.ndarray], int]:
     """The nonzero diagonals {k: entries H[i, i+k]} of a lattice operator,
     or of a square matrix, and the dimension n; all entries must be finite."""
@@ -350,10 +349,10 @@ def _band_shifted(diagonals: dict[int, np.ndarray], n: int, c: complex):
     return B, mu, norm1
 
 
-def _taylor_action(B: dict, mu: complex, s: int, norm1: float, psi: np.ndarray) -> np.ndarray:
-    """exp(B + μ)ψ as s substeps, each e^{μ/s} times the Taylor polynomial of
-    B/s (‖B‖₁ = norm1) applied by Horner's rule, one band product per degree."""
-    m, shift, out = _taylor_degree(norm1 / s), np.exp(mu / s), psi
+def _taylor_action(B: dict, mu: complex, s: int, m: int, psi: np.ndarray) -> np.ndarray:
+    """exp(B + μ)ψ as s substeps, each e^{μ/s} times the degree-m Taylor
+    polynomial of B/s applied by Horner's rule, one band product per degree."""
+    shift, out = np.exp(mu / s), psi
     for _ in range(s):
         v = out
         for k in range(m, 0, -1):
@@ -362,31 +361,82 @@ def _taylor_action(B: dict, mu: complex, s: int, norm1: float, psi: np.ndarray) 
     return out
 
 
+@dataclass
+class StepOperator:
+    """exp(−iH·dt) prepared once for repeated application: ``U @ psi``.
+
+    ``B`` holds the diagonals of the shifted band −i·dt·H − μI, with
+    ``norm1`` = ‖B‖₁, and a step is ``s`` substeps of the degree-``m``
+    Taylor polynomial (:func:`_taylor_action`).  ``dense`` holds the step
+    matrix instead when :func:`propagator` found a dense product cheaper.
+    The caller checks the result for overflow.
+    """
+
+    B: dict[int, np.ndarray]
+    mu: complex
+    norm1: float
+    s: int
+    m: int
+    dense: np.ndarray | None = None
+
+    @property
+    def entries(self) -> int:
+        """Stored entries of the band, the cost of one band product."""
+        return sum(d.size for d in self.B.values())
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense @ psi
+        with np.errstate(all="ignore"):  # the caller checks finiteness
+            return _taylor_action(self.B, self.mu, self.s, self.m, psi)
+
+
+def _taylor_step(diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
+    """The band step exp(−iH·dt): the shift, ‖B‖₁, s = max(1, ⌈‖B‖₁⌉)
+    substeps and the degree :func:`_taylor_degree` (‖B‖₁/s) ≤ 18."""
+    if not math.isfinite(dt):
+        raise SpectralError(f"non-finite time step {dt!r}")
+    with np.errstate(all="ignore"):  # overflow checked in _band_shifted
+        B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
+    s = max(1, math.ceil(norm1))
+    return StepOperator(B, mu, norm1, s, _taylor_degree(norm1 / s))
+
+
+def propagator(H, dt: float) -> StepOperator:
+    """The step exp(−iH·dt), prepared for repeated ``U @ psi``.
+
+    It is applied as the Taylor action on the band of H, unless that costs
+    more than a dense product, s·m·(band entries) > n²; then it holds the
+    dense step matrix of :func:`expm`, formed once.
+    """
+    diagonals, n = _band(H)
+    step = _taylor_step(diagonals, n, dt)
+    if step.s * step.m * step.entries > n * n:
+        step.dense = expm(-1j * dt * _as_matrix(H))
+    return step
+
+
 def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i H dt) to a state vector by a truncated Taylor series.
 
     All work runs on the nonzero diagonals of H (a :class:`LatticeOperator`'s
     band, or those of a dense matrix), so a lattice step costs O(L) per
-    product.  With B = -i·dt·H shifted by μ = tr(B)/n, the step is split into
-    s = max(1, ⌈‖B − μ‖₁⌉) substeps, each the Taylor polynomial of degree
-    :func:`_taylor_degree` (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When
-    s exceeds the dimension n, the dense step matrix of :func:`propagator`
-    is cheaper, and that is applied instead.  Raises on nonhermitian growth
-    beyond the representable range.
+    product.  The step is prepared as by :func:`propagator` and applied
+    once: with B = -i·dt·H shifted by μ = tr(B)/n, s = max(1, ⌈‖B − μ‖₁⌉)
+    substeps, each the Taylor polynomial of degree :func:`_taylor_degree`
+    (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When s exceeds the
+    dimension n, the step of :func:`propagator` is applied instead, which
+    for a band of at least n entries is the cheaper dense step matrix.
+    Raises on nonhermitian growth beyond the representable range.
     """
     diagonals, n = _band(H)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (n,):
         raise SpectralError(f"state length {psi.shape} does not match matrix {(n, n)}")
-    if not math.isfinite(dt):
-        raise SpectralError(f"non-finite time step {dt!r}")
-    with np.errstate(all="ignore"):  # overflow checked below
-        B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
-        s = max(1, math.ceil(norm1))
-        if s > n:
-            out = propagator(getattr(H, "matrix", H), dt) @ psi
-        else:
-            out = _taylor_action(B, mu, s, norm1, psi)
+    step = _taylor_step(diagonals, n, dt)
+    if step.s > n:
+        step = propagator(H, dt)
+    out = step @ psi
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")
     return out

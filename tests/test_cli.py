@@ -1,13 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvedlattice import cli
 from curvedlattice.cli import main
 from curvedlattice.config import ConfigError, RunConfig
+from curvedlattice.expr import ExpressionError
+from curvedlattice.metric import MetricDomainError, MetricError
+from curvedlattice.observables import ObservableError
 
 
 def _read_csv(path):
@@ -285,3 +294,97 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(open(tmp_path / "symmetry.json").read())
     assert report["classification"] == "QuasiHermitian"
+
+
+_FUZZ_BASE = st.fixed_dictionaries({
+    "family": st.sampled_from(
+        ["flat", "rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal", "custom"]),
+    "L": st.integers(2, 8),
+    "q": st.sampled_from([None, 0.1, 0.5]),
+    "r": st.sampled_from([0.0, 0.5]),
+    "a": st.sampled_from([1.0, 0.5]),
+    "M": st.sampled_from([0.0, 1.0]),
+    "bc": st.sampled_from(["open", "periodic"]),
+    "alpha": st.sampled_from(["1", "exp(c*x)", "1-0.5*t", "x+1", "1+0.1*t*x"]),
+    "beta": st.sampled_from(["1", "exp(c*x)", "x+1"]),
+    "params": st.just({"c": 0.01}),
+    "times": st.sampled_from([[0.0], [0.0, 0.5]]),
+    "n_e": st.integers(2, 16),
+    "axis": st.sampled_from(["real", "imaginary", "both"]),
+    "heatmap": st.booleans(),
+    "gamma": st.sampled_from([None, 0.1]),
+    "t1": st.sampled_from([0.1, 0.3]),
+    "dt": st.sampled_from([0.05, 0.01, 0.3]),
+    "check_duality": st.booleans(),
+    "snapshot_times": st.sampled_from([[], [0.1], [0.0, 5.0]]),
+    "initial": st.sampled_from([
+        {"kind": "plane_wave", "k": 0.3, "branch": -1},
+        {"kind": "gaussian", "width": 1.0},
+        {"kind": "kick", "site": 1, "component": 1},
+    ]),
+})
+# out-of-range, numerically hostile and wrong-type values, one key at a time
+_FUZZ_BAD = st.sampled_from([
+    ("family", "bogus"), ("L", 1), ("L", -1), ("L", 4.5), ("L", "4"), ("L", None),
+    ("q", 0.0), ("q", -1.0), ("q", 1e6), ("q", 1e-300), ("q", float("nan")), ("q", "x"),
+    ("r", -1.0), ("r", 100.0), ("r", True), ("a", 0.0), ("a", -1.0), ("a", 1e-9),
+    ("M", -3.0), ("M", 1e300), ("M", [1.0]), ("bc", "twisted"), ("bc", 3),
+    ("alpha", "log(x)"), ("alpha", "1/(x-2)"), ("alpha", "sqrt(t-x)"), ("alpha", "1-4*t"),
+    ("alpha", "exp(1000*x)"), ("alpha", "1+"), ("alpha", ""), ("alpha", "foo(x)"),
+    ("alpha", "y"), ("alpha", 7), ("beta", "0"), ("beta", "1/x"), ("beta", "t"),
+    ("beta", "("), ("beta", None), ("params", {}), ("params", {"c": -50.0}),
+    ("params", {"c": "x"}), ("params", [1]), ("tol", 0.0), ("tol", -1.0), ("tol", 1.0),
+    ("times", []), ("times", ["a"]), ("times", [float("nan")]), ("times", 0.5),
+    ("gamma", 0.0), ("gamma", -1.0), ("gamma", 1e300), ("gamma", "x"),
+    ("e_min", -1.0), ("e_max", 1.0), ("e_min", 2.0), ("e_max", -2.0), ("n_e", 1),
+    ("n_e", -1), ("n_e", 2.5), ("axis", "diagonal"), ("heatmap", "yes"), ("t0", 0.5),
+    ("t0", 1.0), ("t0", "x"), ("t1", -1.0), ("t1", float("inf")), ("dt", 0.0),
+    ("dt", -1.0), ("dt", 1e308), ("dt", None), ("check_duality", 1),
+    ("snapshot_times", ["a"]), ("snapshot_times", 1.0),
+    ("initial", {"kind": "plane_wave", "k": 10.0}), ("initial", {"kind": "plane_wave", "branch": 3}),
+    ("initial", {"kind": "gaussian", "width": 0.0}), ("initial", {"kind": "gaussian", "center": 1e6}),
+    ("initial", {"kind": "kick", "site": 99}), ("initial", {"kind": "kick", "component": 2}),
+    ("initial", {"kind": "laser"}), ("initial", {"k": 1.0}), ("initial", "kick"),
+    ("schema", 2), ("schema", "1"), ("bogus_key", 1), ("out_dir", 5),
+])
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["spectrum", "ldos", "evolve", "classify", "dump"]),
+       base=_FUZZ_BASE, bad=st.lists(_FUZZ_BAD, max_size=2))
+def test_main_fuzz_exits_cleanly(command, base, bad):
+    # every small config, valid or not, ends in exit 0, 2 or 3 with a message
+    # on stderr exactly when it fails: no exception may escape `main`
+    with tempfile.TemporaryDirectory() as tmp:
+        config = dict(base, out_dir=os.path.join(tmp, "out"))
+        config.update(bad)
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (MetricError("no such metric"), 2),
+        (ExpressionError("bad expression"), 2),
+        (MetricDomainError("negative metric sample"), 3),
+        (ObservableError("degenerate energy grid"), 3),
+    ],
+    ids=["MetricError", "ExpressionError", "MetricDomainError", "ObservableError"],
+)
+def test_package_errors_map_to_exit_codes(error, code, tmp_path, monkeypatch, capsys):
+    def failing(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", failing)
+    assert main(["classify", "--family", "flat", "--L", "4", "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "numerical failure:")
+    assert err.count("\n") == 1

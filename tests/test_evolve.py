@@ -251,6 +251,34 @@ def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):
         assert trace.times.size == 51 and np.all(np.isfinite(trace.norms))
 
 
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize(
+    "model, M",
+    [
+        (MetricModel.rindler(q=0.02, L=30), 0.5),  # hermitian
+        (MetricModel.de_sitter(q=1 / 29, L=30), 1.0),  # quasi-hermitian, horizon site
+        (MetricModel.anti_de_sitter(q=1 / 29, L=30), 1.0),
+        (MetricModel.weyl(q=0.05, r=0.3, L=30), 0.0),  # static, uniform -ir/2
+        (MetricModel.custom("exp(0.002*x)", "exp(0.002*x)", L=30), 0.5),
+    ],
+    ids=["rindler", "de_sitter", "anti_de_sitter", "massless_weyl", "custom_exp"],
+)
+def test_static_steps_never_build_the_dense_matrix(model, M, bc, monkeypatch):
+    # a static step is prepared and applied on the band of diagonals
+    def no_dense(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    assert model.static_operator(M)
+    psi0 = gaussian_packet(15.0, 3.0, 0.5, 30)
+    routes = [propagate]
+    if model.family in ("weyl", "custom"):  # conformally flat
+        routes.append(dual_propagate)
+    for route in routes:
+        trace = route(model, M, psi0, 0.0, 0.05, 1e-3, bc=bc)
+        assert trace.times.size == 51 and np.all(np.isfinite(trace.norms))
+
+
 def test_de_sitter_horizon_eta_norm_finite_and_conserved():
     # the horizon on the last site decouples: it is left out of the eta-norm,
     # which the quasi-hermitian chain then conserves

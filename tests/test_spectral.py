@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedlattice import spectral
+from curvedlattice.evolve import gaussian_packet, propagate
 from curvedlattice.metric import MetricModel
 from curvedlattice.operator import build, flat_dispersion, hermitian_residual
 from curvedlattice.spectral import (
@@ -355,6 +356,59 @@ def test_expm_apply_vs_scipy_random(n, norm1, monkeypatch):
     assert _rel_err(expm_apply(H, dt, psi), ref) <= 1e-10
     shifted = -1j * dt * (H - np.trace(H) / n * np.eye(n))
     assert len(calls) == (np.max(np.sum(np.abs(shifted), axis=0)) > n)
+
+
+_STATIC_CATALOG = [
+    (MetricModel.rindler(q=0.02, L=30), 0.5),  # hermitian
+    (MetricModel.de_sitter(q=1 / 29, L=30), 1.0),  # quasi-hermitian, horizon site
+    (MetricModel.anti_de_sitter(q=1 / 29, L=30), 1.0),
+    (MetricModel.weyl(q=0.05, r=0.3, L=30), 0.0),  # static, uniform -ir/2
+    (MetricModel.custom("exp(0.002*x)", "exp(0.002*x)", L=30), 0.5),
+]
+_STATIC_IDS = ["rindler", "de_sitter", "anti_de_sitter", "massless_weyl", "custom_exp"]
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("model, M", _STATIC_CATALOG, ids=_STATIC_IDS)
+def test_propagator_step_vs_scipy(model, M, bc):
+    # the prepared step applies exp(-iH dt) on the band while s·m band
+    # products cost at most one dense product, and holds expm's step matrix
+    # beyond that; both branches match scipy
+    H = build(model.sample(0.0), M=M, a=1.0, bc=bc)
+    n = H.dim
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    branches = set()
+    for dt in (1e-3, 1.0, 50.0):
+        U = propagator(H, dt)
+        dense = U.s * U.m * U.entries > n * n
+        assert (U.dense is not None) == dense
+        if dense:
+            assert np.array_equal(U.dense, expm(-1j * dt * H.matrix))
+        branches.add("dense" if dense else "band")
+        ref = scipy.linalg.expm(-1j * dt * H.matrix) @ psi
+        assert _rel_err(U @ psi, ref) <= 1e-10
+    assert branches == {"band", "dense"}  # dt = 1e-3 and dt = 50
+
+
+@pytest.mark.parametrize(
+    "model", [MetricModel.de_sitter(q=1 / 99, L=100), MetricModel.anti_de_sitter(q=1 / 99, L=100)],
+    ids=["de_sitter", "anti_de_sitter"],
+)
+def test_long_static_run_on_band_conserves_eta_norm(model):
+    # 2000 band steps conserve the metric norm and follow the dense step
+    # matrix; a binary dt keeps the accumulated step times exact
+    dt, steps = 2.0**-10, 2000
+    psi0 = gaussian_packet(50.0, 6.0, 0.5, 100)
+    trace = propagate(model, 1.0, psi0, 0.0, steps * dt, dt)
+    assert trace.times.size == steps + 1
+    drift = np.abs(trace.eta_norms - trace.eta_norms[0]).max()
+    assert drift <= 1e-10 * trace.eta_norms[0]
+    U = scipy.linalg.expm(-1j * dt * build(model.sample(0.0), M=1.0, a=1.0).matrix)
+    psi = psi0.values.astype(complex)
+    for _ in range(steps):
+        psi = U @ psi
+    assert _rel_err(trace.snapshots[-1].values, psi) <= 1e-10
 
 
 def test_match_eigenvalues():

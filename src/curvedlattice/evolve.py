@@ -10,8 +10,9 @@ shifted band, the substep count and the Taylor degree), then applied to the
 state every step; a time-dependent one is built, as its band of nonzero
 diagonals, from the metric at each midpoint.  Either way only the action of
 the exponential on the state is computed (a truncated Taylor series of band
-products), so no dense matrix is formed, unless a static step is so long
-that one dense product costs less than its band products.
+products), so no dense matrix is formed, unless a static step is applied
+so often, or is so long, that forming the dense step matrix and applying it
+is estimated to cost less than the band products.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent
@@ -111,6 +112,14 @@ def _time_steps(t0: float, t1: float, dt: float):
     return steps
 
 
+def _run_length(steps, i: int) -> int:
+    """How many steps from the i-th on share its length."""
+    step, count = steps[i][1], 1
+    while i + count < len(steps) and steps[i + count][1] == step:
+        count += 1
+    return count
+
+
 def _snapshot_set(snapshot_times):
     if snapshot_times is None:
         return []
@@ -169,7 +178,9 @@ def _run(
     metric sampled at a step's midpoint; ``transform(values, metric)`` maps
     the internally evolved field to the physical one recorded in the trace.
     A t-independent metric is sampled once, at t0.  A static operator is
-    built, and its step prepared, only when the step length changes.
+    built, and its step prepared, only when the step length changes; the step
+    is settled for the number of steps that share that length, so a long run
+    forms the dense step matrix where its products pay for forming it.
     """
     if psi0.values.shape[0] != 2 * model.L:
         raise EvolveError(
@@ -191,13 +202,14 @@ def _run(
 
     recorder.offer(t0, phys)
     U, U_step = None, None
-    for t, step, t_next in steps:
+    for i, (t, step, t_next) in enumerate(steps):
         try:
             if not static:
                 psi = expm_apply(build_step_operator(sample(t + step / 2)), step, psi)
             else:
                 if step != U_step:
                     U = propagator(build_step_operator(sample(t + step / 2)), step)
+                    U = U.for_steps(_run_length(steps, i))
                     U_step = step
                 psi = U @ psi
                 if not np.all(np.isfinite(psi)):

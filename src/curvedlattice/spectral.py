@@ -26,11 +26,12 @@ nonzero diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
 the shift, the 1-norm and the checks run on the band too, so a lattice step
 is O(L).  :func:`propagator` prepares this once per step length as a
 :class:`StepOperator`, which a static operator reuses every step (``U @
-psi``); it forms the dense step matrix, by scaling and squaring in
-:func:`expm`, only when one dense product costs less than the band products
-of a step.  :func:`expm_apply` prepares and applies a step at once, and
-forms no n×n exponential unless ‖B‖₁ exceeds n.  :func:`expm` remains the
-public dense matrix exponential.
+psi``).  Settled for the number of steps that reuse it, the step forms the
+dense step matrix, by scaling and squaring in :func:`expm`, only when
+forming it and that many dense products are estimated to cost less than as
+many band steps.  :func:`expm_apply` prepares and applies a step at once,
+and forms no n×n exponential unless ‖B‖₁ exceeds n.  :func:`expm` remains
+the public dense matrix exponential.
 """
 
 from __future__ import annotations
@@ -269,6 +270,13 @@ def _taylor_degree(norm1: float) -> int:
     return m
 
 
+def _squarings_and_degree(norm1: float) -> tuple[int, int]:
+    """:func:`expm`'s j squarings, which bring ‖B‖₁ to at most 1, and the
+    Taylor degree m of the scaled matrix."""
+    j = math.ceil(math.log2(norm1)) if norm1 > 1.0 else 0
+    return j, _taylor_degree(norm1 * 0.5**j)
+
+
 def _taylor_poly(X: np.ndarray, m: int) -> np.ndarray:
     """Σ_{k≤m} X^k/k! by Paterson & Stockmeyer (SIAM J. Comput. 2 (1973) 60):
     form X², …, X^q with q = ⌊√m⌋, then run Horner in X^q over blocks of q
@@ -295,9 +303,9 @@ def expm(A) -> np.ndarray:
     A = _as_matrix(A)
     with np.errstate(all="ignore"):  # caller checks finiteness
         B, mu, norm1 = _shifted(A.copy())
-        j = math.ceil(math.log2(norm1)) if norm1 > 1.0 else 0
+        j, m = _squarings_and_degree(norm1)
         B *= 0.5**j
-        R = _taylor_poly(B, _taylor_degree(norm1 * 0.5**j))
+        R = _taylor_poly(B, m)
         for _ in range(j):
             R = R @ R
         return np.exp(mu) * R
@@ -361,17 +369,48 @@ def _taylor_action(B: dict, mu: complex, s: int, m: int, psi: np.ndarray) -> np.
     return out
 
 
+# Estimated costs, in nanoseconds, of the two ways to apply a step, fitted
+# to in-process timings at n = 50 … 1000 on a 2-vCPU Haswell VM (OpenBLAS,
+# two threads): a band Horner term pays numpy call overheads per term and
+# per diagonal on top of its entries; forming expm's step matrix pays its
+# n×n products and elementwise passes; a dense step is one n×n matvec.  The
+# band costs are upper bounds of those timings and the dense ones lower
+# bounds, so the band is chosen only where it beats the dense route.
+_NS_HORNER_TERM = 10_000.0
+_NS_BAND_DIAGONAL = 2_000.0
+_NS_BAND_ENTRY = 4.0
+_NS_MATVEC = 1_000.0
+_NS_MATVEC_ENTRY = 0.25
+_NS_PRODUCT_ENTRY = 0.07  # per n³ multiply-add of an n×n product
+_NS_PASS_ENTRY = 2.5  # per entry of an elementwise n×n pass
+
+
+def _dense_costs(n: int, norm1: float) -> tuple[float, float]:
+    """(forming, applying) :func:`expm`'s step matrix of ‖B‖₁ = ``norm1``,
+    in estimated ns: the Paterson–Stockmeyer products of :func:`_taylor_poly`
+    and the j squarings, about 2m + 10 elementwise passes, and one matvec."""
+    j, m = _squarings_and_degree(norm1)
+    q = max(1, math.isqrt(m))
+    products = (q - 1) + (math.ceil(max(m, 1) / q) - 1) + j
+    forming = products * n**3 * _NS_PRODUCT_ENTRY + (2 * m + 10) * n * n * _NS_PASS_ENTRY
+    return forming, _NS_MATVEC + n * n * _NS_MATVEC_ENTRY
+
+
 @dataclass
 class StepOperator:
     """exp(−iH·dt) prepared once for repeated application: ``U @ psi``.
 
-    ``B`` holds the diagonals of the shifted band −i·dt·H − μI, with
-    ``norm1`` = ‖B‖₁, and a step is ``s`` substeps of the degree-``m``
-    Taylor polynomial (:func:`_taylor_action`).  ``dense`` holds the step
-    matrix instead when :func:`propagator` found a dense product cheaper.
+    ``B`` holds the diagonals of the shifted band −i·dt·H − μI of the
+    n×n operator ``H``, with ``norm1`` = ‖B‖₁, and a step is ``s`` substeps
+    of the degree-``m`` Taylor polynomial (:func:`_taylor_action`).
+    ``dense`` holds the step matrix of :func:`expm` instead, once
+    :meth:`for_steps` found it cheaper.
     The caller checks the result for overflow.
     """
 
+    H: object
+    dt: float
+    n: int
     B: dict[int, np.ndarray]
     mu: complex
     norm1: float
@@ -379,10 +418,26 @@ class StepOperator:
     m: int
     dense: np.ndarray | None = None
 
-    @property
-    def entries(self) -> int:
-        """Stored entries of the band, the cost of one band product."""
-        return sum(d.size for d in self.B.values())
+    def band_cost(self) -> float:
+        """Estimated ns of one step on the band: s·m Horner terms."""
+        entries = sum(d.size for d in self.B.values())
+        term = _NS_HORNER_TERM + _NS_BAND_DIAGONAL * len(self.B) + _NS_BAND_ENTRY * entries
+        return self.s * self.m * term
+
+    def for_steps(self, count: int) -> StepOperator:
+        """Settle the route for ``count`` applications: form the dense step
+        matrix when forming it and ``count`` dense products are estimated to
+        cost less than ``count`` band steps (:func:`_dense_costs`)."""
+        if self.dense is None:
+            forming, applying = _dense_costs(self.n, self.norm1)
+            if forming + count * applying < count * self.band_cost():
+                self.form_dense()
+        return self
+
+    def form_dense(self) -> None:
+        """Form the dense step matrix exp(−i·dt·H) of :func:`expm`."""
+        with np.errstate(all="ignore"):  # the caller checks finiteness
+            self.dense = expm(-1j * self.dt * _as_matrix(self.H))
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         if self.dense is not None:
@@ -391,29 +446,28 @@ class StepOperator:
             return _taylor_action(self.B, self.mu, self.s, self.m, psi)
 
 
-def _taylor_step(diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
-    """The band step exp(−iH·dt): the shift, ‖B‖₁, s = max(1, ⌈‖B‖₁⌉)
-    substeps and the degree :func:`_taylor_degree` (‖B‖₁/s) ≤ 18."""
+def _taylor_step(H, diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
+    """The band step exp(−iH·dt) from the diagonals of H: the shift, ‖B‖₁,
+    s = max(1, ⌈‖B‖₁⌉) substeps and the degree :func:`_taylor_degree`
+    (‖B‖₁/s) ≤ 18."""
     if not math.isfinite(dt):
         raise SpectralError(f"non-finite time step {dt!r}")
     with np.errstate(all="ignore"):  # overflow checked in _band_shifted
         B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
     s = max(1, math.ceil(norm1))
-    return StepOperator(B, mu, norm1, s, _taylor_degree(norm1 / s))
+    return StepOperator(H, dt, n, B, mu, norm1, s, _taylor_degree(norm1 / s))
 
 
 def propagator(H, dt: float) -> StepOperator:
-    """The step exp(−iH·dt), prepared for repeated ``U @ psi``.
+    """The step exp(−iH·dt), prepared for ``U @ psi``.
 
-    It is applied as the Taylor action on the band of H, unless that costs
-    more than a dense product, s·m·(band entries) > n²; then it holds the
-    dense step matrix of :func:`expm`, formed once.
+    It is applied as the Taylor action on the band of H, unless forming
+    :func:`expm`'s dense step matrix and applying it costs less.  The route
+    is settled for one application; a caller that applies the step ``count``
+    times settles it with ``propagator(H, dt).for_steps(count)``, so that a
+    long run pays for forming the dense matrix when its products are cheaper.
     """
-    diagonals, n = _band(H)
-    step = _taylor_step(diagonals, n, dt)
-    if step.s * step.m * step.entries > n * n:
-        step.dense = expm(-1j * dt * _as_matrix(H))
-    return step
+    return _taylor_step(H, *_band(H), dt).for_steps(1)
 
 
 def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
@@ -425,17 +479,20 @@ def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     once: with B = -i·dt·H shifted by μ = tr(B)/n, s = max(1, ⌈‖B − μ‖₁⌉)
     substeps, each the Taylor polynomial of degree :func:`_taylor_degree`
     (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When s exceeds the
-    dimension n, the step of :func:`propagator` is applied instead, which
-    for a band of at least n entries is the cheaper dense step matrix.
+    dimension n, the step of :func:`propagator` is applied instead, with the
+    dense step matrix of :func:`expm` formed, which for a band of at least n
+    entries is cheaper.
     Raises on nonhermitian growth beyond the representable range.
     """
     diagonals, n = _band(H)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (n,):
         raise SpectralError(f"state length {psi.shape} does not match matrix {(n, n)}")
-    step = _taylor_step(diagonals, n, dt)
+    step = _taylor_step(H, diagonals, n, dt)
     if step.s > n:
         step = propagator(H, dt)
+        if step.dense is None:
+            step.form_dense()
     out = step @ psi
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")

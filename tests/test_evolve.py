@@ -13,7 +13,7 @@ from curvedlattice.evolve import (
 )
 from curvedlattice.metric import MetricModel
 from curvedlattice.operator import LatticeOperator, build
-from curvedlattice.spectral import expm_apply, propagator
+from curvedlattice.spectral import StepOperator, expm_apply, propagator
 
 
 def _final(trace):
@@ -255,28 +255,73 @@ def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):
 @pytest.mark.parametrize(
     "model, M",
     [
-        (MetricModel.rindler(q=0.02, L=30), 0.5),  # hermitian
-        (MetricModel.de_sitter(q=1 / 29, L=30), 1.0),  # quasi-hermitian, horizon site
-        (MetricModel.anti_de_sitter(q=1 / 29, L=30), 1.0),
-        (MetricModel.weyl(q=0.05, r=0.3, L=30), 0.0),  # static, uniform -ir/2
-        (MetricModel.custom("exp(0.002*x)", "exp(0.002*x)", L=30), 0.5),
+        (MetricModel.rindler(q=0.002, L=500), 0.5),  # hermitian
+        (MetricModel.de_sitter(q=1 / 499, L=500), 1.0),  # quasi-hermitian, horizon site
+        (MetricModel.anti_de_sitter(q=1 / 499, L=500), 1.0),
+        (MetricModel.weyl(q=0.005, r=0.3, L=500), 0.0),  # static, uniform -ir/2
+        (MetricModel.custom("exp(0.002*x)", "exp(0.002*x)", L=500), 0.5),
     ],
     ids=["rindler", "de_sitter", "anti_de_sitter", "massless_weyl", "custom_exp"],
 )
 def test_static_steps_never_build_the_dense_matrix(model, M, bc, monkeypatch):
-    # a static step is prepared and applied on the band of diagonals
+    # at L = 500 a band step costs less than a dense product, so a static
+    # step is prepared and applied on the band of diagonals
     def no_dense(self):
         raise AssertionError("dense matrix built")
 
     monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
     assert model.static_operator(M)
-    psi0 = gaussian_packet(15.0, 3.0, 0.5, 30)
+    psi0 = gaussian_packet(250.0, 10.0, 0.5, 500)
     routes = [propagate]
     if model.family in ("weyl", "custom"):  # conformally flat
         routes.append(dual_propagate)
     for route in routes:
         trace = route(model, M, psi0, 0.0, 0.05, 1e-3, bc=bc)
         assert trace.times.size == 51 and np.all(np.isfinite(trace.norms))
+
+
+def test_static_step_is_settled_for_its_run_length(monkeypatch):
+    # each step length's step is settled for the number of steps that share
+    # it: 250 full steps, then the short last one
+    counts = []
+    for_steps = StepOperator.for_steps
+
+    def counting_for_steps(self, count):
+        counts.append((self.dt, count))
+        return for_steps(self, count)
+
+    monkeypatch.setattr(StepOperator, "for_steps", counting_for_steps)
+    weyl = MetricModel.weyl(q=0.05, r=0.3, L=20)
+    psi0 = gaussian_packet(10.0, 3.0, 0.5, 20)
+    for route in (propagate, dual_propagate):
+        counts.clear()
+        route(weyl, 0.0, psi0, 0.0, 0.2505, 1e-3)
+        # propagator settles each step for one application, _run for its run
+        assert [count for _, count in counts] == [1, 250, 1, 1]
+        assert counts[1][0] == 1e-3 and counts[3][0] == pytest.approx(5e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model, M, dt, steps, dense",
+    [
+        # measured against the dense route in BENCH_10.json (in_process)
+        (MetricModel.rindler(q=0.02, L=250), 0.5, 0.5, 200, True),
+        (MetricModel.rindler(q=0.02, L=250), 0.5, 10.0, 200, True),
+        (MetricModel.rindler(q=0.02, L=250), 0.5, 1e-3, 250, False),
+        (MetricModel.custom("exp(0.002*x)", "exp(0.002*x)", L=250), 0.0, 1e-3, 2000, False),
+        (MetricModel.de_sitter(q=1 / 99, L=100), 1.0, 2.0**-10, 2000, True),
+        (MetricModel.rindler(q=0.01, L=500), 0.5, 1e-3, 1000, False),
+    ],
+    ids=["rindler_dt0.5", "rindler_dt10", "rindler_dt1e-3", "custom_2000_steps",
+         "de_sitter_L100_2000_steps", "rindler_L500"],
+)
+def test_static_route_follows_step_count(model, M, dt, steps, dense):
+    # a long run forms the dense step matrix where its products pay for
+    # forming it, and stays on the band where band steps are cheaper
+    H = build(model.sample(0.0), M, model.a)
+    U = propagator(H, dt)
+    assert U.dense is None  # one step never pays for forming the matrix
+    assert (U.for_steps(steps).dense is not None) == dense
 
 
 def test_de_sitter_horizon_eta_norm_finite_and_conserved():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedlattice import spectral
-from curvedlattice.evolve import gaussian_packet, propagate
+from curvedlattice.evolve import _eta_norm, gaussian_packet
 from curvedlattice.metric import MetricModel
 from curvedlattice.operator import build, flat_dispersion, hermitian_residual
 from curvedlattice.spectral import (
@@ -371,24 +371,23 @@ _STATIC_IDS = ["rindler", "de_sitter", "anti_de_sitter", "massless_weyl", "custo
 @pytest.mark.parametrize("bc", ["open", "periodic"])
 @pytest.mark.parametrize("model, M", _STATIC_CATALOG, ids=_STATIC_IDS)
 def test_propagator_step_vs_scipy(model, M, bc):
-    # the prepared step applies exp(-iH dt) on the band while s·m band
-    # products cost at most one dense product, and holds expm's step matrix
-    # beyond that; both branches match scipy
+    # settled for one application, a short step stays on the band and a long
+    # one holds expm's step matrix; settled for many, every step holds it;
+    # each matches scipy
     H = build(model.sample(0.0), M=M, a=1.0, bc=bc)
     n = H.dim
     rng = np.random.default_rng(11)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-    branches = set()
+    once = []
     for dt in (1e-3, 1.0, 50.0):
-        U = propagator(H, dt)
-        dense = U.s * U.m * U.entries > n * n
-        assert (U.dense is not None) == dense
-        if dense:
-            assert np.array_equal(U.dense, expm(-1j * dt * H.matrix))
-        branches.add("dense" if dense else "band")
         ref = scipy.linalg.expm(-1j * dt * H.matrix) @ psi
+        U = propagator(H, dt)
+        once.append(U.dense is not None)
         assert _rel_err(U @ psi, ref) <= 1e-10
-    assert branches == {"band", "dense"}  # dt = 1e-3 and dt = 50
+        U = propagator(H, dt).for_steps(10**6)
+        assert np.array_equal(U.dense, expm(-1j * dt * H.matrix))
+        assert _rel_err(U @ psi, ref) <= 1e-10
+    assert once[0] is False and once[-1] is True
 
 
 @pytest.mark.parametrize(
@@ -396,19 +395,22 @@ def test_propagator_step_vs_scipy(model, M, bc):
     ids=["de_sitter", "anti_de_sitter"],
 )
 def test_long_static_run_on_band_conserves_eta_norm(model):
-    # 2000 band steps conserve the metric norm and follow the dense step
-    # matrix; a binary dt keeps the accumulated step times exact
-    dt, steps = 2.0**-10, 2000
-    psi0 = gaussian_packet(50.0, 6.0, 0.5, 100)
-    trace = propagate(model, 1.0, psi0, 0.0, steps * dt, dt)
-    assert trace.times.size == steps + 1
-    drift = np.abs(trace.eta_norms - trace.eta_norms[0]).max()
-    assert drift <= 1e-10 * trace.eta_norms[0]
-    U = scipy.linalg.expm(-1j * dt * build(model.sample(0.0), M=1.0, a=1.0).matrix)
-    psi = psi0.values.astype(complex)
+    # 2000 band steps conserve the metric norm and follow the dense step matrix
+    dt, steps = 1e-3, 2000
+    H = build(model.sample(0.0), M=1.0, a=1.0)
+    U = propagator(H, dt)
+    assert U.dense is None
+    beta = model.sample(0.0).beta
+    psi = gaussian_packet(50.0, 6.0, 0.5, 100).values.astype(complex)
+    eta0 = _eta_norm(psi, beta)
+    band = psi
     for _ in range(steps):
-        psi = U @ psi
-    assert _rel_err(trace.snapshots[-1].values, psi) <= 1e-10
+        band = U @ band
+        assert abs(_eta_norm(band, beta) - eta0) <= 1e-10 * eta0
+    step = scipy.linalg.expm(-1j * dt * H.matrix)
+    for _ in range(steps):
+        psi = step @ psi
+    assert _rel_err(band, psi) <= 1e-10
 
 
 def test_match_eigenvalues():

@@ -8,6 +8,7 @@ spectra, and genuinely time-dependent conformal factors give nonhermitian
 matrices with gain/loss dynamics dual to a flat-spacetime evolution.
 """
 
+from .errors import CurvedLatticeError
 from .evolve import (
     EvolutionTrace,
     SpinorField,

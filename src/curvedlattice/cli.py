@@ -24,15 +24,15 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
-from .evolve import EvolveError, PropagationError, dual_propagate, propagate, select_snapshots
-from .expr import ExpressionError
+from .config import RunConfig
+from .errors import CurvedLatticeError
+from .evolve import PropagationError, dual_propagate, propagate, select_snapshots
 from .heatmap import write_ppm
-from .metric import MetricDomainError, MetricError, distance_profile
-from .observables import ObservableError, default_gamma, energy_grid, ldos_imag, ldos_real
-from .operator import OperatorError, build, hermitian_residual
-from .spectral import SpectralError, eig_general, eig_hermitian
-from .symmetry import SymmetryError, classify
+from .metric import distance_profile
+from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
+from .operator import build, hermitian_residual
+from .spectral import eig_general, eig_hermitian
+from .symmetry import classify
 
 
 def _floats(values) -> list[float]:
@@ -328,27 +328,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(overrides)
 
 
+_FAILURES = {2: "config error", 3: "numerical failure"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
         written = _COMMANDS[args.command](cfg)
-    except (
-        MetricDomainError, OperatorError, SpectralError, SymmetryError, ObservableError,
-        PropagationError,
-    ) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except (ConfigError, MetricError, ExpressionError, EvolveError, OSError) as err:
-        # a setting found invalid only when used (the initial state, a metric
-        # or an expression), a request the metric cannot serve, or an
-        # unwritable output path
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    except (CurvedLatticeError, OSError) as err:
+        # a package error carries its exit code; an unwritable output path
+        # is a setting
+        code = getattr(err, "exit_code", 2)
+        print(f"{_FAILURES[code]}: {err}", file=sys.stderr)
+        return code
     for path in written:
         print(path)
     return 0

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from . import expr as _expr
+from .errors import CurvedLatticeError
 from .metric import MetricError, MetricModel
 
 SCHEMA_VERSION = 1
@@ -33,7 +34,7 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-class ConfigError(Exception):
+class ConfigError(CurvedLatticeError):
     """Invalid run configuration."""
 
 

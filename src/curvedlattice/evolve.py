@@ -28,17 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CurvedLatticeError
 from .metric import MetricDomainError, MetricModel, SampledMetric
 from .operator import LatticeOperator, build
 from .spectral import SpectralError, expm_apply, propagator
 
 
-class EvolveError(Exception):
+class EvolveError(CurvedLatticeError):
     """Invalid propagation request."""
 
 
 class PropagationError(EvolveError):
     """Failure mid-run; carries the trace accumulated so far."""
+
+    exit_code = 3
 
     def __init__(self, message: str, partial: "EvolutionTrace | None" = None):
         super().__init__(message)
@@ -92,23 +95,23 @@ def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
 
 
 def _time_steps(t0: float, t1: float, dt: float):
-    """(t, step, t_next) triples covering [t0, t1].
+    """(t, step, t_next) triples covering [t0, t1] on the grid t_i = t0 + i·dt.
 
-    Accumulating t leaves the last step a few ulps short of dt; such a step
-    is taken as exactly dt, so a static run needs a single step matrix,
-    while t_next of the last step stays at t1.
+    A span within 1e-9 steps of a whole number of steps takes that many
+    steps of exactly dt, so a static run needs a single step matrix; any
+    other span ends with one short step.  t_next of the last step is t1.
     """
     if dt <= 0:
         raise EvolveError(f"time step must be positive, got dt={dt}")
     if t1 <= t0:
         raise EvolveError(f"need t1 > t0, got [{t0}, {t1}]")
-    steps = []
-    t = t0
-    while t < t1 - 1e-12 * dt:
-        t_next = t + min(dt, t1 - t)
-        step = dt if t1 - t >= dt * (1.0 - 1e-9) else t1 - t
-        steps.append((t, step, t_next))
-        t = t_next
+    ratio = (t1 - t0) / dt
+    count = math.floor(ratio + 1e-9)  # whole steps
+    short = ratio - count > 1e-12
+    grid = [t0 + i * dt for i in range(count + short)] + [t1]
+    steps = [(t, dt, t_next) for t, t_next in zip(grid, grid[1:])]
+    if short:
+        steps[-1] = (grid[-2], t1 - grid[-2], t1)
     return steps
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import CurvedLatticeError
+
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "cosh", "sinh", "tanh", "abs")
 VARIABLES = ("x", "t")
 
@@ -38,7 +40,7 @@ _FUNC_IMPL = {
 }
 
 
-class ExpressionError(Exception):
+class ExpressionError(CurvedLatticeError):
     """Base class for all expression DSL failures."""
 
 

@@ -35,6 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from . import expr as _expr
+from .errors import CurvedLatticeError
 
 FAMILIES = (
     "flat",
@@ -54,12 +55,14 @@ _HAS_R = ("weyl", "linear_conformal")
 _HORIZON_SNAP = 16 * np.finfo(float).eps
 
 
-class MetricError(Exception):
+class MetricError(CurvedLatticeError):
     """Invalid metric configuration."""
 
 
 class MetricDomainError(MetricError):
     """Sampling outside the metric's domain of validity."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

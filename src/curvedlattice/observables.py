@@ -18,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CurvedLatticeError
 from .spectral import SpectralDecomposition
 
 
-class ObservableError(Exception):
+class ObservableError(CurvedLatticeError):
     """Invalid LDOS request."""
+
+    exit_code = 3
 
 
 @dataclass

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import CurvedLatticeError
 from .metric import SampledMetric
 
 BOUNDARY_CONDITIONS = ("open", "periodic")
@@ -33,8 +34,10 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-class OperatorError(Exception):
+class OperatorError(CurvedLatticeError):
     """Assembly failure (non-finite entries, divergent guarded products)."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,27 @@
 """Dense eigensolvers and the matrix-exponential propagator kernel.
 
-Two decomposition paths, both thin wrappers over numpy's LAPACK routines:
+A lattice operator A has a real form: with P = diag(1, i, 1, i, …), R =
+−i·P A P† is real, the particle–hole-type symmetry (I⊗σ_z)Ā(I⊗σ_z) = −A of
+Kawabata, Shiozaki, Ueda & Sato, PRX 9 (2019) 041015, and E = iλ(R).  One
+exact pass over the band finds R, and the structure picks the solver:
 
-* :func:`eig_hermitian` — ``numpy.linalg.eigh`` of the symmetrized matrix,
-  so the eigenvalues are exactly real.
-* :func:`eig_general`  — any square matrix.  A quasi-hermitian one,
-  A = D⁻¹BD + icI with B hermitian, D = diag(d) > 0 and a uniform c (every
-  static diagonal metric, and the Weyl family's uniform −ir/2), is found
-  from its nonzero diagonals without a metric: a walk over the coupling
-  graph gives d, and B must pass a hermiticity residual check.  Then
-  ``eigh``/``eigvalsh`` of B decomposes it, the eigenvectors map back as
-  D⁻¹W, and the eigenvalues are exactly real up to the shift ic (the metric
-  operator of this quasi-hermiticity is η = D², Mostafazadeh, J. Math.
-  Phys. 43 (2002) 205).  Any other matrix, or one whose residuals fail,
-  goes to ``numpy.linalg.eig`` (``eigvals`` when no vectors are wanted);
-  LAPACK ``geev`` balances the matrix itself.
+* ``chiral-svd`` — A = D⁻¹BD + icI with B hermitian, D = diag(d) > 0 and c
+  uniform (every static diagonal metric, and the Weyl family's −ir/2) is
+  found from the band without a metric (:func:`_symmetrizer`).  The real
+  form of B, rotated per site by (1, ±1)/√2, is [[0, Y], [−Yᵀ, 0]] with Y
+  real L×L, so E = ±σ(Y) + ic by a real SVD: exactly real up to ic (η = D²,
+  Mostafazadeh, J. Math. Phys. 43 (2002) 205).
+* ``real-geev`` — any other real form: ``eig`` of R in real arithmetic
+  (LAPACK ``dgeev``), so E and −Ē pair exactly.
+* ``complex-eigh`` — a quasi-hermitian matrix without a chiral real form:
+  ``eigh`` of ½(B + B†), eigenvectors mapped back as D⁻¹W.
+* ``complex-geev`` — any other matrix: ``numpy.linalg.eig``.
 
-Both return a :class:`SpectralDecomposition` sorted by (Re, Im) with
-residuals measured against the original matrix, and map a LAPACK
-convergence failure to :class:`SpectralError`.
+:func:`eig_hermitian` takes the first or third with d ≡ 1 and c = 0.  A
+route whose residuals exceed n·ε·‖A‖_F, the backward-error level of
+``eig``, gives way to the next, and ``route`` records the failed check.
+Results are sorted by (Re, Im), with residuals measured on the band, and a
+LAPACK failure raises :class:`SpectralError`.
 
 Both propagator kernels apply one truncated Taylor series of B = −iH·dt − μI,
 μ = tr/n, of a degree fixed in advance, by products with the operator's
@@ -41,14 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CurvedLatticeError
 from .operator import band_adjoint, band_distance, band_norm, band_positions
 
 _EPS = np.finfo(float).eps
 _SMLNUM = np.finfo(float).tiny / _EPS
 
 
-class SpectralError(Exception):
+class SpectralError(CurvedLatticeError):
     """Eigensolver precondition failure or numerical breakdown."""
+
+    exit_code = 3
 
 
 @dataclass
@@ -58,13 +64,16 @@ class SpectralDecomposition:
     ``right_eigenvectors`` holds unit-norm columns, ``residuals[j]`` is
     ‖H v_j − E_j v_j‖₂; both are None for an eigenvalues-only decomposition.
     ``h_norm`` is the Frobenius norm of the decomposed matrix, the natural
-    scale for residual checks.
+    scale for residual checks.  ``route`` names the solver (see the module
+    docstring), prefixed by ``fallback:<check>:`` when a check rejected the
+    route the structure chose first.
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray | None
     residuals: np.ndarray | None
     h_norm: float
+    route: str
 
     @property
     def max_residual(self) -> float:
@@ -83,50 +92,130 @@ def _as_matrix(H) -> np.ndarray:
     return A
 
 
-def _fro(A: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(A) ** 2)))
+def _dense(band: dict[int, np.ndarray], n: int, dtype=complex) -> np.ndarray:
+    A = np.zeros((n, n), dtype=dtype)
+    for k, d in band.items():
+        A[band_positions(n, k)] = d
+    return A
 
 
-def _residuals(AV: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Column norms of A·V − V·diag(lam), given the product A·V."""
-    R = AV - V * lam[None, :]
-    return np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
+def _lapack(solver, *args, **kwargs):
+    """``solver(*args, **kwargs)`` with a LAPACK failure as SpectralError."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as err:
+        raise SpectralError(f"eigensolver failed: {err}") from err
 
 
-def _sorted_order(eigenvalues: np.ndarray) -> np.ndarray:
-    return np.lexsort((eigenvalues.imag, eigenvalues.real))
+def _decomposition(lam, V, diagonals, route) -> SpectralDecomposition:
+    """Sorted by (Re, Im), with residuals against the band when V is given."""
+    order = np.lexsort((lam.imag, lam.real))
+    lam, hnorm = lam[order], band_norm(diagonals)
+    if V is None:
+        return SpectralDecomposition(lam, None, None, hnorm, route)
+    V = V[:, order]
+    R = _band_matvec(diagonals, V) - V * lam[None, :]
+    return SpectralDecomposition(lam, V, np.sqrt(np.sum(np.abs(R) ** 2, axis=0)), hnorm, route)
+
+
+def _accepted(dec: SpectralDecomposition) -> bool:
+    """Every residual within n·ε·‖A‖_F (a NaN fails)."""
+    return dec.residuals is None or bool(
+        np.max(dec.residuals, initial=0.0) <= dec.eigenvalues.size * _EPS * dec.h_norm
+    )
+
+
+def _fallback(dec: SpectralDecomposition, check: str | None) -> SpectralDecomposition:
+    if check is not None:
+        dec.route = f"fallback:{check}:{dec.route}"
+    return dec
 
 
 def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix.
 
-    A quasi-hermitian matrix (see :func:`_symmetrizer`) is decomposed by
-    ``eigh`` of its hermitian partner, so its eigenvalues are exactly real
-    up to a uniform imaginary shift; with vectors, that path is kept only
-    when every residual is within n·ε·‖A‖_F, the backward-error level of
-    ``eig``.  Any other matrix goes to ``eig``/``eigvals``.
+    The structure picks the route (see the module docstring): a
+    quasi-hermitian matrix keeps eigenvalues that are exactly real up to a
+    uniform imaginary shift, a real form is decomposed in real arithmetic,
+    and any other matrix goes to ``eig``/``eigvals``.
     """
     diagonals, n = _band(H)
+    lattice = _is_lattice(H)
+    real = _real_form(diagonals, n) if lattice else None
     found = _symmetrizer(diagonals, n)
+    check = None
     if found is not None:
-        dec = _eig_symmetrized(diagonals, n, *found, compute_vectors)
-        if dec is not None:
+        dec = _eig_partner(diagonals, n, *found, compute_vectors, lattice)
+        if _accepted(dec):
             return dec
-    A0 = _as_matrix(H)
-    hnorm = _fro(A0)
-    try:
-        if compute_vectors:
-            lam, V = np.linalg.eig(A0)
+        check = "eigh-residual"
+    if real is not None:
+        lam, X = _geev(_dense(real, n, float), compute_vectors)
+        if X is not None:
+            X = X.astype(complex)
+            X[1::2] *= -1j  # P†
+        dec = _decomposition(1j * lam, X, diagonals, "real-geev")
+        if _accepted(dec):
+            return _fallback(dec, check)
+        check = "geev-residual"
+    lam, V = _geev(_as_matrix(H), compute_vectors)
+    return _fallback(_decomposition(lam, V, diagonals, "complex-geev"), check)
+
+
+def _geev(A: np.ndarray, compute_vectors: bool):
+    """Eigenvalues, and eigenvectors or None, by LAPACK ``geev``."""
+    if compute_vectors:
+        return _lapack(np.linalg.eig, A)
+    return _lapack(np.linalg.eigvals, A), None
+
+
+def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
+    """Spectrum of a (numerically) hermitian matrix; eigenvalues exactly real.
+
+    Precondition: relative hermiticity residual at most ``herm_tol``.  The
+    symmetrized matrix ½(A + A†) is decomposed as a quasi-hermitian partner
+    with d ≡ 1 and c = 0 (:func:`_eig_partner`), so the output imaginary
+    parts are identically zero.
+    """
+    diagonals, n = _band(H)
+    adjoint = band_adjoint(diagonals)
+    hnorm = band_norm(diagonals)
+    if hnorm > 0:
+        res = band_distance(diagonals, adjoint) / hnorm
+        if res > herm_tol:
+            raise SpectralError(
+                f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})"
+            )
+    B = {k: 0.5 * (diagonals.get(k, 0.0) + adjoint.get(k, 0.0))
+         for k in diagonals.keys() | adjoint.keys()}
+    return _eig_partner(diagonals, n, np.ones(n), 0.0, B, True, _is_lattice(H))
+
+
+def _is_lattice(H) -> bool:
+    """A lattice operator, whose index 2n + s carries the spinor component s
+    that P acts on; a plain matrix has no such layout and no real form."""
+    return getattr(H, "diagonals", None) is not None
+
+
+def _real_form(diagonals: dict[int, np.ndarray], n: int):
+    """The diagonals of R = −i·P A P†, P = diag(1, i, 1, i, …), or None when
+    an entry of R is not real.
+
+    The product only swaps real and imaginary parts and flips signs, so R is
+    exact: an even diagonal (rows and columns of one parity) maps to its
+    imaginary part, an odd one to −Re on even rows and +Re on odd rows.
+    """
+    R = {}
+    for k, d in diagonals.items():
+        if k % 2 == 0:
+            if d.real.any():
+                return None
+            R[k] = d.imag
         else:
-            lam, V = np.linalg.eigvals(A0), None
-    except np.linalg.LinAlgError as err:
-        raise SpectralError(f"eigensolver failed: {err}") from err
-    order = _sorted_order(lam)
-    lam = lam[order]
-    if V is None:
-        return SpectralDecomposition(lam, None, None, hnorm)
-    V = V[:, order]
-    return SpectralDecomposition(lam, V, _residuals(A0 @ V, V, lam), hnorm)
+            if d.imag.any():
+                return None
+            R[k] = np.where(band_positions(n, k)[0] % 2 == 1, d.real, -d.real)
+    return R
 
 
 _SYM_TOL = 1e-12  # largest accepted ‖B − B†‖_F/‖B‖_F of the symmetrized matrix
@@ -195,51 +284,71 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
     return d, c, B
 
 
-def _eig_symmetrized(diagonals, n, d, c, B, compute_vectors):
-    """Spectrum of A = D⁻¹BD + icI by ``eigh``/``eigvalsh`` of ½(B + B†),
-    ascending; eigenvectors V = D⁻¹W with unit columns, residuals against A.
-    None when a residual exceeds n·ε·‖A‖_F."""
-    hnorm = band_norm(diagonals)
-    S = np.zeros((n, n), dtype=complex)
-    for k, b in B.items():
-        S[band_positions(n, k)] = b
+def _eig_partner(diagonals, n, d, c, B, compute_vectors, lattice):
+    """Spectrum of A = D⁻¹BD + icI from its hermitian partner B: the real SVD
+    of :func:`_eig_chiral` when B has a chiral real form and the residuals
+    pass, else ``eigh``/``eigvalsh`` of ½(B + B†), with eigenvectors
+    V = D⁻¹W scaled to unit norm."""
+    real = _real_form(B, n) if lattice else None
+    Y = None if real is None else _chiral_block(real, n)
+    check = None if real is None else "chirality"
+    if Y is not None:
+        dec = _eig_chiral(diagonals, n, d, c, Y, compute_vectors)
+        if _accepted(dec):
+            return dec
+        check = "svd-residual"
+    S = _dense(B, n)
     S = 0.5 * (S + S.conj().T)
-    try:
-        if not compute_vectors:
-            return SpectralDecomposition(np.linalg.eigvalsh(S) + 1j * c, None, None, hnorm)
-        w, W = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as err:
-        raise SpectralError(f"eigensolver failed: {err}") from err
-    lam = w + 1j * c
+    if not compute_vectors:
+        dec = _decomposition(_lapack(np.linalg.eigvalsh, S) + 1j * c, None, diagonals, "complex-eigh")
+        return _fallback(dec, check)
+    w, W = _lapack(np.linalg.eigh, S)
     V = W / d[:, None]
     V /= np.linalg.norm(V, axis=0)
-    residuals = _residuals(_band_matvec(diagonals, V), V, lam)
-    if not np.max(residuals, initial=0.0) <= n * _EPS * hnorm:  # NaN fails too
+    return _fallback(_decomposition(w + 1j * c, V, diagonals, "complex-eigh"), check)
+
+
+def _chiral_block(R: dict[int, np.ndarray], n: int):
+    """Y with [[0, Y], [−Yᵀ, 0]] = Q·X·Qᵀ, where X is the part of ½(R − Rᵀ)
+    that anticommutes with I⊗σ_x (each 2×2 block in span{σ_z, iσ_y}) and Q
+    rotates each site by (1, ±1)/√2 into the + sites, then the − sites.
+    None when the rest, the part that commutes, exceeds ``_SYM_TOL``
+    relative; a lattice operator's R has none, and the walk of
+    :func:`_symmetrizer` leaves rounding at most."""
+    if n % 2:
         return None
-    return SpectralDecomposition(lam, V, residuals, hnorm)
+    S = _dense(R, n, float)
+    X = (0.5 * (S - S.T)).reshape(n // 2, 2, n // 2, 2)
+    commuting = np.hypot(X[:, 0, :, 0] + X[:, 1, :, 1], X[:, 0, :, 1] + X[:, 1, :, 0])
+    if not np.linalg.norm(commuting) <= _SYM_TOL * np.linalg.norm(X):
+        return None
+    return 0.5 * ((X[:, 0, :, 0] - X[:, 1, :, 1]) - (X[:, 0, :, 1] - X[:, 1, :, 0]))
 
 
-def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
-    """Spectrum of a (numerically) hermitian matrix; eigenvalues exactly real.
+def _eig_chiral(diagonals, n, d, c, Y, compute_vectors):
+    """Spectrum of A = D⁻¹BD + icI whose partner B has the real chiral block
+    Y (:func:`_chiral_block`): E = ±σ_j + ic from the real SVD Y = UΣVᵀ.
 
-    Precondition: relative hermiticity residual at most ``herm_tol``.  The
-    matrix is symmetrized before decomposition, so the output imaginary parts
-    are identically zero.
+    The eigenvector of E = ∓σ_j + ic is (u_j, ±i·v_j) on the (+, −) sites.
+    A numerically zero σ_j (at most n·ε·σ_max) keeps (u_j, 0) and (0, v_j)
+    apart instead, so a kernel on decoupled sites stays on them.  The
+    vectors map back through Qᵀ, P† and D⁻¹ and are scaled to unit norm.
     """
-    A0 = _as_matrix(H)
-    hnorm = _fro(A0)
-    if hnorm > 0:
-        res = _fro(A0 - A0.conj().T) / hnorm
-        if res > herm_tol:
-            raise SpectralError(
-                f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})"
-            )
-    try:
-        d, V = np.linalg.eigh(0.5 * (A0 + A0.conj().T))
-    except np.linalg.LinAlgError as err:
-        raise SpectralError(f"eigensolver failed: {err}") from err
-    lam = d.astype(complex)  # ascending, imaginary parts exactly zero
-    return SpectralDecomposition(lam, V, _residuals(A0 @ V, V, lam), hnorm)
+    if not compute_vectors:
+        s = _lapack(np.linalg.svd, Y, compute_uv=False)
+        return _decomposition(np.concatenate([-s, s]) + 1j * c, None, diagonals, "chiral-svd")
+    U, s, Vt = _lapack(np.linalg.svd, Y)
+    zero = s <= n * _EPS * s[0]
+    # columns of E = −σ + ic, then E = +σ + ic: a·u on the + sites, κ·v on the − sites
+    a = np.concatenate([np.ones(s.size), np.where(zero, 0.0, 1.0)])
+    kappa = np.concatenate([np.where(zero, 0.0, 1j), np.where(zero, 1.0, -1j)])
+    plus, minus = np.tile(U, 2) * a, np.tile(Vt.T, 2) * kappa
+    V = np.empty((n, n), dtype=complex)
+    V[0::2] = plus + minus  # Qᵀ, up to the factor 1/√2
+    V[1::2] = -1j * (plus - minus)  # Qᵀ, then P†
+    V /= d[:, None]
+    V /= np.linalg.norm(V, axis=0)
+    return _decomposition(np.concatenate([-s, s]) + 1j * c, V, diagonals, "chiral-svd")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import CurvedLatticeError
 from .metric import SampledMetric
 from .operator import LatticeOperator, band_adjoint, band_distance, band_norm, hermitian_residual
 from .spectral import SpectralDecomposition, eig_general
@@ -41,8 +42,10 @@ _PT_SPINORS = {
 }
 
 
-class SymmetryError(Exception):
+class SymmetryError(CurvedLatticeError):
     """Invalid input to a symmetry transformation."""
+
+    exit_code = 3
 
 
 @dataclass

@@ -388,3 +388,19 @@ def test_package_errors_map_to_exit_codes(error, code, tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "numerical failure:")
     assert err.count("\n") == 1
+
+
+def test_every_package_error_has_one_base():
+    # `main` maps the base class alone; each error carries its exit code
+    from curvedlattice import evolve, expr, operator, spectral, symmetry
+    from curvedlattice.errors import CurvedLatticeError
+
+    codes = {
+        ConfigError: 2, MetricError: 2, ExpressionError: 2, expr.ParseError: 2,
+        expr.EvalError: 2, expr.DerivativeError: 2, evolve.EvolveError: 2,
+        MetricDomainError: 3, ObservableError: 3, operator.OperatorError: 3,
+        spectral.SpectralError: 3, symmetry.SymmetryError: 3, evolve.PropagationError: 3,
+    }
+    for error, code in codes.items():
+        assert issubclass(error, CurvedLatticeError)
+        assert error.exit_code == code

@@ -237,6 +237,18 @@ def test_static_run_builds_one_step_matrix(monkeypatch):
         assert np.linalg.norm(_final(trace) - full) < 1e-10 * np.linalg.norm(full)
 
 
+@pytest.mark.parametrize("t1, steps", [(2.0, 2000), (4.0, 4000)])
+def test_long_run_steps_on_an_exact_time_grid(t1, steps):
+    # t_i = t0 + i·dt: accumulating t would leave a sliver of a last step
+    grid = evolve._time_steps(0.0, t1, 1e-3)
+    assert len(grid) == steps
+    assert all(step == 1e-3 for _, step, _ in grid)
+    trace = propagate(MetricModel.flat(L=4), 0.5, single_site(1, 4), 0.0, t1, 1e-3)
+    assert trace.times.size == steps + 1
+    assert trace.times[-1] == t1
+    assert np.all(np.diff(trace.times) > 0.999e-3)
+
+
 def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):
     # both routes step a time-dependent operator on its band of diagonals
     def no_dense(self):

@@ -1,13 +1,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedlattice.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     DerivativeError,
     EvalError,
+    ExpressionError,
     Neg,
     Num,
     Param,
@@ -20,6 +25,8 @@ from curvedlattice.expr import (
     to_source,
     uses_variable,
 )
+from curvedlattice.metric import MetricError, MetricModel
+from curvedlattice.operator import OperatorError, build
 
 
 def test_parse_metric_exponent():
@@ -171,3 +178,73 @@ def test_diff_t_matches_finite_difference():
         assert abs(fd - d) <= 1e-6 * max(1.0, abs(d)), to_source(ast)
         checked += 1
     assert checked >= 120
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis properties over trees from the parser's grammar
+
+
+def _trees(functions=FUNCTIONS):
+    """Trees the parser can produce: non-negative finite numbers (a sign is a
+    Neg node), x and t, parameters, negation, calls and binary operators;
+    a power's exponent is a small whole number, as in the seeded tests."""
+    leaves = st.one_of(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(Num),
+        st.sampled_from([Var("x"), Var("t"), Param("q"), Param("r"), Param("c")]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.builds(Call, st.sampled_from(functions), children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(BinOp, st.just("^"), children, st.integers(1, 3).map(float).map(Num)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tree=_trees())
+def test_hypothesis_print_parse_roundtrip(tree):
+    assert parse(to_source(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    tree=_trees(tuple(f for f in FUNCTIONS if f != "abs")),
+    x=st.floats(min_value=-2.0, max_value=2.0),
+    t=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_hypothesis_diff_t_matches_central_difference(tree, x, t):
+    # where the tree and its derivative evaluate to moderate values, the
+    # central difference agrees to its truncation and rounding error
+    params = {"q": 0.7, "r": 1.3, "c": 0.4}
+    h = 1e-6
+    try:
+        d = evaluate(diff_t(tree), x=x, t=t, params=params)
+        values = [evaluate(tree, x=x, t=t + k * h, params=params) for k in (-1, 0, 1)]
+    except EvalError:
+        return
+    scale = max(1.0, abs(d), *map(abs, values))
+    if scale > 1e6:
+        return  # cancellation in the stencil would dominate
+    fd = (values[2] - values[0]) / (2 * h)
+    assert abs(fd - d) <= 1e-5 * scale, to_source(tree)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    tree=_trees(),
+    t=st.floats(min_value=-2.0, max_value=2.0),
+    M=st.floats(min_value=0.0, max_value=3.0),
+    bc=st.sampled_from(["open", "periodic"]),
+)
+def test_hypothesis_unit_beta_gives_entrywise_hermitian_operator(tree, t, M, bc):
+    # alpha = |tree| >= 0, static or not, with beta = 1: H = H† entry by entry
+    model = MetricModel.custom(Call("abs", tree), Num(1.0), L=6, params={"q": 0.7, "r": 1.3, "c": 0.4})
+    try:
+        H = build(model.sample(t), M, 1.0, bc).matrix
+    except (MetricError, ExpressionError, OperatorError):
+        return  # alpha leaves its domain on the chain
+    assert np.array_equal(H, H.conj().T)

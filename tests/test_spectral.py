@@ -6,10 +6,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedlattice import spectral
+from curvedlattice import cli, spectral
+from curvedlattice.config import RunConfig
 from curvedlattice.evolve import _eta_norm, gaussian_packet
-from curvedlattice.metric import MetricModel
-from curvedlattice.operator import build, flat_dispersion, hermitian_residual
+from curvedlattice.metric import MetricModel, SampledMetric
+from curvedlattice.observables import horizon_modes
+from curvedlattice.operator import LatticeOperator, build, flat_dispersion, hermitian_residual
 from curvedlattice.spectral import (
     SpectralError,
     eig_general,
@@ -253,6 +255,164 @@ def test_eig_general_falls_back_to_eig(A, monkeypatch):
         assert spectral_mismatch(dec.eigenvalues, ref) <= 1e-14
     if A.shape[0] == 12:
         assert np.abs(ref.imag).max() > 0.1
+
+
+# -- the real form R = -i P H P^dagger: chiral SVD and real geev -------------
+
+
+def test_benchmark_spectra_routes():
+    # the four decompositions of the spectra benchmark, as the CLI makes them;
+    # a silent fallback to a slower solver fails here
+    L, tol = 20, RunConfig().tol
+    q = 1.0 / (L - 1)
+    rindler = build(MetricModel.rindler(q=q, L=L).sample(), 0.0, 1.0)
+    de_sitter = build(MetricModel.de_sitter(q=q, L=L).sample(), 1.0, 1.0)
+    anti_de_sitter = build(MetricModel.anti_de_sitter(q=q, L=L).sample(), 1.0, 1.0)
+    conformal = build(MetricModel.linear_conformal(q=q, r=0.5, L=L).sample(0.5), 1.0, 1.0)
+    assert cli._decompose(rindler, tol).route == "chiral-svd"
+    assert cli._decompose(de_sitter, tol).route == "chiral-svd"
+    assert eig_general(anti_de_sitter, compute_vectors=False).route == "chiral-svd"
+    assert cli._decompose(conformal, tol).route == "real-geev"
+
+
+def _two_horizons(L, beta):
+    """A static chain with alpha = 0 on sites 3 and L - 4: two decoupled sites."""
+    alpha = np.ones(L)
+    alpha[[3, L - 4]] = 0.0
+    beta = np.where(alpha == 0.0, np.inf, beta)
+    return SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=np.zeros(L))
+
+
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_two_decoupled_horizon_sites(M):
+    # a zero singular value of multiplicity two keeps its left and right
+    # vectors apart, so each horizon mode stays on its own site
+    L = 16
+    hermitian = build(_two_horizons(L, np.ones(L)), M, 1.0)
+    quasi = build(_two_horizons(L, 1.0 + 0.05 * np.arange(L)), M, 1.0)
+    for dec in (eig_hermitian(hermitian), eig_general(quasi)):
+        assert dec.route == "chiral-svd"
+        modes = horizon_modes(dec)
+        assert sorted(site for _, site in modes) == [3, 3, L - 4, L - 4]
+
+
+def test_zero_singular_vectors_stay_apart():
+    # a hermitian two-site operator whose chiral block is Y = [[0, 1], [0, 0]]:
+    # the kernel's left vector sits on site 1 and its right vector on site 0,
+    # so each of the two zero modes stays on one site only when they are kept
+    # apart rather than mixed as (u, ±i·v)/√2
+    H = np.zeros((4, 4), dtype=complex)
+    H[0, 2], H[0, 3], H[1, 2], H[1, 3] = 0.5j, 0.5, 0.5, -0.5j
+    H = H + H.conj().T
+    op = LatticeOperator({k: np.diagonal(H, k).copy() for k in range(-3, 4) if np.diagonal(H, k).any()},
+                         dim=4, t=0.0, bc="open", mass=0.0, spacing=1.0)
+    for dec in (eig_hermitian(op), eig_general(op)):
+        assert dec.route == "chiral-svd"
+        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-15)
+        assert sorted(site for _, site in horizon_modes(dec)) == [0, 1]
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("L", [10, 25, 50])
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_real_geev_pairs_and_agrees_with_complex_eig(L, M, bc):
+    H = build(MetricModel.linear_conformal(q=1.0 / (L - 1), r=0.5, L=L).sample(0.5), M, 1.0, bc)
+    dec = eig_general(H)
+    E = dec.eigenvalues
+    assert dec.route == "real-geev"
+    # E = i·λ(R) with R real: E and −Ē pair exactly
+    assert np.array_equal(np.sort_complex(E), np.sort_complex(-E.conj()))
+    assert dec.max_residual <= H.dim * np.finfo(float).eps * dec.h_norm
+    R = np.linalg.norm(H.matrix @ dec.right_eigenvectors - dec.right_eigenvectors * E, axis=0)
+    np.testing.assert_allclose(dec.residuals, R, rtol=1e-6, atol=1e-15 * dec.h_norm)
+    assert spectral_mismatch(E, np.linalg.eigvals(H.matrix)) <= 1e-10
+    assert np.array_equal(eig_general(H, compute_vectors=False).eigenvalues, E)
+
+
+def test_plain_matrices_keep_the_complex_routes():
+    # the real form needs the lattice's spinor layout: an open Hatano-Nelson
+    # chain and criterion 11's random matrices stay on the complex solvers
+    assert eig_general(_ring(40, 0.3, periodic=False)).route == "complex-eigh"
+    assert eig_general(_ring(130, 0.5 * np.log(1e6), periodic=False)).route == "complex-geev"
+    rng = np.random.default_rng(20240819)
+    for n in (2, 17, 64):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert eig_general(A).route == "complex-geev"
+
+
+def test_svd_failure_is_spectral_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    rindler = build(MetricModel.rindler(q=1 / 9, L=10).sample(), 1.0, 1.0)
+    de_sitter = build(MetricModel.de_sitter(q=1 / 9, L=10).sample(), 1.0, 1.0)
+    for call, H in [
+        (eig_hermitian, rindler),
+        (eig_general, de_sitter),
+        (lambda H: eig_general(H, compute_vectors=False), de_sitter),
+    ]:
+        with pytest.raises(SpectralError, match="did not converge"):
+            call(H)
+
+
+@pytest.mark.parametrize(
+    "solver, model, route",
+    [
+        ("svd", MetricModel.de_sitter(q=1 / 11, L=12), "fallback:svd-residual:complex-eigh"),
+        ("eig", MetricModel.linear_conformal(q=1 / 11, r=0.5, L=12), "fallback:geev-residual:complex-geev"),
+    ],
+    ids=["chiral_svd", "real_geev"],
+)
+def test_failed_residual_check_falls_back(solver, model, route, monkeypatch):
+    # vectors that fail the n·ε·‖A‖_F residual check send the decomposition
+    # to the next solver, and the route says which check failed
+    H = build(model.sample(0.5), 1.0, 1.0)
+    ref = eig_general(H)
+    real_solver = getattr(np.linalg, solver)
+
+    def spoiled(A, *args, **kwargs):
+        out = list(real_solver(A, *args, **kwargs))
+        if np.isrealobj(A):
+            out[-1] = out[-1] + 1e-6  # the last factor holds vectors
+        return tuple(out)
+
+    monkeypatch.setattr(np.linalg, solver, spoiled)
+    dec = eig_general(H)
+    assert dec.route == route
+    assert dec.max_residual <= H.dim * np.finfo(float).eps * dec.h_norm
+    assert spectral_mismatch(dec.eigenvalues, ref.eigenvalues) <= 1e-12
+
+
+_STATIC_SITE = st.tuples(st.floats(min_value=1e-3, max_value=5.0), st.floats(min_value=0.1, max_value=5.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    sites=st.integers(min_value=2, max_value=9).flatmap(
+        lambda L: st.lists(_STATIC_SITE, min_size=L, max_size=L)),
+    M=st.floats(min_value=0.0, max_value=3.0),
+    bc=st.sampled_from(["open", "periodic"]),
+)
+def test_static_metric_has_exact_chiral_real_form(sites, M, bc):
+    # random static alpha, beta > 0: R = −i P H P† is exactly real, and each
+    # 2×2 block lies exactly in span{σ_z, iσ_y}, so the rotated chiral blocks
+    # (+, +) and (−, −) are exactly 0 and the SVD route decomposes H; at a
+    # few sites its vectors may miss the n·ε·‖A‖_F residual bound, and eigh
+    # takes over
+    alpha, beta = (np.array(col) for col in zip(*sites))
+    sample = SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=np.zeros(alpha.size))
+    H = build(sample, M, 1.0, bc)
+    R = spectral._real_form(H.diagonals, H.dim)
+    assert R is not None
+    X = spectral._dense(R, H.dim, float).reshape(H.L, 2, H.L, 2)
+    assert np.all(X[:, 0, :, 0] + X[:, 1, :, 1] == 0.0)
+    assert np.all(X[:, 0, :, 1] + X[:, 1, :, 0] == 0.0)
+    assert eig_general(H, compute_vectors=False).route == "chiral-svd"
+    dec = eig_general(H)
+    assert dec.route in ("chiral-svd", "fallback:svd-residual:complex-eigh")
+    assert np.all(dec.eigenvalues.imag == 0.0)
+    assert spectral_mismatch(dec.eigenvalues, np.linalg.eigvals(H.matrix)) <= 1e-10
 
 
 # -- matrix exponential ------------------------------------------------------

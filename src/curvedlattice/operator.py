@@ -99,10 +99,7 @@ class LatticeOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        A = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, d in self.diagonals.items():
-            A[self.positions(k)] = d
-        return A
+        return band_matrix(self.diagonals, self.dim)
 
 
 def band_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +107,14 @@ def band_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     in ``np.diagonal`` order."""
     rows = np.arange(n - abs(k)) + max(-k, 0)
     return rows, rows + k
+
+
+def band_matrix(diagonals: dict[int, np.ndarray], n: int, dtype=complex) -> np.ndarray:
+    """The dense n×n matrix with the given nonzero diagonals."""
+    A = np.zeros((n, n), dtype=dtype)
+    for k, d in diagonals.items():
+        A[band_positions(n, k)] = d
+    return A
 
 
 def band_norm(pieces: dict) -> float:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvedLatticeError
-from .operator import band_adjoint, band_distance, band_norm, band_positions
+from .operator import band_adjoint, band_distance, band_matrix, band_norm, band_positions
 
 _EPS = np.finfo(float).eps
 _SMLNUM = np.finfo(float).tiny / _EPS
@@ -89,13 +89,6 @@ def _as_matrix(H) -> np.ndarray:
         raise SpectralError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise SpectralError("matrix has non-finite entries")
-    return A
-
-
-def _dense(band: dict[int, np.ndarray], n: int, dtype=complex) -> np.ndarray:
-    A = np.zeros((n, n), dtype=dtype)
-    for k, d in band.items():
-        A[band_positions(n, k)] = d
     return A
 
 
@@ -150,7 +143,7 @@ def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
             return dec
         check = "eigh-residual"
     if real is not None:
-        lam, X = _geev(_dense(real, n, float), compute_vectors)
+        lam, X = _geev(band_matrix(real, n, float), compute_vectors)
         if X is not None:
             X = X.astype(complex)
             X[1::2] *= -1j  # P†
@@ -297,7 +290,7 @@ def _eig_partner(diagonals, n, d, c, B, compute_vectors, lattice):
         if _accepted(dec):
             return dec
         check = "svd-residual"
-    S = _dense(B, n)
+    S = band_matrix(B, n)
     S = 0.5 * (S + S.conj().T)
     if not compute_vectors:
         dec = _decomposition(_lapack(np.linalg.eigvalsh, S) + 1j * c, None, diagonals, "complex-eigh")
@@ -317,7 +310,7 @@ def _chiral_block(R: dict[int, np.ndarray], n: int):
     :func:`_symmetrizer` leaves rounding at most."""
     if n % 2:
         return None
-    S = _dense(R, n, float)
+    S = band_matrix(R, n, float)
     X = (0.5 * (S - S.T)).reshape(n // 2, 2, n // 2, 2)
     commuting = np.hypot(X[:, 0, :, 0] + X[:, 1, :, 1], X[:, 0, :, 1] + X[:, 1, :, 0])
     if not np.linalg.norm(commuting) <= _SYM_TOL * np.linalg.norm(X):

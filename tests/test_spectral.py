@@ -11,7 +11,7 @@ from curvedlattice.config import RunConfig
 from curvedlattice.evolve import _eta_norm, gaussian_packet
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.observables import horizon_modes
-from curvedlattice.operator import LatticeOperator, build, flat_dispersion, hermitian_residual
+from curvedlattice.operator import LatticeOperator, band_matrix, build, flat_dispersion, hermitian_residual
 from curvedlattice.spectral import (
     SpectralError,
     eig_general,
@@ -405,7 +405,7 @@ def test_static_metric_has_exact_chiral_real_form(sites, M, bc):
     H = build(sample, M, 1.0, bc)
     R = spectral._real_form(H.diagonals, H.dim)
     assert R is not None
-    X = spectral._dense(R, H.dim, float).reshape(H.L, 2, H.L, 2)
+    X = band_matrix(R, H.dim, float).reshape(H.L, 2, H.L, 2)
     assert np.all(X[:, 0, :, 0] + X[:, 1, :, 1] == 0.0)
     assert np.all(X[:, 0, :, 1] + X[:, 1, :, 0] == 0.0)
     assert eig_general(H, compute_vectors=False).route == "chiral-svd"

@@ -134,7 +134,6 @@ def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     """
     diagonals, n = _band(H)
     lattice = _is_lattice(H)
-    real = _real_form(diagonals, n) if lattice else None
     found = _symmetrizer(diagonals, n)
     check = None
     if found is not None:
@@ -142,6 +141,7 @@ def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
         if _accepted(dec):
             return dec
         check = "eigh-residual"
+    real = _real_form(diagonals, n) if lattice else None
     if real is not None:
         lam, X = _geev(band_matrix(real, n, float), compute_vectors)
         if X is not None:

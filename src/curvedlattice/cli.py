@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CurvedLatticeError
-from .evolve import PropagationError, dual_propagate, propagate, select_snapshots
+from .evolve import Route, curved_route, dual_route
 from .heatmap import write_ppm
 from .metric import distance_profile
 from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
@@ -40,11 +40,17 @@ def _floats(values) -> list[float]:
     return np.asarray(values, dtype=float).tolist()
 
 
-def _write_csv(path, header: str, *columns) -> None:
-    """One row per index of the equal-length columns, each value as its ``repr``."""
+def _write_rows(path, header: str, rows) -> None:
+    """The header, then each row of values as their ``repr``, written as the
+    rows are produced."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """One row per index of the equal-length columns."""
+    _write_rows(path, header, zip(*columns))
 
 
 def _slice_suffix(times, t) -> str:
@@ -140,15 +146,6 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
     return written
 
 
-def _write_trace(path, trace, discrepancy=None):
-    header = "t,norm,eta_norm"
-    columns = [_floats(trace.times), _floats(trace.norms), _floats(trace.eta_norms)]
-    if discrepancy is not None:
-        header += ",duality_discrepancy"
-        columns.append(_floats(discrepancy))
-    _write_csv(path, header, *columns)
-
-
 def _write_snapshots(cfg, snapshots, written):
     for snap in snapshots:
         path = _out(cfg, f"snapshot_t{snap.t:g}.csv")
@@ -161,37 +158,52 @@ def _write_snapshots(cfg, snapshots, written):
         written.append(path)
 
 
+def _discrepancy(a: np.ndarray, b: np.ndarray) -> float:
+    na = np.linalg.norm(a)
+    return np.linalg.norm(a - b) / na if na > 0 else 0.0
+
+
+# Each route advances through its own name here, one call per step, so that
+# a profiler wrapping `propagate` and `dual_propagate` in this module
+# (perfbench/tracer.py) times the two routes apart.
+def propagate(route: Route) -> None:
+    """Advance the curved route one step."""
+    route.advance()
+
+
+def dual_propagate(route: Route) -> None:
+    """Advance the flat-dual route one step."""
+    route.advance()
+
+
+def _trace_rows(curved: Route, dual: Route | None):
+    """The ``trace.csv`` rows, each yielded once both routes reach its time.
+
+    The routes step in lockstep, so memory does not grow with the step
+    count, and a failed run has yielded the rows up to its last completed
+    step.
+    """
+    while True:
+        row = [curved.t, curved.norm, curved.eta_norm]
+        if dual is not None:
+            row.append(_discrepancy(curved.phys, dual.phys))
+        yield _floats(row)
+        if curved.done:
+            return
+        propagate(curved)
+        if dual is not None:
+            dual_propagate(dual)
+
+
 def cmd_evolve(cfg: RunConfig) -> list[str]:
-    model = cfg.model()
-    psi0 = cfg.initial_state()
-    snap_times = list(cfg.snapshot_times)
-    disc = None
-    try:
-        # the duality check keeps every step, so the discrepancy column covers the trace
-        trace = propagate(
-            model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
-            snapshot_times="all" if cfg.check_duality else snap_times,
-        )
-        snapshots = trace.snapshots
-        if cfg.check_duality:
-            dual = dual_propagate(
-                model, cfg.M, psi0, cfg.t0, cfg.t1, cfg.dt, cfg.bc,
-                snapshot_times="all",
-            )
-            disc = []
-            for sa, sb in zip(trace.snapshots, dual.snapshots):
-                na = np.linalg.norm(sa.values)
-                disc.append(np.linalg.norm(sa.values - sb.values) / na if na > 0 else 0.0)
-            snapshots = select_snapshots(trace, snap_times)
-    except PropagationError as err:
-        if err.partial is not None and err.partial.times.size:
-            path = _out(cfg, "trace.csv")
-            _write_trace(path, err.partial)
-        raise
+    run = (cfg.model(), cfg.M, cfg.initial_state(), cfg.t0, cfg.t1, cfg.dt, cfg.bc)
+    curved = curved_route(*run, snapshot_times=cfg.snapshot_times)
+    dual = dual_route(*run) if cfg.check_duality else None
+    header = "t,norm,eta_norm" + (",duality_discrepancy" if dual is not None else "")
     path = _out(cfg, "trace.csv")
-    _write_trace(path, trace, discrepancy=disc)
+    _write_rows(path, header, _trace_rows(curved, dual))
     written = [path]
-    _write_snapshots(cfg, snapshots, written)
+    _write_snapshots(cfg, curved.snapshots, written)
     return written
 
 

@@ -14,6 +14,13 @@ products), so no dense matrix is formed, unless a static step is applied
 so often, or is so long, that forming the dense step matrix and applying it
 is estimated to cost less than the band products.
 
+A run is a :class:`Route`: it is advanced one step at a time on the exact
+grid t_i = t0 + i·dt and holds only the current state, the prepared static
+step and the last metric sample, so its memory does not grow with the step
+count.  :func:`propagate` and :func:`dual_propagate` run a route to its end
+and return its :class:`EvolutionTrace`; the CLI advances the two routes in
+lockstep and writes each ``trace.csv`` row as both reach it.
+
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent
 mass M·α_n(t), then maps back.  For conformally flat metrics (α = β) the two
@@ -24,6 +31,8 @@ error — which makes the pair a built-in cross-check.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +103,35 @@ def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
     return float(np.sqrt(np.real(np.sum(w[keep] * np.abs(values[keep]) ** 2))))
 
 
-def _time_steps(t0: float, t1: float, dt: float):
+class _StepGrid(Sequence):
+    """The (t, step, t_next) steps of a run, each computed from its index.
+
+    The first ``whole`` steps are exactly dt long; a last, shorter step, if
+    any, ends at t1.  Nothing is stored per step, so the grid of any run has
+    constant size.
+    """
+
+    def __init__(self, t0: float, t1: float, dt: float, whole: int, short: bool):
+        self.t0, self.t1, self.dt = t0, t1, dt
+        self.whole = whole
+        self._len = whole + short
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int):
+        i = range(self._len)[i]  # bounds and negative indices as for a list
+        t = self.t0 + i * self.dt
+        if i + 1 < self._len:
+            return (t, self.dt, self.t0 + (i + 1) * self.dt)
+        return (t, self.dt if i < self.whole else self.t1 - t, self.t1)
+
+    def run_length(self, i: int) -> int:
+        """How many steps from the i-th on share its length."""
+        return self.whole - i if i < self.whole else 1
+
+
+def _time_steps(t0: float, t1: float, dt: float) -> _StepGrid:
     """(t, step, t_next) triples covering [t0, t1] on the grid t_i = t0 + i·dt.
 
     A span within 1e-9 steps of a whole number of steps takes that many
@@ -106,133 +143,167 @@ def _time_steps(t0: float, t1: float, dt: float):
     if t1 <= t0:
         raise EvolveError(f"need t1 > t0, got [{t0}, {t1}]")
     ratio = (t1 - t0) / dt
-    count = math.floor(ratio + 1e-9)  # whole steps
-    short = ratio - count > 1e-12
-    grid = [t0 + i * dt for i in range(count + short)] + [t1]
-    steps = [(t, dt, t_next) for t, t_next in zip(grid, grid[1:])]
-    if short:
-        steps[-1] = (grid[-2], t1 - grid[-2], t1)
-    return steps
-
-
-def _run_length(steps, i: int) -> int:
-    """How many steps from the i-th on share its length."""
-    step, count = steps[i][1], 1
-    while i + count < len(steps) and steps[i + count][1] == step:
-        count += 1
-    return count
-
-
-def _snapshot_set(snapshot_times):
-    if snapshot_times is None:
-        return []
-    if snapshot_times == "all":
-        return "all"
-    return sorted(float(t) for t in snapshot_times)
+    if not ratio < sys.maxsize:  # also catches an infinite span
+        raise EvolveError(f"[{t0}, {t1}] holds too many steps of dt={dt}")
+    whole = math.floor(ratio + 1e-9)
+    return _StepGrid(t0, t1, dt, whole, ratio - whole > 1e-12)
 
 
 class _SnapshotRecorder:
     """Keeps the states a run reports: one per requested time (the first
-    step within dt/2 of it), every step for ``"all"``, and always the last."""
+    step within dt/2 of it), and always the last."""
 
     def __init__(self, snapshot_times, dt: float):
-        self.wanted = _snapshot_set(snapshot_times)
+        wanted = () if snapshot_times is None else snapshot_times
+        self.wanted = sorted(float(t) for t in wanted)
         self.dt = dt
         self.snapshots: list[SpinorField] = []
 
     def offer(self, t: float, values: np.ndarray) -> None:
-        if self.wanted == "all":
-            self.snapshots.append(SpinorField(values.copy(), t))
-            return
         while self.wanted and t >= self.wanted[0] - self.dt / 2:
             self.wanted.pop(0)
             self.snapshots.append(SpinorField(values.copy(), t))
 
-    def finish(self, t: float, values: np.ndarray) -> list[SpinorField]:
+    def finish(self, t: float, values: np.ndarray) -> None:
         if not self.snapshots or self.snapshots[-1].t < t:
             self.snapshots.append(SpinorField(values.copy(), t))
-        return self.snapshots
 
 
-def select_snapshots(trace: EvolutionTrace, snapshot_times) -> list[SpinorField]:
-    """The snapshots a run with ``snapshot_times`` records, taken from a
-    trace that was recorded with ``snapshot_times="all"``."""
-    recorder = _SnapshotRecorder(snapshot_times, trace.dt)
-    for snap in trace.snapshots:
-        recorder.offer(snap.t, snap.values)
-    last = trace.snapshots[-1]
-    return recorder.finish(last.t, last.values)
+class Route:
+    """One propagation run, advanced a step at a time on its exact time grid.
+
+    The route holds the step index, the evolved state ``psi``, the prepared
+    static step with its length and the last metric sample.  ``t``,
+    ``phys``, ``norm`` and ``eta_norm`` describe the recorded (physical)
+    field at the current grid time, and ``snapshots`` the states kept for
+    ``snapshot_times`` (the last state is added once the run is done).
+    Memory does not grow with the step count.
+
+    ``step_operator(metric)`` yields the stepping Hamiltonian from the
+    metric sampled at a step's midpoint; ``transform(values, metric)`` maps
+    the internally evolved field to the physical one.  A t-independent
+    metric is sampled once, at t0.  A static operator is built, and its step
+    prepared, only when the step length changes; the step is settled for the
+    number of steps that share that length, so a long run forms the dense
+    step matrix where its products pay for forming it.
+    """
+
+    def __init__(
+        self,
+        model: MetricModel,
+        psi0: SpinorField,
+        t0: float,
+        t1: float,
+        dt: float,
+        snapshot_times,
+        step_operator,
+        transform,
+        static: bool,
+    ):
+        if psi0.values.shape[0] != 2 * model.L:
+            raise EvolveError(
+                f"initial field has {psi0.values.shape[0]} entries, expected {2 * model.L}"
+            )
+        self.steps = _time_steps(t0, t1, dt)
+        self.dt = dt
+        self.index = 0
+        self._model = model
+        self._fixed = None if model.time_dependent else model.sample(t0)
+        self._step_operator, self._transform, self._static = step_operator, transform, static
+        self._U, self._U_step = None, None
+        self._recorder = _SnapshotRecorder(snapshot_times, dt)
+        self.psi = psi0.values.astype(complex, copy=True)
+        self.metric = self._sample(t0)
+        phys = transform(self.psi, self.metric)
+        self._record(t0, phys, _eta_norm(phys, self.metric.beta))
+
+    @property
+    def done(self) -> bool:
+        return self.index == len(self.steps)
+
+    @property
+    def snapshots(self) -> list[SpinorField]:
+        return self._recorder.snapshots
+
+    def _sample(self, t: float) -> SampledMetric:
+        return self._fixed if self._fixed is not None else self._model.sample(t)
+
+    def _record(self, t: float, phys: np.ndarray, eta: float) -> None:
+        self.t, self.phys, self.eta_norm = t, phys, eta
+        self.norm = float(np.linalg.norm(phys))
+        self._recorder.offer(t, phys)
+        if self.done:
+            self._recorder.finish(t, phys)
+
+    def advance(self) -> None:
+        """Take the next step; on failure raise :class:`PropagationError`
+        and leave the route at its last completed step."""
+        t, step, t_next = self.steps[self.index]
+        try:
+            if not self._static:
+                H = self._step_operator(self._sample(t + step / 2))
+                psi = expm_apply(H, step, self.psi)
+            else:
+                if step != self._U_step:
+                    U = propagator(self._step_operator(self._sample(t + step / 2)), step)
+                    self._U = U.for_steps(self.steps.run_length(self.index))
+                    self._U_step = step
+                psi = self._U @ self.psi
+                if not np.all(np.isfinite(psi)):
+                    raise SpectralError("overflow in nonunitary propagation")
+            metric = self._sample(t_next)
+            phys = self._transform(psi, metric)
+            eta = _eta_norm(phys, metric.beta)
+        except (MetricDomainError, SpectralError, EvolveError) as err:
+            raise PropagationError(f"propagation stopped at t={t_next:g}: {err}") from err
+        self.index += 1
+        self.psi, self.metric = psi, metric
+        self._record(t_next, phys, eta)
 
 
-def _run(
+def _trace(route: Route) -> EvolutionTrace:
+    """Run ``route`` to its end, recording its norms at every grid time.
+
+    A :class:`PropagationError` carries the trace up to the last completed
+    step as its ``partial``.
+    """
+    times, norms, eta_norms = [route.t], [route.norm], [route.eta_norm]
+
+    def trace():
+        return EvolutionTrace(
+            np.asarray(times), np.asarray(norms), np.asarray(eta_norms), route.snapshots, route.dt
+        )
+
+    while not route.done:
+        try:
+            route.advance()
+        except PropagationError as err:
+            err.partial = trace()
+            raise
+        times.append(route.t)
+        norms.append(route.norm)
+        eta_norms.append(route.eta_norm)
+    return trace()
+
+
+def curved_route(
     model: MetricModel,
+    M: float,
     psi0: SpinorField,
     t0: float,
     t1: float,
     dt: float,
-    snapshot_times,
-    build_step_operator,
-    transform,
-    static: bool,
-):
-    """Shared trace loop for both propagation routes.
+    bc: str = "open",
+    snapshot_times=None,
+) -> Route:
+    """The curved-space field under H(t) built per midpoint, as a :class:`Route`."""
 
-    ``build_step_operator(metric)`` yields the stepping Hamiltonian from the
-    metric sampled at a step's midpoint; ``transform(values, metric)`` maps
-    the internally evolved field to the physical one recorded in the trace.
-    A t-independent metric is sampled once, at t0.  A static operator is
-    built, and its step prepared, only when the step length changes; the step
-    is settled for the number of steps that share that length, so a long run
-    forms the dense step matrix where its products pay for forming it.
-    """
-    if psi0.values.shape[0] != 2 * model.L:
-        raise EvolveError(
-            f"initial field has {psi0.values.shape[0]} entries, expected {2 * model.L}"
-        )
-    steps = _time_steps(t0, t1, dt)
-    recorder = _SnapshotRecorder(snapshot_times, dt)
-    fixed = None if model.time_dependent else model.sample(t0)
+    def step_operator(metric):
+        return build(metric, M, model.a, bc)
 
-    def sample(t):
-        return fixed if fixed is not None else model.sample(t)
-
-    times = [t0]
-    psi = psi0.values.astype(complex, copy=True)
-    metric = sample(t0)
-    phys = transform(psi, metric)
-    norms = [float(np.linalg.norm(phys))]
-    eta_norms = [_eta_norm(phys, metric.beta)]
-
-    recorder.offer(t0, phys)
-    U, U_step = None, None
-    for i, (t, step, t_next) in enumerate(steps):
-        try:
-            if not static:
-                psi = expm_apply(build_step_operator(sample(t + step / 2)), step, psi)
-            else:
-                if step != U_step:
-                    U = propagator(build_step_operator(sample(t + step / 2)), step)
-                    U = U.for_steps(_run_length(steps, i))
-                    U_step = step
-                psi = U @ psi
-                if not np.all(np.isfinite(psi)):
-                    raise SpectralError("overflow in nonunitary propagation")
-            metric = sample(t_next)
-            phys = transform(psi, metric)
-            eta = _eta_norm(phys, metric.beta)
-        except (MetricDomainError, SpectralError, EvolveError) as err:
-            partial = EvolutionTrace(
-                np.asarray(times), np.asarray(norms), np.asarray(eta_norms),
-                recorder.snapshots, dt,
-            )
-            raise PropagationError(f"propagation stopped at t={t_next:g}: {err}", partial) from err
-        times.append(t_next)
-        norms.append(float(np.linalg.norm(phys)))
-        eta_norms.append(eta)
-        recorder.offer(t_next, phys)
-    return EvolutionTrace(
-        np.asarray(times), np.asarray(norms), np.asarray(eta_norms),
-        recorder.finish(times[-1], phys), dt,
+    return Route(
+        model, psi0, t0, t1, dt, snapshot_times,
+        step_operator, lambda v, metric: v, static=model.static_operator(M),
     )
 
 
@@ -247,14 +318,7 @@ def propagate(
     snapshot_times=None,
 ) -> EvolutionTrace:
     """Evolve the curved-space field under H(t) built per midpoint."""
-
-    def step_operator(metric):
-        return build(metric, M, model.a, bc)
-
-    return _run(
-        model, psi0, t0, t1, dt, snapshot_times,
-        step_operator, lambda v, metric: v, static=model.static_operator(M),
-    )
+    return _trace(curved_route(model, M, psi0, t0, t1, dt, bc, snapshot_times))
 
 
 def _flat_kinetic(L: int, a: float, bc: str, t: float) -> dict[int, np.ndarray]:
@@ -264,7 +328,7 @@ def _flat_kinetic(L: int, a: float, bc: str, t: float) -> dict[int, np.ndarray]:
     return build(flat, M=0.0, a=a, bc=bc).diagonals
 
 
-def dual_propagate(
+def dual_route(
     model: MetricModel,
     M: float,
     psi0: SpinorField,
@@ -273,13 +337,13 @@ def dual_propagate(
     dt: float,
     bc: str = "open",
     snapshot_times=None,
-) -> EvolutionTrace:
-    """Evolve via the flat-spacetime dual of a conformally flat metric.
+) -> Route:
+    """The flat-spacetime dual of a conformally flat metric, as a :class:`Route`.
 
     Requires α = β (Weyl, linear-conformal, or a custom metric with equal
     expressions).  The rescaled field ψ̃ = D(t)ψ evolves under the flat
-    kinetic term plus the renormalized mass M·α_n(t); the recorded trace is
-    for the physical field ψ(t) = D(t)⁻¹ψ̃(t).
+    kinetic term plus the renormalized mass M·α_n(t); the route records the
+    physical field ψ(t) = D(t)⁻¹ψ̃(t).
     """
     if model.family == "custom":
         if model.alpha_expr != model.beta_expr:
@@ -312,10 +376,25 @@ def dual_propagate(
 
     psi0_tilde = SpinorField(psi0.values * sqrt_alpha(model.sample(t0)), psi0.t)
     static = (M == 0.0) or not model.time_dependent
-    return _run(
+    return Route(
         model, psi0_tilde, t0, t1, dt, snapshot_times,
         step_operator, transform, static=static,
     )
+
+
+def dual_propagate(
+    model: MetricModel,
+    M: float,
+    psi0: SpinorField,
+    t0: float,
+    t1: float,
+    dt: float,
+    bc: str = "open",
+    snapshot_times=None,
+) -> EvolutionTrace:
+    """Evolve via the flat-spacetime dual of a conformally flat metric
+    (see :func:`dual_route`); the trace is for the physical field."""
+    return _trace(dual_route(model, M, psi0, t0, t1, dt, bc, snapshot_times))
 
 
 # ---------------------------------------------------------------------------

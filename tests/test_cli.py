@@ -252,6 +252,71 @@ def test_evolve_check_duality_writes_snapshots(tmp_path):
         assert (plain / name).read_bytes() == (dual / name).read_bytes()
 
 
+def test_duality_failure_keeps_discrepancy_rows(tmp_path, capsys):
+    # alpha = beta = 1 - t/2 vanishes at t = 2: the run stops there, and the
+    # partial trace keeps the discrepancy of every completed step
+    code = main([
+        "evolve", "--family", "custom", "--alpha", "1-0.5*t", "--beta", "1-0.5*t",
+        "--L", "20", "--t0", "0", "--t1", "3", "--dt", "0.01", "--check-duality",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure")
+    header, rows = _read_csv(tmp_path / "trace.csv")
+    assert header == ["t", "norm", "eta_norm", "duality_discrepancy"]
+    assert all(len(row) == 4 for row in rows)
+    times = np.array([float(r[0]) for r in rows])
+    np.testing.assert_allclose(times, 0.01 * np.arange(200), rtol=0, atol=1e-12)
+    assert np.all(np.isfinite([float(r[3]) for r in rows]))
+
+
+def test_streamed_discrepancy_matches_library_routes(tmp_path):
+    # each row's discrepancy is norm(a - b)/norm(a) of the two routes' states
+    # at that grid time
+    from curvedlattice.evolve import dual_propagate, propagate
+
+    cfg = RunConfig.from_dict({
+        "family": "linear_conformal", "q": 0.01, "r": 0.5, "L": 30, "M": 1.0,
+        "t0": 0.25, "t1": 0.3508, "dt": 1e-3, "check_duality": True,
+        "initial": {"kind": "plane_wave", "k": 0.3927, "branch": 1},
+        "out_dir": str(tmp_path),
+    })
+    cli.cmd_evolve(cfg)
+    header, rows = _read_csv(tmp_path / "trace.csv")
+    assert header[-1] == "duality_discrepancy"
+    times = [float(r[0]) for r in rows]
+    run = (cfg.model(), cfg.M, cfg.initial_state(), cfg.t0, cfg.t1, cfg.dt, cfg.bc)
+    a = propagate(*run, snapshot_times=times).snapshots
+    b = dual_propagate(*run, snapshot_times=times).snapshots
+    assert [s.t for s in a] == [s.t for s in b] == times
+    expected = [np.linalg.norm(sa.values - sb.values) / np.linalg.norm(sa.values)
+                for sa, sb in zip(a, b)]
+    assert [float(r[3]) for r in rows] == expected
+
+
+def test_check_duality_memory_is_flat_in_step_count(tmp_path):
+    # both routes stream their rows, so the traced peak does not grow with
+    # the number of steps
+    import tracemalloc
+
+    def peak(steps):
+        argv = [
+            "evolve", "--family", "weyl", "--q", "0.01", "--r", "0.5", "--L", "50",
+            "--M", "0", "--t0", "0", "--t1", repr(steps * 1e-3), "--dt", "1e-3",
+            "--check-duality", "--out-dir", str(tmp_path / str(steps)),
+        ]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(250)  # first-use allocations (expression caches, imports)
+    assert abs(peak(2000) - peak(250)) < 64 * 1024
+
+
 def test_flags_override_config_file(tmp_path):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"family": "rindler", "L": 30, "M": 1.0}))

@@ -249,6 +249,23 @@ def test_long_run_steps_on_an_exact_time_grid(t1, steps):
     assert np.all(np.diff(trace.times) > 0.999e-3)
 
 
+def test_time_steps_are_computed_from_their_index():
+    # a grid of 10^12 steps is built without storing a single step
+    grid = evolve._time_steps(0.0, 1.0, 1e-12)
+    assert len(grid) == 10**12
+    assert grid[0] == (0.0, 1e-12, 1e-12)
+    t, step, t_next = grid[-1]
+    assert t == pytest.approx(1.0 - 1e-12, abs=1e-16)
+    assert (step, t_next) == (1e-12, 1.0)
+    assert grid.run_length(0) == 10**12
+    with pytest.raises(IndexError):
+        grid[10**12]
+    # a step count past the index range is a bad request, not a crash
+    for t0, t1, dt in [(0.0, 1.0, 1e-300), (-1e308, 1e308, 1.0)]:
+        with pytest.raises(EvolveError):
+            evolve._time_steps(t0, t1, dt)
+
+
 def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):
     # both routes step a time-dependent operator on its band of diagonals
     def no_dense(self):

@@ -59,7 +59,7 @@ def _slice_suffix(times, t) -> str:
 
 def _decompose(H, tol):
     if hermitian_residual(H) <= tol:
-        return eig_hermitian(H)
+        return eig_hermitian(H, herm_tol=tol)
     return eig_general(H)
 
 

@@ -23,18 +23,19 @@ route whose residuals exceed n·ε·‖A‖_F, the backward-error level of
 Results are sorted by (Re, Im), with residuals measured on the band, and a
 LAPACK failure raises :class:`SpectralError`.
 
-Both propagator kernels apply one truncated Taylor series of B = −iH·dt − μI,
-μ = tr/n, of a degree fixed in advance, by products with the operator's
-nonzero diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
-the shift, the 1-norm and the checks run on the band too, so a lattice step
-is O(L).  :func:`propagator` prepares this once per step length as a
+Every exponential reads the operator once, as the shifted band B = c·A −
+μI, μ = tr(c·A)/n, with ‖B‖₁ (:func:`_band_shifted`), and truncates one
+Taylor series at a degree fixed in advance (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33 (2011) 488): applied to a state by products with the nonzero
+diagonals, O(L) each for a lattice step, or summed as the dense exp(B + μ)
+by scaling, Paterson–Stockmeyer and squaring (:func:`_dense_exp`).
+:func:`propagator` prepares the step exp(−iH·dt) once per step length as a
 :class:`StepOperator`, which a static operator reuses every step (``U @
-psi``).  Settled for the number of steps that reuse it, the step forms the
-dense step matrix, by scaling and squaring in :func:`expm`, only when
-forming it and that many dense products are estimated to cost less than as
-many band steps.  :func:`expm_apply` prepares and applies a step at once,
-and forms no n×n exponential unless ‖B‖₁ exceeds n.  :func:`expm` remains
-the public dense matrix exponential.
+psi``); settled for the number of steps that reuse it, the step forms its
+dense matrix only when forming it and that many dense products are
+estimated to cost less than as many band steps.  :func:`expm_apply`
+prepares and applies a step at once, dense only when ‖B‖₁ exceeds n.
+:func:`expm` is the public dense exponential (c = 1).
 """
 
 from __future__ import annotations
@@ -80,16 +81,6 @@ class SpectralDecomposition:
         if self.residuals is None or self.residuals.size == 0:
             return 0.0
         return float(np.max(self.residuals))
-
-
-def _as_matrix(H) -> np.ndarray:
-    A = getattr(H, "matrix", H)
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise SpectralError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise SpectralError("matrix has non-finite entries")
-    return A
 
 
 def _lapack(solver, *args, **kwargs):
@@ -151,7 +142,7 @@ def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
         if _accepted(dec):
             return _fallback(dec, check)
         check = "geev-residual"
-    lam, V = _geev(_as_matrix(H), compute_vectors)
+    lam, V = _geev(band_matrix(diagonals, n), compute_vectors)
     return _fallback(_decomposition(lam, V, diagonals, "complex-geev"), check)
 
 
@@ -350,18 +341,6 @@ def _eig_chiral(diagonals, n, d, c, Y, compute_vectors):
 _TAYLOR_TOL = 2.0**-53  # unit roundoff of double precision
 
 
-def _shifted(B: np.ndarray):
-    """B − μI in place, μ = tr(B)/n (exact: it removes a uniform onsite part
-    such as the Weyl −(i/2)∂₀β/β), and its 1-norm, which must be finite."""
-    n = B.shape[0]
-    mu = np.trace(B) / max(n, 1)
-    B[np.diag_indices(n)] -= mu
-    norm1 = float(np.max(np.sum(np.abs(B), axis=0), initial=0.0))
-    if not math.isfinite(norm1):
-        raise SpectralError("overflow in nonunitary propagation")
-    return B, mu, norm1
-
-
 def _taylor_degree(norm1: float) -> int:
     """Smallest m whose first omitted term ‖B‖^(m+1)/(m+1)! is at most the
     unit roundoff; 18 at most for ‖B‖₁ ≤ 1."""
@@ -373,8 +352,8 @@ def _taylor_degree(norm1: float) -> int:
 
 
 def _squarings_and_degree(norm1: float) -> tuple[int, int]:
-    """:func:`expm`'s j squarings, which bring ‖B‖₁ to at most 1, and the
-    Taylor degree m of the scaled matrix."""
+    """:func:`_dense_exp`'s j squarings, which bring ‖B‖₁ to at most 1, and
+    the Taylor degree m of the scaled matrix."""
     j = math.ceil(math.log2(norm1)) if norm1 > 1.0 else 0
     return j, _taylor_degree(norm1 * 0.5**j)
 
@@ -398,19 +377,24 @@ def _taylor_poly(X: np.ndarray, m: int) -> np.ndarray:
     return P
 
 
-def expm(A) -> np.ndarray:
-    """Matrix exponential by a truncated Taylor series: B = A − μI is scaled
-    by 2^-j until ‖B‖₁ ≤ 1, its Taylor polynomial is summed by Paterson–
-    Stockmeyer, squared j times and multiplied by e^μ."""
-    A = _as_matrix(A)
-    with np.errstate(all="ignore"):  # caller checks finiteness
-        B, mu, norm1 = _shifted(A.copy())
+def _dense_exp(B: dict[int, np.ndarray], mu: complex, norm1: float, n: int) -> np.ndarray:
+    """The dense exp(B + μ) of a shifted band (:func:`_band_shifted`): B is
+    scaled by 2^-j until ‖B‖₁ ≤ 1, its Taylor polynomial is summed by
+    Paterson–Stockmeyer, squared j times and multiplied by e^μ."""
+    with np.errstate(all="ignore"):  # the caller checks finiteness
         j, m = _squarings_and_degree(norm1)
-        B *= 0.5**j
-        R = _taylor_poly(B, m)
+        R = _taylor_poly(band_matrix({k: d * 0.5**j for k, d in B.items()}, n), m)
         for _ in range(j):
             R = R @ R
         return np.exp(mu) * R
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential by a truncated Taylor series of A − μI, μ = tr(A)/n
+    (:func:`_dense_exp`)."""
+    diagonals, n = _band(A)
+    with np.errstate(all="ignore"):  # overflow checked in _band_shifted
+        return _dense_exp(*_band_shifted(diagonals, n, 1.0), n)
 
 
 def _band(H) -> tuple[dict[int, np.ndarray], int]:
@@ -418,12 +402,16 @@ def _band(H) -> tuple[dict[int, np.ndarray], int]:
     or of a square matrix, and the dimension n; all entries must be finite."""
     diagonals = getattr(H, "diagonals", None)
     if diagonals is None:
-        A = _as_matrix(H)
+        A = np.asarray(H, dtype=complex)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise SpectralError(f"expected a square matrix, got shape {A.shape}")
         n = A.shape[0]
-        return {k: d for k in range(1 - n, n) if (d := np.diagonal(A, k)).any()}, n
+        diagonals = {k: d for k in range(1 - n, n) if (d := np.diagonal(A, k)).any()}
+    else:
+        n = H.dim
     if not all(np.all(np.isfinite(d)) for d in diagonals.values()):
         raise SpectralError("matrix has non-finite entries")
-    return diagonals, H.dim
+    return diagonals, n
 
 
 def _band_matvec(B: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -441,8 +429,9 @@ def _band_matvec(B: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def _band_shifted(diagonals: dict[int, np.ndarray], n: int, c: complex):
-    """B = c·H − μI, μ = tr(c·H)/n, and ‖B‖₁, which must be finite; as in
-    :func:`_shifted`, with each column summed from the top row down."""
+    """B = c·H − μI, μ = tr(c·H)/n (exact: it removes a uniform onsite part
+    such as the Weyl −(i/2)∂₀β/β), and ‖B‖₁, which must be finite, with
+    each column summed from the top row down."""
     B = {k: c * d for k, d in diagonals.items()}
     mu = np.sum(B[0]) / max(n, 1) if 0 in B else 0j
     if 0 in B:
@@ -474,7 +463,7 @@ def _taylor_action(B: dict, mu: complex, s: int, m: int, psi: np.ndarray) -> np.
 # Estimated costs, in nanoseconds, of the two ways to apply a step, fitted
 # to in-process timings at n = 50 … 1000 on a 2-vCPU Haswell VM (OpenBLAS,
 # two threads): a band Horner term pays numpy call overheads per term and
-# per diagonal on top of its entries; forming expm's step matrix pays its
+# per diagonal on top of its entries; forming the dense step matrix pays its
 # n×n products and elementwise passes; a dense step is one n×n matvec.  The
 # band costs are upper bounds of those timings and the dense ones lower
 # bounds, so the band is chosen only where it beats the dense route.
@@ -488,7 +477,7 @@ _NS_PASS_ENTRY = 2.5  # per entry of an elementwise n×n pass
 
 
 def _dense_costs(n: int, norm1: float) -> tuple[float, float]:
-    """(forming, applying) :func:`expm`'s step matrix of ‖B‖₁ = ``norm1``,
+    """(forming, applying) the dense step matrix of ‖B‖₁ = ``norm1``,
     in estimated ns: the Paterson–Stockmeyer products of :func:`_taylor_poly`
     and the j squarings, about 2m + 10 elementwise passes, and one matvec."""
     j, m = _squarings_and_degree(norm1)
@@ -502,15 +491,14 @@ def _dense_costs(n: int, norm1: float) -> tuple[float, float]:
 class StepOperator:
     """exp(−iH·dt) prepared once for repeated application: ``U @ psi``.
 
-    ``B`` holds the diagonals of the shifted band −i·dt·H − μI of the
-    n×n operator ``H``, with ``norm1`` = ‖B‖₁, and a step is ``s`` substeps
-    of the degree-``m`` Taylor polynomial (:func:`_taylor_action`).
-    ``dense`` holds the step matrix of :func:`expm` instead, once
+    ``B`` holds the diagonals of the shifted band −i·dt·H − μI of an n×n
+    operator H, with ``norm1`` = ‖B‖₁, and a step is ``s`` substeps of the
+    degree-``m`` Taylor polynomial (:func:`_taylor_action`).  ``dense``
+    holds the step matrix of :func:`_dense_exp` instead, once
     :meth:`for_steps` found it cheaper.
     The caller checks the result for overflow.
     """
 
-    H: object
     dt: float
     n: int
     B: dict[int, np.ndarray]
@@ -537,9 +525,8 @@ class StepOperator:
         return self
 
     def form_dense(self) -> None:
-        """Form the dense step matrix exp(−i·dt·H) of :func:`expm`."""
-        with np.errstate(all="ignore"):  # the caller checks finiteness
-            self.dense = expm(-1j * self.dt * _as_matrix(self.H))
+        """Form the dense step matrix exp(B + μ) of :func:`_dense_exp`."""
+        self.dense = _dense_exp(self.B, self.mu, self.norm1, self.n)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         if self.dense is not None:
@@ -548,7 +535,7 @@ class StepOperator:
             return _taylor_action(self.B, self.mu, self.s, self.m, psi)
 
 
-def _taylor_step(H, diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
+def _taylor_step(diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
     """The band step exp(−iH·dt) from the diagonals of H: the shift, ‖B‖₁,
     s = max(1, ⌈‖B‖₁⌉) substeps and the degree :func:`_taylor_degree`
     (‖B‖₁/s) ≤ 18."""
@@ -557,19 +544,19 @@ def _taylor_step(H, diagonals: dict[int, np.ndarray], n: int, dt: float) -> Step
     with np.errstate(all="ignore"):  # overflow checked in _band_shifted
         B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
     s = max(1, math.ceil(norm1))
-    return StepOperator(H, dt, n, B, mu, norm1, s, _taylor_degree(norm1 / s))
+    return StepOperator(dt, n, B, mu, norm1, s, _taylor_degree(norm1 / s))
 
 
 def propagator(H, dt: float) -> StepOperator:
     """The step exp(−iH·dt), prepared for ``U @ psi``.
 
-    It is applied as the Taylor action on the band of H, unless forming
-    :func:`expm`'s dense step matrix and applying it costs less.  The route
-    is settled for one application; a caller that applies the step ``count``
-    times settles it with ``propagator(H, dt).for_steps(count)``, so that a
-    long run pays for forming the dense matrix when its products are cheaper.
+    It is applied as the Taylor action on the band of H, unless forming the
+    dense step matrix and applying it costs less.  The route is settled for
+    one application; a caller that applies the step ``count`` times settles
+    it with ``propagator(H, dt).for_steps(count)``, so that a long run pays
+    for forming the dense matrix when its products are cheaper.
     """
-    return _taylor_step(H, *_band(H), dt).for_steps(1)
+    return _taylor_step(*_band(H), dt).for_steps(1)
 
 
 def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
@@ -581,20 +568,17 @@ def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     once: with B = -i·dt·H shifted by μ = tr(B)/n, s = max(1, ⌈‖B − μ‖₁⌉)
     substeps, each the Taylor polynomial of degree :func:`_taylor_degree`
     (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When s exceeds the
-    dimension n, the step of :func:`propagator` is applied instead, with the
-    dense step matrix of :func:`expm` formed, which for a band of at least n
-    entries is cheaper.
+    dimension n, the step forms its dense step matrix and applies that
+    instead, which for a band of at least n entries is cheaper.
     Raises on nonhermitian growth beyond the representable range.
     """
     diagonals, n = _band(H)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (n,):
         raise SpectralError(f"state length {psi.shape} does not match matrix {(n, n)}")
-    step = _taylor_step(H, diagonals, n, dt)
+    step = _taylor_step(diagonals, n, dt)
     if step.s > n:
-        step = propagator(H, dt)
-        if step.dense is None:
-            step.form_dense()
+        step.form_dense()
     out = step @ psi
     if not np.all(np.isfinite(out)):
         raise SpectralError("overflow in nonunitary propagation")

@@ -143,6 +143,28 @@ def test_evolve_snapshots_and_gain(tmp_path):
     assert len(srows) == 30
 
 
+@pytest.mark.parametrize("command", ["spectrum", "ldos"])
+def test_tol_sets_the_hermitian_threshold(command, tmp_path, monkeypatch):
+    # a hermiticity residual of 1e-9 is within --tol 1e-6, so the operator
+    # is decomposed as hermitian: its eigenvalues are exactly real
+    decompositions = []
+    decompose = cli._decompose
+    monkeypatch.setattr(
+        cli, "_decompose", lambda *a: decompositions.append(decompose(*a)) or decompositions[-1]
+    )
+    code = main([
+        command, "--family", "custom", "--alpha", "1+0.001*x", "--beta", "1+1e-9*x",
+        "--L", "20", "--tol", "1e-6", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert [np.all(dec.eigenvalues.imag == 0.0) for dec in decompositions] == [True]
+    if command == "spectrum":
+        header, rows = _read_csv(tmp_path / "spectrum.csv")
+        assert header[2] == "im_E" and all(float(r[2]) == 0.0 for r in rows)
+        report = json.loads((tmp_path / "symmetry.json").read_text())
+        assert report["classification"] == "Hermitian"
+
+
 def test_dump_command(tmp_path):
     out = str(tmp_path)
     code = main([

@@ -272,6 +272,7 @@ def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):
         raise AssertionError("dense matrix built")
 
     monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    monkeypatch.setattr(StepOperator, "form_dense", no_dense)
     model = MetricModel.linear_conformal(q=0.01, r=0.5, L=30)
     assert model.time_dependent and not model.static_operator(1.0)
     psi0 = gaussian_packet(15.0, 3.0, 0.5, 30)
@@ -299,6 +300,7 @@ def test_static_steps_never_build_the_dense_matrix(model, M, bc, monkeypatch):
         raise AssertionError("dense matrix built")
 
     monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    monkeypatch.setattr(StepOperator, "form_dense", no_dense)
     assert model.static_operator(M)
     psi0 = gaussian_packet(250.0, 10.0, 0.5, 500)
     routes = [propagate]

@@ -504,10 +504,13 @@ def test_expm_apply_vs_scipy_on_catalog(model, M, bc, dt):
 @pytest.mark.parametrize("n", [3, 16, 64])
 @pytest.mark.parametrize("norm1", [1e-4, 0.3, 1.0, 4.0, 17.0, 50.0])
 def test_expm_apply_vs_scipy_random(n, norm1, monkeypatch):
-    # ||H dt||_1 above 1 takes several Taylor substeps; above n, the dense
-    # step matrix of `propagator` is applied instead
+    # ||H dt||_1 above 1 takes several Taylor substeps; above n, the step
+    # forms its dense step matrix and applies that instead
     calls = []
-    monkeypatch.setattr(spectral, "propagator", lambda *a: calls.append(a) or propagator(*a))
+    form_dense = spectral.StepOperator.form_dense
+    monkeypatch.setattr(
+        spectral.StepOperator, "form_dense", lambda self: calls.append(self) or form_dense(self)
+    )
     rng = np.random.default_rng(n)
     H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dt = norm1 / np.max(np.sum(np.abs(H), axis=0))
@@ -516,6 +519,37 @@ def test_expm_apply_vs_scipy_random(n, norm1, monkeypatch):
     assert _rel_err(expm_apply(H, dt, psi), ref) <= 1e-10
     shifted = -1j * dt * (H - np.trace(H) / n * np.eye(n))
     assert len(calls) == (np.max(np.sum(np.abs(shifted), axis=0)) > n)
+
+
+def test_lattice_operator_is_read_only_through_its_band(monkeypatch):
+    # the complex-geev fallback, a dense step matrix and expm_apply's s > n
+    # branch all work from the band; none builds the operator's dense matrix
+    H = build(MetricModel.linear_conformal(q=1 / 11, r=0.5, L=12).sample(0.5), 1.0, 1.0)
+    A = band_matrix(H.diagonals, H.dim)
+    ref = np.linalg.eigvals(A)
+
+    def no_dense(self):
+        raise AssertionError("dense matrix built")
+
+    eig = np.linalg.eig
+
+    def spoiled(X):
+        lam, V = eig(X)
+        return lam, (V + 1e-6 if np.isrealobj(X) else V)
+
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    monkeypatch.setattr(np.linalg, "eig", spoiled)
+    dec = eig_general(H)
+    assert dec.route == "fallback:geev-residual:complex-geev"
+    assert spectral_mismatch(dec.eigenvalues, ref) <= 1e-12
+    rng = np.random.default_rng(13)
+    psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    U = propagator(H, 0.1).for_steps(10**6)
+    assert U.dense is not None
+    assert _rel_err(U @ psi, scipy.linalg.expm(-0.1j * A) @ psi) <= 1e-10
+    dt = 20.0
+    assert spectral._taylor_step(H.diagonals, H.dim, dt).s > H.dim
+    assert _rel_err(expm_apply(H, dt, psi), scipy.linalg.expm(-1j * dt * A) @ psi) <= 1e-10
 
 
 _STATIC_CATALOG = [

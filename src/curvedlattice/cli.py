@@ -28,7 +28,7 @@ from .config import RunConfig
 from .errors import CurvedLatticeError
 from .evolve import Route, curved_route, dual_route
 from .heatmap import write_ppm
-from .metric import distance_profile
+from .metric import FAMILIES, distance_profile
 from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
 from .operator import build, hermitian_residual
 from .spectral import eig_general, eig_hermitian
@@ -274,8 +274,7 @@ _COMMANDS = {
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--family", choices=(
-        "flat", "rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal", "custom"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--q", type=float)
     p.add_argument("--r", type=float)
     p.add_argument("--alpha", help="custom metric alpha(x, t) expression")

@@ -180,20 +180,7 @@ class RunConfig:
                 return MetricModel.custom(
                     self.alpha, self.beta, L=self.L, a=self.a, params=self.params
                 )
-            kwargs = {"L": self.L, "a": self.a}
-            if self.family == "flat":
-                return MetricModel.flat(**kwargs)
-            if self.family == "rindler":
-                return MetricModel.rindler(self.q_value, **kwargs)
-            if self.family == "de_sitter":
-                return MetricModel.de_sitter(self.q_value, **kwargs)
-            if self.family == "anti_de_sitter":
-                return MetricModel.anti_de_sitter(self.q_value, **kwargs)
-            if self.family == "weyl":
-                return MetricModel.weyl(self.q_value, self.r, **kwargs)
-            if self.family == "linear_conformal":
-                return MetricModel.linear_conformal(self.q_value, self.r, **kwargs)
-            raise ConfigError(f"unknown metric family {self.family!r}")
+            return MetricModel(self.family, self.L, self.a, q=self.q_value, r=self.r)
         except (MetricError, _expr.ExpressionError) as err:
             raise ConfigError(str(err)) from err
 

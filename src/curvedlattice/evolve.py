@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,12 +83,6 @@ class EvolutionTrace:
     dt: float = 0.0
     scheme: str = "midpoint-exponential"
 
-    @property
-    def final(self) -> SpinorField:
-        if not self.snapshots:
-            raise EvolveError("no snapshots stored")
-        return self.snapshots[-1]
-
 
 def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
     """Curved-space norm √(ψ† diag(β_n) ψ): conserved where the lattice
@@ -103,40 +96,13 @@ def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
     return float(np.sqrt(np.real(np.sum(w[keep] * np.abs(values[keep]) ** 2))))
 
 
-class _StepGrid(Sequence):
-    """The (t, step, t_next) steps of a run, each computed from its index.
-
-    The first ``whole`` steps are exactly dt long; a last, shorter step, if
-    any, ends at t1.  Nothing is stored per step, so the grid of any run has
-    constant size.
-    """
-
-    def __init__(self, t0: float, t1: float, dt: float, whole: int, short: bool):
-        self.t0, self.t1, self.dt = t0, t1, dt
-        self.whole = whole
-        self._len = whole + short
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int):
-        i = range(self._len)[i]  # bounds and negative indices as for a list
-        t = self.t0 + i * self.dt
-        if i + 1 < self._len:
-            return (t, self.dt, self.t0 + (i + 1) * self.dt)
-        return (t, self.dt if i < self.whole else self.t1 - t, self.t1)
-
-    def run_length(self, i: int) -> int:
-        """How many steps from the i-th on share its length."""
-        return self.whole - i if i < self.whole else 1
-
-
-def _time_steps(t0: float, t1: float, dt: float) -> _StepGrid:
-    """(t, step, t_next) triples covering [t0, t1] on the grid t_i = t0 + i·dt.
+def _time_steps(t0: float, t1: float, dt: float) -> tuple[int, int]:
+    """(whole, count) of the grid t_i = t0 + i·dt covering [t0, t1].
 
     A span within 1e-9 steps of a whole number of steps takes that many
     steps of exactly dt, so a static run needs a single step matrix; any
-    other span ends with one short step.  t_next of the last step is t1.
+    other span ends with one short step, so ``count`` is ``whole`` or
+    ``whole + 1``.
     """
     if dt <= 0:
         raise EvolveError(f"time step must be positive, got dt={dt}")
@@ -146,46 +112,32 @@ def _time_steps(t0: float, t1: float, dt: float) -> _StepGrid:
     if not ratio < sys.maxsize:  # also catches an infinite span
         raise EvolveError(f"[{t0}, {t1}] holds too many steps of dt={dt}")
     whole = math.floor(ratio + 1e-9)
-    return _StepGrid(t0, t1, dt, whole, ratio - whole > 1e-12)
-
-
-class _SnapshotRecorder:
-    """Keeps the states a run reports: one per requested time (the first
-    step within dt/2 of it), and always the last."""
-
-    def __init__(self, snapshot_times, dt: float):
-        wanted = () if snapshot_times is None else snapshot_times
-        self.wanted = sorted(float(t) for t in wanted)
-        self.dt = dt
-        self.snapshots: list[SpinorField] = []
-
-    def offer(self, t: float, values: np.ndarray) -> None:
-        while self.wanted and t >= self.wanted[0] - self.dt / 2:
-            self.wanted.pop(0)
-            self.snapshots.append(SpinorField(values.copy(), t))
-
-    def finish(self, t: float, values: np.ndarray) -> None:
-        if not self.snapshots or self.snapshots[-1].t < t:
-            self.snapshots.append(SpinorField(values.copy(), t))
+    return whole, whole + (ratio - whole > 1e-12)
 
 
 class Route:
     """One propagation run, advanced a step at a time on its exact time grid.
 
-    The route holds the step index, the evolved state ``psi``, the prepared
-    static step with its length and the last metric sample.  ``t``,
-    ``phys``, ``norm`` and ``eta_norm`` describe the recorded (physical)
-    field at the current grid time, and ``snapshots`` the states kept for
-    ``snapshot_times`` (the last state is added once the run is done).
-    Memory does not grow with the step count.
+    Step i starts at t = t0 + i·dt; the first ``whole`` steps are exactly dt
+    long, a last, shorter step, if any, ends at t1, and the run takes
+    ``count`` steps.  Nothing is stored per step.  The route holds the step
+    index, the evolved state ``psi``, the prepared static step with its
+    length and the last metric sample.  ``t``, ``phys``, ``norm`` and
+    ``eta_norm`` describe the recorded (physical) field at the current grid
+    time, and ``snapshots`` the states kept: one per grid time that a
+    requested snapshot time reaches (the first within dt/2 of it), and the
+    last state once the run is done.  Memory does not grow with the step
+    count.
 
     ``step_operator(metric)`` yields the stepping Hamiltonian from the
-    metric sampled at a step's midpoint; ``transform(values, metric)`` maps
-    the internally evolved field to the physical one.  A t-independent
-    metric is sampled once, at t0.  A static operator is built, and its step
-    prepared, only when the step length changes; the step is settled for the
-    number of steps that share that length, so a long run forms the dense
-    step matrix where its products pay for forming it.
+    metric sampled at a step's midpoint.  ``scale(metric)``, if given, is
+    the factor that maps the physical field to the evolved one (ψ̃ = scale·ψ):
+    ψ0 is scaled at t0, and each state is divided by it to be recorded.  A
+    t-independent metric is sampled once, at t0.  A static operator is
+    built, and its step prepared, only when the step length changes; the
+    step is settled for the number of steps that share that length, so a
+    long run forms the dense step matrix where its products pay for forming
+    it.
     """
 
     def __init__(
@@ -197,48 +149,58 @@ class Route:
         dt: float,
         snapshot_times,
         step_operator,
-        transform,
+        scale,
         static: bool,
     ):
         if psi0.values.shape[0] != 2 * model.L:
             raise EvolveError(
                 f"initial field has {psi0.values.shape[0]} entries, expected {2 * model.L}"
             )
-        self.steps = _time_steps(t0, t1, dt)
-        self.dt = dt
+        self.whole, self.count = _time_steps(t0, t1, dt)
+        self.t0, self.t1, self.dt = t0, t1, dt
         self.index = 0
         self._model = model
         self._fixed = None if model.time_dependent else model.sample(t0)
-        self._step_operator, self._transform, self._static = step_operator, transform, static
+        self._step_operator, self._scale, self._static = step_operator, scale, static
         self._U, self._U_step = None, None
-        self._recorder = _SnapshotRecorder(snapshot_times, dt)
-        self.psi = psi0.values.astype(complex, copy=True)
+        wanted = () if snapshot_times is None else snapshot_times
+        self._wanted = sorted(float(t) for t in wanted)
+        self.snapshots: list[SpinorField] = []
         self.metric = self._sample(t0)
-        phys = transform(self.psi, self.metric)
-        self._record(t0, phys, _eta_norm(phys, self.metric.beta))
+        self.psi = psi0.values.astype(complex, copy=True)
+        if scale is not None:
+            self.psi *= scale(self.metric)
+        self._record(t0, *self._physical(self.psi, self.metric))
 
     @property
     def done(self) -> bool:
-        return self.index == len(self.steps)
-
-    @property
-    def snapshots(self) -> list[SpinorField]:
-        return self._recorder.snapshots
+        return self.index == self.count
 
     def _sample(self, t: float) -> SampledMetric:
         return self._fixed if self._fixed is not None else self._model.sample(t)
 
+    def _physical(self, psi: np.ndarray, metric: SampledMetric):
+        """The recorded field of the evolved state ``psi``, and its η-norm."""
+        phys = psi if self._scale is None else psi / self._scale(metric)
+        return phys, _eta_norm(phys, metric.beta)
+
     def _record(self, t: float, phys: np.ndarray, eta: float) -> None:
         self.t, self.phys, self.eta_norm = t, phys, eta
         self.norm = float(np.linalg.norm(phys))
-        self._recorder.offer(t, phys)
-        if self.done:
-            self._recorder.finish(t, phys)
+        reached = False
+        while self._wanted and t >= self._wanted[0] - self.dt / 2:
+            self._wanted.pop(0)
+            reached = True
+        if reached or self.done:
+            self.snapshots.append(SpinorField(phys.copy(), t))
 
     def advance(self) -> None:
         """Take the next step; on failure raise :class:`PropagationError`
         and leave the route at its last completed step."""
-        t, step, t_next = self.steps[self.index]
+        i = self.index
+        t = self.t0 + i * self.dt
+        step = self.dt if i < self.whole else self.t1 - t
+        t_next = self.t1 if i + 1 == self.count else self.t0 + (i + 1) * self.dt
         try:
             if not self._static:
                 H = self._step_operator(self._sample(t + step / 2))
@@ -246,14 +208,11 @@ class Route:
             else:
                 if step != self._U_step:
                     U = propagator(self._step_operator(self._sample(t + step / 2)), step)
-                    self._U = U.for_steps(self.steps.run_length(self.index))
+                    self._U = U.for_steps(self.whole - i if i < self.whole else 1)
                     self._U_step = step
                 psi = self._U @ self.psi
-                if not np.all(np.isfinite(psi)):
-                    raise SpectralError("overflow in nonunitary propagation")
             metric = self._sample(t_next)
-            phys = self._transform(psi, metric)
-            eta = _eta_norm(phys, metric.beta)
+            phys, eta = self._physical(psi, metric)
         except (MetricDomainError, SpectralError, EvolveError) as err:
             raise PropagationError(f"propagation stopped at t={t_next:g}: {err}") from err
         self.index += 1
@@ -303,7 +262,7 @@ def curved_route(
 
     return Route(
         model, psi0, t0, t1, dt, snapshot_times,
-        step_operator, lambda v, metric: v, static=model.static_operator(M),
+        step_operator, None, static=model.static_operator(M),
     )
 
 
@@ -371,14 +330,10 @@ def dual_route(
             provenance=f"dual:{model.provenance()}",
         )
 
-    def transform(values, metric):
-        return values / sqrt_alpha(metric)
-
-    psi0_tilde = SpinorField(psi0.values * sqrt_alpha(model.sample(t0)), psi0.t)
     static = (M == 0.0) or not model.time_dependent
     return Route(
-        model, psi0_tilde, t0, t1, dt, snapshot_times,
-        step_operator, transform, static=static,
+        model, psi0, t0, t1, dt, snapshot_times,
+        step_operator, sqrt_alpha, static=static,
     )
 
 

@@ -46,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvedLatticeError
-from .operator import band_adjoint, band_distance, band_matrix, band_norm, band_positions
+from .operator import (
+    band_adjoint, band_distance, band_matrix, band_norm, band_positions, hermitian_residual,
+)
 
 _EPS = np.finfo(float).eps
 _SMLNUM = np.finfo(float).tiny / _EPS
@@ -162,14 +164,12 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     parts are identically zero.
     """
     diagonals, n = _band(H)
+    res = hermitian_residual(H)
+    if res > herm_tol:
+        raise SpectralError(
+            f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})"
+        )
     adjoint = band_adjoint(diagonals)
-    hnorm = band_norm(diagonals)
-    if hnorm > 0:
-        res = band_distance(diagonals, adjoint) / hnorm
-        if res > herm_tol:
-            raise SpectralError(
-                f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})"
-            )
     B = {k: 0.5 * (diagonals.get(k, 0.0) + adjoint.get(k, 0.0))
          for k in diagonals.keys() | adjoint.keys()}
     return _eig_partner(diagonals, n, np.ones(n), 0.0, B, True, _is_lattice(H))
@@ -495,8 +495,8 @@ class StepOperator:
     operator H, with ``norm1`` = ‖B‖₁, and a step is ``s`` substeps of the
     degree-``m`` Taylor polynomial (:func:`_taylor_action`).  ``dense``
     holds the step matrix of :func:`_dense_exp` instead, once
-    :meth:`for_steps` found it cheaper.
-    The caller checks the result for overflow.
+    :meth:`for_steps` found it cheaper.  A product that overflows raises
+    :class:`SpectralError`.
     """
 
     dt: float
@@ -530,9 +530,13 @@ class StepOperator:
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         if self.dense is not None:
-            return self.dense @ psi
-        with np.errstate(all="ignore"):  # the caller checks finiteness
-            return _taylor_action(self.B, self.mu, self.s, self.m, psi)
+            out = self.dense @ psi
+        else:
+            with np.errstate(all="ignore"):  # overflow is checked below
+                out = _taylor_action(self.B, self.mu, self.s, self.m, psi)
+        if not np.all(np.isfinite(out)):
+            raise SpectralError("overflow in nonunitary propagation")
+        return out
 
 
 def _taylor_step(diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
@@ -579,10 +583,7 @@ def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
     step = _taylor_step(diagonals, n, dt)
     if step.s > n:
         step.form_dense()
-    out = step @ psi
-    if not np.all(np.isfinite(out)):
-        raise SpectralError("overflow in nonunitary propagation")
-    return out
+    return step @ psi
 
 
 # ---------------------------------------------------------------------------

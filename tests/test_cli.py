@@ -274,6 +274,29 @@ def test_evolve_check_duality_writes_snapshots(tmp_path):
         assert (plain / name).read_bytes() == (dual / name).read_bytes()
 
 
+def test_snapshot_file_written_once_per_grid_time(tmp_path, capsys, monkeypatch):
+    # 0.01 and 0.0105 both reach the state at t = 0.01 (the last step is dt/2
+    # long): its file is written and printed once
+    written = []
+    write_rows = cli._write_rows
+
+    def counting_write_rows(path, *args):
+        written.append(os.path.basename(path))
+        write_rows(path, *args)
+
+    monkeypatch.setattr(cli, "_write_rows", counting_write_rows)
+    code = main([
+        "evolve", "--family", "flat", "--L", "4", "--M", "0.5", "--t0", "0",
+        "--t1", "0.0105", "--dt", "1e-3", "--snapshot-times", "0.01", "0.0105",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    printed = [os.path.basename(p) for p in capsys.readouterr().out.split()]
+    expected = ["trace.csv", "snapshot_t0.01.csv", "snapshot_t0.0105.csv"]
+    assert printed == expected
+    assert written == expected
+
+
 def test_duality_failure_keeps_discrepancy_rows(tmp_path, capsys):
     # alpha = beta = 1 - t/2 vanishes at t = 2: the run stops there, and the
     # partial trace keeps the discrepancy of every completed step

@@ -238,32 +238,53 @@ def test_static_run_builds_one_step_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("t1, steps", [(2.0, 2000), (4.0, 4000)])
-def test_long_run_steps_on_an_exact_time_grid(t1, steps):
-    # t_i = t0 + i·dt: accumulating t would leave a sliver of a last step
-    grid = evolve._time_steps(0.0, t1, 1e-3)
-    assert len(grid) == steps
-    assert all(step == 1e-3 for _, step, _ in grid)
+def test_long_run_steps_on_an_exact_time_grid(t1, steps, monkeypatch):
+    # t_i = t0 + i·dt: accumulating t would leave a sliver of a last step,
+    # and a static route would prepare a second step for it
+    calls = []
+
+    def counting_propagator(H, dt):
+        calls.append(dt)
+        return propagator(H, dt)
+
+    monkeypatch.setattr(evolve, "propagator", counting_propagator)
     trace = propagate(MetricModel.flat(L=4), 0.5, single_site(1, 4), 0.0, t1, 1e-3)
+    assert calls == [1e-3]
     assert trace.times.size == steps + 1
+    np.testing.assert_array_equal(trace.times[:-1], 0.0 + np.arange(steps) * 1e-3)
     assert trace.times[-1] == t1
     assert np.all(np.diff(trace.times) > 0.999e-3)
 
 
 def test_time_steps_are_computed_from_their_index():
-    # a grid of 10^12 steps is built without storing a single step
-    grid = evolve._time_steps(0.0, 1.0, 1e-12)
-    assert len(grid) == 10**12
-    assert grid[0] == (0.0, 1e-12, 1e-12)
-    t, step, t_next = grid[-1]
-    assert t == pytest.approx(1.0 - 1e-12, abs=1e-16)
-    assert (step, t_next) == (1e-12, 1.0)
-    assert grid.run_length(0) == 10**12
-    with pytest.raises(IndexError):
-        grid[10**12]
+    # a route of 10^12 steps is built without storing a single step
+    route = evolve.curved_route(MetricModel.flat(L=4), 0.5, single_site(1, 4), 0.0, 1.0, 1e-12)
+    assert (route.whole, route.count) == (10**12, 10**12)
+    route.advance()
+    assert route.t == 1e-12 and not route.done
+    route.index = route.count - 1  # step i is computed from i alone
+    route.advance()
+    assert route.t == 1.0 and route.done
     # a step count past the index range is a bad request, not a crash
     for t0, t1, dt in [(0.0, 1.0, 1e-300), (-1e308, 1e308, 1.0)]:
         with pytest.raises(EvolveError):
-            evolve._time_steps(t0, t1, dt)
+            evolve.curved_route(MetricModel.flat(L=4), 0.5, single_site(1, 4), t0, t1, dt)
+
+
+def test_dual_route_checks_field_length_before_rescaling():
+    model = MetricModel.weyl(q=0.05, r=0.3, L=20)
+    for route in (propagate, dual_propagate):
+        with pytest.raises(EvolveError, match="^initial field has 20 entries, expected 40$"):
+            route(model, 0.0, single_site(1, 10), 0.0, 0.01, 1e-3)
+
+
+def test_snapshot_times_on_one_grid_time_keep_its_state_once():
+    # 0.0105 is within dt/2 of 0.01 (the short last step is dt/2 long), so
+    # both requested times reach the state at 0.01; the last state is kept too
+    model, psi0 = MetricModel.flat(L=4), single_site(1, 4)
+    for route in (propagate, dual_propagate):
+        trace = route(model, 0.5, psi0, 0.0, 0.0105, 1e-3, snapshot_times=[0.01, 0.0105])
+        assert [s.t for s in trace.snapshots] == [0.01, 0.0105]
 
 
 def test_time_dependent_steps_never_build_the_dense_matrix(monkeypatch):

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .errors import CurvedLatticeError
 from .evolve import Route, curved_route, dual_route
 from .heatmap import write_ppm
@@ -53,8 +53,20 @@ def _write_csv(path, header: str, *columns) -> None:
     _write_rows(path, header, zip(*columns))
 
 
-def _slice_suffix(times, t) -> str:
-    return f"_t{t:g}" if len(times) > 1 else ""
+def _time_tags(what: str, times) -> list[str]:
+    """The ``_t%g`` tag that names the outputs of each time.  Two times with
+    one tag would write one file twice, so they are a config error."""
+    first = {}
+    for t in times:
+        tag = f"_t{t:g}"
+        if tag in first:
+            raise ConfigError(f"{what} {first[tag]!r} and {t!r} share the output name tag {tag!r}")
+        first[tag] = t
+    return list(first)
+
+
+def _slice_suffixes(times) -> list[str]:
+    return _time_tags("times", times) if len(times) > 1 else [""]
 
 
 def _decompose(H, tol):
@@ -63,31 +75,29 @@ def _decompose(H, tol):
     return eig_general(H)
 
 
-def _out(cfg, name: str) -> str:
+def _out(cfg, name: str, written: list[str]) -> str:
+    """The path of output ``name``, listed in ``written``."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    path = os.path.join(cfg.out_dir, name)
+    written.append(path)
+    return path
 
 
 def cmd_spectrum(cfg: RunConfig) -> list[str]:
     model = cfg.model()
     written = []
-    for t in cfg.times:
+    for t, suffix in zip(cfg.times, _slice_suffixes(cfg.times)):
         sample = model.sample(t)
         H = build(sample, cfg.M, cfg.a, cfg.bc)
         dec = _decompose(H, cfg.tol)
-        suffix = _slice_suffix(cfg.times, t)
-        path = _out(cfg, f"spectrum{suffix}.csv")
         ev = dec.eigenvalues
         _write_csv(
-            path, "index,re_E,im_E,residual",
+            _out(cfg, f"spectrum{suffix}.csv", written), "index,re_E,im_E,residual",
             range(ev.size), _floats(ev.real), _floats(ev.imag), _floats(dec.residuals),
         )
-        written.append(path)
         report = classify(H, sample, tol=cfg.tol, decomposition=dec)
-        jpath = _out(cfg, f"symmetry{suffix}.json")
-        with open(jpath, "w") as fh:
+        with open(_out(cfg, f"symmetry{suffix}.json", written), "w") as fh:
             fh.write(report.to_json() + "\n")
-        written.append(jpath)
     return written
 
 
@@ -104,11 +114,10 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
     axes = ("real", "imaginary") if cfg.axis == "both" else (cfg.axis,)
     written = []
     meta = {}
-    for t in cfg.times:
+    for t, suffix in zip(cfg.times, _slice_suffixes(cfg.times)):
         sample = model.sample(t)
         H = build(sample, cfg.M, cfg.a, cfg.bc)
         dec = _decompose(H, cfg.tol)
-        suffix = _slice_suffix(cfg.times, t)
         for axis in axes:
             gamma = cfg.gamma if cfg.gamma is not None else default_gamma(dec, axis)
             component = dec.eigenvalues.real if axis == "real" else dec.eigenvalues.imag
@@ -117,14 +126,13 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
             make = ldos_real if axis == "real" else ldos_imag
             ld = make(dec, grid, gamma)
             tag = "real" if axis == "real" else "imag"
-            path = _out(cfg, f"ldos_{tag}{suffix}.csv")
+            path = _out(cfg, f"ldos_{tag}{suffix}.csv", written)
             energies = [f",{e!r}," for e in _floats(grid)]  # formatted once
             with open(path, "w") as fh:
                 fh.write("site,energy,value\n")
                 for n, row in enumerate(ld.values):
                     site, values = str(n), _floats(row)
                     fh.write("".join([site + e + repr(v) + "\n" for e, v in zip(energies, values)]))
-            written.append(path)
             meta[os.path.basename(path)] = {
                 "t": t,
                 "axis": axis,
@@ -135,27 +143,22 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
                 "normalized": ld.normalized,
             }
             if cfg.heatmap:
-                ppm = _out(cfg, f"ldos_{tag}{suffix}.ppm")
-                write_ppm(ppm, ld)
-                written.append(ppm)
-    mpath = _out(cfg, "ldos_meta.json")
-    with open(mpath, "w") as fh:
+                write_ppm(_out(cfg, f"ldos_{tag}{suffix}.ppm", written), ld)
+    with open(_out(cfg, "ldos_meta.json", written), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(mpath)
     return written
 
 
 def _write_snapshots(cfg, snapshots, written):
-    for snap in snapshots:
-        path = _out(cfg, f"snapshot_t{snap.t:g}.csv")
+    tags = _time_tags("snapshot times", [snap.t for snap in snapshots])
+    for snap, tag in zip(snapshots, tags):
         up, down = snap.values[0::2], snap.values[1::2]
         _write_csv(
-            path, "site,re_0,im_0,re_1,im_1",
+            _out(cfg, f"snapshot{tag}.csv", written), "site,re_0,im_0,re_1,im_1",
             range(up.size), _floats(up.real), _floats(up.imag),
             _floats(down.real), _floats(down.imag),
         )
-        written.append(path)
 
 
 def _discrepancy(a: np.ndarray, b: np.ndarray) -> float:
@@ -200,9 +203,8 @@ def cmd_evolve(cfg: RunConfig) -> list[str]:
     curved = curved_route(*run, snapshot_times=cfg.snapshot_times)
     dual = dual_route(*run) if cfg.check_duality else None
     header = "t,norm,eta_norm" + (",duality_discrepancy" if dual is not None else "")
-    path = _out(cfg, "trace.csv")
-    _write_rows(path, header, _trace_rows(curved, dual))
-    written = [path]
+    written = []
+    _write_rows(_out(cfg, "trace.csv", written), header, _trace_rows(curved, dual))
     _write_snapshots(cfg, curved.snapshots, written)
     return written
 
@@ -213,10 +215,10 @@ def cmd_classify(cfg: RunConfig) -> list[str]:
     sample = model.sample(t)
     H = build(sample, cfg.M, cfg.a, cfg.bc)
     report = classify(H, sample, tol=cfg.tol)
-    path = _out(cfg, "symmetry.json")
-    with open(path, "w") as fh:
+    written = []
+    with open(_out(cfg, "symmetry.json", written), "w") as fh:
         fh.write(report.to_json() + "\n")
-    return [path]
+    return written
 
 
 def cmd_dump(cfg: RunConfig) -> list[str]:
@@ -225,7 +227,6 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     sample = model.sample(t)
     H = build(sample, cfg.M, cfg.a, cfg.bc)
     written = []
-    mpath = _out(cfg, "matrix.csv")
     # the nonzero entries of the band, in row-major order
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
     for k, d in H.diagonals.items():
@@ -237,11 +238,10 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     keep = np.flatnonzero(vals)
     order = keep[np.lexsort((cols[keep], rows[keep]))]
     _write_csv(
-        mpath, "row,col,re,im",
+        _out(cfg, "matrix.csv", written), "row,col,re,im",
         rows[order].tolist(), cols[order].tolist(),
         _floats(vals[order].real), _floats(vals[order].imag),
     )
-    written.append(mpath)
 
     alpha, beta, dlog = sample.alpha, sample.beta, sample.dlog_beta_dt
     delta = distance_profile(sample)
@@ -251,15 +251,13 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
     no_hops = np.zeros(2 * L - 2, dtype=complex)
     hop_f[:-1] = np.abs(H.diagonals.get(2, no_hops)[::2])
     hop_b[1:] = np.abs(H.diagonals.get(-2, no_hops)[::2])
-    tpath = _out(cfg, "metric.csv")
     _write_csv(
-        tpath,
+        _out(cfg, "metric.csv", written),
         "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",
         range(L), _floats(np.arange(L) * cfg.a), _floats(alpha), _floats(beta),
         _floats(dlog), _floats(delta), _floats(hop_f), _floats(hop_b),
         _floats(cfg.M * alpha), _floats(-0.5 * dlog),
     )
-    written.append(tpath)
     return written
 
 

@@ -15,10 +15,10 @@ so often, or is so long, that forming the dense step matrix and applying it
 is estimated to cost less than the band products.
 
 A run is a :class:`Route`: it is advanced one step at a time on the exact
-grid t_i = t0 + i·dt and holds only the current state, the prepared static
-step and the last metric sample, so its memory does not grow with the step
-count.  :func:`propagate` and :func:`dual_propagate` run a route to its end
-and return its :class:`EvolutionTrace`; the CLI advances the two routes in
+grid t_i = t0 + i·dt and holds only the current state and the prepared
+static step, so its memory does not grow with the step count.
+:func:`propagate` and :func:`dual_propagate` run a route to its end and
+return its :class:`EvolutionTrace`; the CLI advances the two routes in
 lockstep and writes each ``trace.csv`` row as both reach it.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
@@ -80,8 +80,6 @@ class EvolutionTrace:
     norms: np.ndarray
     eta_norms: np.ndarray
     snapshots: list[SpinorField] = field(default_factory=list)
-    dt: float = 0.0
-    scheme: str = "midpoint-exponential"
 
 
 def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
@@ -121,8 +119,8 @@ class Route:
     Step i starts at t = t0 + i·dt; the first ``whole`` steps are exactly dt
     long, a last, shorter step, if any, ends at t1, and the run takes
     ``count`` steps.  Nothing is stored per step.  The route holds the step
-    index, the evolved state ``psi``, the prepared static step with its
-    length and the last metric sample.  ``t``, ``phys``, ``norm`` and
+    index, the evolved state ``psi`` and the prepared static step, which
+    carries its own length.  ``t``, ``phys``, ``norm`` and
     ``eta_norm`` describe the recorded (physical) field at the current grid
     time, and ``snapshots`` the states kept: one per grid time that a
     requested snapshot time reaches (the first within dt/2 of it), and the
@@ -162,15 +160,15 @@ class Route:
         self._model = model
         self._fixed = None if model.time_dependent else model.sample(t0)
         self._step_operator, self._scale, self._static = step_operator, scale, static
-        self._U, self._U_step = None, None
+        self._U = None
         wanted = () if snapshot_times is None else snapshot_times
         self._wanted = sorted(float(t) for t in wanted)
         self.snapshots: list[SpinorField] = []
-        self.metric = self._sample(t0)
+        metric = self._sample(t0)
         self.psi = psi0.values.astype(complex, copy=True)
         if scale is not None:
-            self.psi *= scale(self.metric)
-        self._record(t0, *self._physical(self.psi, self.metric))
+            self.psi *= scale(metric)
+        self._record(t0, *self._physical(self.psi, metric))
 
     @property
     def done(self) -> bool:
@@ -206,17 +204,15 @@ class Route:
                 H = self._step_operator(self._sample(t + step / 2))
                 psi = expm_apply(H, step, self.psi)
             else:
-                if step != self._U_step:
+                if self._U is None or step != self._U.dt:
                     U = propagator(self._step_operator(self._sample(t + step / 2)), step)
                     self._U = U.for_steps(self.whole - i if i < self.whole else 1)
-                    self._U_step = step
                 psi = self._U @ self.psi
-            metric = self._sample(t_next)
-            phys, eta = self._physical(psi, metric)
+            phys, eta = self._physical(psi, self._sample(t_next))
         except (MetricDomainError, SpectralError, EvolveError) as err:
             raise PropagationError(f"propagation stopped at t={t_next:g}: {err}") from err
         self.index += 1
-        self.psi, self.metric = psi, metric
+        self.psi = psi
         self._record(t_next, phys, eta)
 
 
@@ -230,7 +226,7 @@ def _trace(route: Route) -> EvolutionTrace:
 
     def trace():
         return EvolutionTrace(
-            np.asarray(times), np.asarray(norms), np.asarray(eta_norms), route.snapshots, route.dt
+            np.asarray(times), np.asarray(norms), np.asarray(eta_norms), route.snapshots
         )
 
     while not route.done:
@@ -280,10 +276,8 @@ def propagate(
     return _trace(curved_route(model, M, psi0, t0, t1, dt, bc, snapshot_times))
 
 
-def _flat_kinetic(L: int, a: float, bc: str, t: float) -> dict[int, np.ndarray]:
-    flat = SampledMetric(
-        t=t, alpha=np.ones(L), beta=np.ones(L), dlog_beta_dt=np.zeros(L), provenance="flat"
-    )
+def _flat_kinetic(L: int, a: float, bc: str) -> dict[int, np.ndarray]:
+    flat = SampledMetric(t=0.0, alpha=np.ones(L), beta=np.ones(L), dlog_beta_dt=np.zeros(L))
     return build(flat, M=0.0, a=a, bc=bc).diagonals
 
 
@@ -312,7 +306,7 @@ def dual_route(
     L, a = model.L, model.a
     # the flat kinetic band has no ±1 diagonals (its mass entries are exactly
     # 0), so each step shares it and adds a fresh mass diagonal M·α_n(t)
-    kinetic = _flat_kinetic(L, a, bc, t0)
+    kinetic = _flat_kinetic(L, a, bc)
 
     def sqrt_alpha(metric):
         if np.any(metric.alpha == 0.0):
@@ -325,10 +319,7 @@ def dual_route(
             mass = np.zeros(2 * L - 1, dtype=complex)
             mass[::2] = M * metric.alpha  # entries (2n, 2n+1) and (2n+1, 2n)
             diagonals = {**kinetic, 1: mass, -1: mass}
-        return LatticeOperator(
-            diagonals=diagonals, dim=2 * L, t=metric.t, bc=bc, mass=M, spacing=a,
-            provenance=f"dual:{model.provenance()}",
-        )
+        return LatticeOperator(diagonals, 2 * L)
 
     static = (M == 0.0) or not model.time_dependent
     return Route(

@@ -383,7 +383,8 @@ def _pow(a: Expr, b: Expr) -> Expr:
 def diff_t(node: Expr) -> Expr:
     """Symbolic derivative with respect to ``t``.
 
-    Standard rules with zero/one folding; ``abs`` is rejected because the
+    Standard rules with zero/one folding.  ``abs`` of a t-independent
+    argument has derivative 0; any other ``abs`` is rejected because the
     lattice onsite term needs a derivative valid on the whole sampled domain.
     """
     if isinstance(node, (Num, Param)):
@@ -413,11 +414,11 @@ def diff_t(node: Expr) -> Expr:
             _add(_mul(dv, Call("log", u)), _div(_mul(v, du), u)),
         )
     if isinstance(node, Call):
-        if node.fn == "abs":
-            raise DerivativeError("abs is not differentiable")
         du = diff_t(node.arg)
         if _is_zero(du):
             return _ZERO
+        if node.fn == "abs":
+            raise DerivativeError("abs is not differentiable")
         u = node.arg
         outer: Expr
         if node.fn == "exp":

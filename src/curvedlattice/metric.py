@@ -73,7 +73,6 @@ class SampledMetric:
     alpha: np.ndarray
     beta: np.ndarray
     dlog_beta_dt: np.ndarray
-    provenance: str = ""
 
     @property
     def L(self) -> int:
@@ -264,7 +263,6 @@ class MetricModel:
             alpha=np.asarray(alpha, dtype=float),
             beta=np.asarray(beta, dtype=float),
             dlog_beta_dt=np.asarray(dlog, dtype=float),
-            provenance=self.provenance(),
         )
 
     def _sample_custom(self, t, x):

@@ -72,8 +72,7 @@ def gamma_algebra() -> GammaAlgebra:
 
 @dataclass
 class LatticeOperator:
-    """The 2L×2L complex Hamiltonian, stored as its nonzero diagonals, with
-    its build metadata.
+    """The 2L×2L complex Hamiltonian, stored as its nonzero diagonals.
 
     ``diagonals[k]`` holds the entries H[i, i+k] in ``np.diagonal`` order.  A
     nearest-neighbour chain has the offsets 0, ±1 and ±2, and periodic
@@ -83,11 +82,6 @@ class LatticeOperator:
 
     diagonals: dict[int, np.ndarray]
     dim: int
-    t: float
-    bc: str
-    mass: float
-    spacing: float
-    provenance: str = ""
 
     @property
     def L(self) -> int:
@@ -213,11 +207,7 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
     terms.append((1, -1, hop_b[-(L - 1) :], bwd))
     if periodic:
         terms.append((0, L - 1, hop_b[:1], bwd))
-    diagonals = _assemble(L, terms)
-    return LatticeOperator(
-        diagonals=diagonals, dim=2 * L, t=metric.t, bc=bc, mass=M, spacing=a,
-        provenance=metric.provenance,
-    )
+    return LatticeOperator(_assemble(L, terms), 2 * L)
 
 
 def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
@@ -243,10 +233,7 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
         (0, 1, -1.0j / (2.0 * a) * ratio[:-1], K),
         (1, -1, +1.0j / (2.0 * a) * ratio[1:], K),
     ])
-    return LatticeOperator(
-        diagonals=diagonals, dim=2 * L, t=metric.t, bc="open", mass=M, spacing=a,
-        provenance=f"naive:{metric.provenance}",
-    )
+    return LatticeOperator(diagonals, 2 * L)
 
 
 def hermitian_residual(H: LatticeOperator | np.ndarray) -> float:

@@ -64,8 +64,8 @@ class SymmetryReport:
     spectrum_real: bool
     tol: float
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _guarded_product(A: np.ndarray, ratio) -> np.ndarray:
@@ -108,15 +108,7 @@ def imaginary_gauge(H: LatticeOperator, beta: np.ndarray) -> LatticeOperator:
         raise SymmetryError(f"beta length {beta.shape[0]} does not match operator {(n, n)}")
     if np.any(beta <= 0):
         raise SymmetryError("imaginary gauge transform requires beta > 0 at all sites")
-    return LatticeOperator(
-        diagonals=_similarity(H, np.repeat(np.sqrt(beta), 2)),
-        dim=n,
-        t=H.t,
-        bc=H.bc,
-        mass=H.mass,
-        spacing=H.spacing,
-        provenance=f"gauge:{H.provenance}",
-    )
+    return LatticeOperator(_similarity(H, np.repeat(np.sqrt(beta), 2)), n)
 
 
 def _relative_residual(distance: float, scale: float) -> float:
@@ -148,7 +140,6 @@ def classify(
     metric: SampledMetric,
     tol: float = 1e-12,
     decomposition: SpectralDecomposition | None = None,
-    spectrum_tol: float = 1e-8,
 ) -> SymmetryReport:
     """Classify the operator and report all three residuals.
 
@@ -192,12 +183,12 @@ def classify(
         pt_residual=float(pt_best),
         pt_spinor=pt_name,
         classification=label,
-        spectrum_real=unbroken_pt(H, decomposition, tol=spectrum_tol),
+        spectrum_real=unbroken_pt(decomposition),
         tol=tol,
     )
 
 
-def unbroken_pt(H, decomposition: SpectralDecomposition, tol: float = 1e-8) -> bool:
+def unbroken_pt(decomposition: SpectralDecomposition, tol: float = 1e-8) -> bool:
     """True when the spectrum is real at tolerance: max|Im E| <= tol·max|E|."""
     ev = decomposition.eigenvalues
     if ev.size == 0:

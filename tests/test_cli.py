@@ -192,6 +192,23 @@ def test_spectrum_multiple_time_slices(tmp_path):
     assert "symmetry_t0.25.json" in names and "symmetry_t0.5.json" in names
 
 
+@pytest.mark.parametrize("command", ["spectrum", "ldos"])
+@pytest.mark.parametrize("times", [["0.5", "0.5000001"], ["0.5", "0.5"]])
+def test_times_sharing_an_output_name_exit_2(command, times, tmp_path, capsys):
+    # both slices would be written to *_t0.5.*: the run writes neither
+    out = tmp_path / "out"
+    code = main([
+        command, "--family", "linear_conformal", "--r", "0.5", "--L", "6",
+        "--times", *times, "--out-dir", str(out),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert f"{times[0]} and {times[1]}" in captured.err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert main(["spectrum", "--family", "weyl", "--q", "-1", "--out-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -295,6 +312,33 @@ def test_snapshot_file_written_once_per_grid_time(tmp_path, capsys, monkeypatch)
     expected = ["trace.csv", "snapshot_t0.01.csv", "snapshot_t0.0105.csv"]
     assert printed == expected
     assert written == expected
+
+
+def test_snapshots_sharing_an_output_name_exit_2(tmp_path, capsys):
+    # the grid times 1.0000001, 1.0000002 and 1.0000003 all print as 1
+    code = main([
+        "evolve", "--family", "flat", "--L", "4", "--t0", "1", "--t1", "1.0000003",
+        "--dt", "1e-7", "--snapshot-times", "1.0000001", "1.0000002",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "1.0000001 and 1.0000002" in captured.err
+    assert not any(p.startswith("snapshot") for p in os.listdir(tmp_path))
+
+
+def test_classify_custom_beta_with_static_abs(tmp_path):
+    # abs of an argument free of t has ∂₀β = 0, so the metric is accepted
+    code = main([
+        "classify", "--family", "custom", "--alpha", "1", "--beta", "1+0.01*abs(x-50)",
+        "--L", "100", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "symmetry.json").read_text())
+    assert report["classification"] == "QuasiHermitian"
+    assert report["spectrum_real"] is True
 
 
 def test_duality_failure_keeps_discrepancy_rows(tmp_path, capsys):

@@ -110,6 +110,14 @@ def test_diff_t_rejects_abs():
         diff_t(parse("abs(t)"))
 
 
+def test_diff_t_of_abs_of_a_static_argument():
+    # abs of an argument free of t is constant in t, so its derivative is 0
+    assert diff_t(parse("abs(x-3)")) == Num(0.0)
+    d = diff_t(parse("t*abs(x)"))
+    for x in (-2.5, 0.0, 1.5):
+        assert evaluate(d, x=x, t=0.7) == abs(x)
+
+
 def test_tree_queries():
     ast = parse("exp(r*t+q*x)")
     assert param_names(ast) == frozenset({"r", "q"})

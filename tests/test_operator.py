@@ -92,7 +92,7 @@ _PROFILES = st.integers(min_value=2, max_value=9).flatmap(
 def _sampled(sites):
     alpha, beta, dlog = (np.array(col) for col in zip(*sites))
     beta = np.where(alpha == 0.0, np.inf, beta)
-    return SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=dlog, provenance="random")
+    return SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=dlog)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -258,12 +258,12 @@ def test_report_json_roundtrip():
 def test_unbroken_pt():
     s = MetricModel.de_sitter(q=1.0 / 29, L=30).sample()
     H = build(s, M=0.0, a=1.0)
-    assert unbroken_pt(H, eig_general(H, compute_vectors=False))
+    assert unbroken_pt(eig_general(H, compute_vectors=False))
     sw = MetricModel.weyl(q=0.05, r=0.4, L=30).sample()
     Hw = build(sw, M=0.0, a=1.0)
-    assert not unbroken_pt(Hw, eig_general(Hw, compute_vectors=False))
+    assert not unbroken_pt(eig_general(Hw, compute_vectors=False))
     sh = MetricModel.rindler(q=0.1, L=30).sample()
-    assert unbroken_pt(build(sh, M=1.0, a=1.0), eig_general(build(sh, M=1.0, a=1.0), compute_vectors=False))
+    assert unbroken_pt(eig_general(build(sh, M=1.0, a=1.0), compute_vectors=False))
 
 
 def test_uniform_imaginary_shift_property():

@@ -7,12 +7,12 @@ Subcommands
   and optional cubehelix PPM heatmaps
 * ``evolve``   — propagate an initial spinor field, write the norm trace and
   optional snapshots; ``--check-duality`` adds the flat-dual discrepancy
-* ``classify`` — symmetry report only
-* ``dump``     — the assembled matrix and the sampled metric tables
+* ``classify`` — symmetry report per time slice
+* ``dump``     — the assembled matrix and the sampled metric tables per time slice
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All
 numeric output uses ``repr`` floats, so identical configs produce
-byte-identical files.
+byte-identical files on the same numpy/BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,6 +54,13 @@ def _write_csv(path, header: str, *columns) -> None:
     _write_rows(path, header, zip(*columns))
 
 
+def _write_json(path, data) -> None:
+    """``data`` as indented JSON with sorted keys, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _time_tags(what: str, times) -> list[str]:
     """The ``_t%g`` tag that names the outputs of each time.  Two times with
     one tag would write one file twice, so they are a config error."""
@@ -63,10 +71,6 @@ def _time_tags(what: str, times) -> list[str]:
             raise ConfigError(f"{what} {first[tag]!r} and {t!r} share the output name tag {tag!r}")
         first[tag] = t
     return list(first)
-
-
-def _slice_suffixes(times) -> list[str]:
-    return _time_tags("times", times) if len(times) > 1 else [""]
 
 
 def _decompose(H, tol):
@@ -83,12 +87,22 @@ def _out(cfg, name: str, written: list[str]) -> str:
     return path
 
 
-def cmd_spectrum(cfg: RunConfig) -> list[str]:
+def _slices(cfg: RunConfig):
+    """Each ``times`` slice as ``(t, suffix, sample, H)``: the time as the
+    config gives it, the ``_t%g`` tag of its outputs (empty for a single
+    slice), the sampled metric and the assembled operator.  The tags are
+    checked before the first slice, so a run whose outputs would share a
+    name writes nothing."""
+    suffixes = _time_tags("times", cfg.times) if len(cfg.times) > 1 else [""]
     model = cfg.model()
-    written = []
-    for t, suffix in zip(cfg.times, _slice_suffixes(cfg.times)):
+    for t, suffix in zip(cfg.times, suffixes):
         sample = model.sample(t)
-        H = build(sample, cfg.M, cfg.a, cfg.bc)
+        yield t, suffix, sample, build(sample, cfg.M, cfg.a, cfg.bc)
+
+
+def cmd_spectrum(cfg: RunConfig) -> list[str]:
+    written = []
+    for _, suffix, sample, H in _slices(cfg):
         dec = _decompose(H, cfg.tol)
         ev = dec.eigenvalues
         _write_csv(
@@ -96,8 +110,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[str]:
             range(ev.size), _floats(ev.real), _floats(ev.imag), _floats(dec.residuals),
         )
         report = classify(H, sample, tol=cfg.tol, decomposition=dec)
-        with open(_out(cfg, f"symmetry{suffix}.json", written), "w") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_json(_out(cfg, f"symmetry{suffix}.json", written), asdict(report))
     return written
 
 
@@ -110,13 +123,10 @@ def _grid_bounds(component: np.ndarray, gamma: float, cfg: RunConfig):
 
 
 def cmd_ldos(cfg: RunConfig) -> list[str]:
-    model = cfg.model()
     axes = ("real", "imaginary") if cfg.axis == "both" else (cfg.axis,)
     written = []
     meta = {}
-    for t, suffix in zip(cfg.times, _slice_suffixes(cfg.times)):
-        sample = model.sample(t)
-        H = build(sample, cfg.M, cfg.a, cfg.bc)
+    for t, suffix, _, H in _slices(cfg):
         dec = _decompose(H, cfg.tol)
         for axis in axes:
             gamma = cfg.gamma if cfg.gamma is not None else default_gamma(dec, axis)
@@ -144,9 +154,7 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
             }
             if cfg.heatmap:
                 write_ppm(_out(cfg, f"ldos_{tag}{suffix}.ppm", written), ld)
-    with open(_out(cfg, "ldos_meta.json", written), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_out(cfg, "ldos_meta.json", written), meta)
     return written
 
 
@@ -210,54 +218,45 @@ def cmd_evolve(cfg: RunConfig) -> list[str]:
 
 
 def cmd_classify(cfg: RunConfig) -> list[str]:
-    model = cfg.model()
-    t = cfg.times[0]
-    sample = model.sample(t)
-    H = build(sample, cfg.M, cfg.a, cfg.bc)
-    report = classify(H, sample, tol=cfg.tol)
     written = []
-    with open(_out(cfg, "symmetry.json", written), "w") as fh:
-        fh.write(report.to_json() + "\n")
+    for _, suffix, sample, H in _slices(cfg):
+        report = classify(H, sample, tol=cfg.tol)
+        _write_json(_out(cfg, f"symmetry{suffix}.json", written), asdict(report))
     return written
 
 
 def cmd_dump(cfg: RunConfig) -> list[str]:
-    model = cfg.model()
-    t = cfg.times[0]
-    sample = model.sample(t)
-    H = build(sample, cfg.M, cfg.a, cfg.bc)
     written = []
-    # the nonzero entries of the band, in row-major order
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-    for k, d in H.diagonals.items():
-        i, j = H.positions(k)
-        rows.append(i)
-        cols.append(j)
-        vals.append(d)
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    keep = np.flatnonzero(vals)
-    order = keep[np.lexsort((cols[keep], rows[keep]))]
-    _write_csv(
-        _out(cfg, "matrix.csv", written), "row,col,re,im",
-        rows[order].tolist(), cols[order].tolist(),
-        _floats(vals[order].real), _floats(vals[order].imag),
-    )
-
-    alpha, beta, dlog = sample.alpha, sample.beta, sample.dlog_beta_dt
-    delta = distance_profile(sample)
-    L = sample.L
-    hop_f = np.zeros(L)
-    hop_b = np.zeros(L)
-    no_hops = np.zeros(2 * L - 2, dtype=complex)
-    hop_f[:-1] = np.abs(H.diagonals.get(2, no_hops)[::2])
-    hop_b[1:] = np.abs(H.diagonals.get(-2, no_hops)[::2])
-    _write_csv(
-        _out(cfg, "metric.csv", written),
-        "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",
-        range(L), _floats(np.arange(L) * cfg.a), _floats(alpha), _floats(beta),
-        _floats(dlog), _floats(delta), _floats(hop_f), _floats(hop_b),
-        _floats(cfg.M * alpha), _floats(-0.5 * dlog),
-    )
+    for _, suffix, sample, H in _slices(cfg):
+        # the nonzero entries of the band, in row-major order
+        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+        for k, d in H.diagonals.items():
+            i, j = H.positions(k)
+            rows.append(i)
+            cols.append(j)
+            vals.append(d)
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        keep = np.flatnonzero(vals)
+        order = keep[np.lexsort((cols[keep], rows[keep]))]
+        _write_csv(
+            _out(cfg, f"matrix{suffix}.csv", written), "row,col,re,im",
+            rows[order].tolist(), cols[order].tolist(),
+            _floats(vals[order].real), _floats(vals[order].imag),
+        )
+        alpha, beta, dlog = sample.alpha, sample.beta, sample.dlog_beta_dt
+        L = sample.L
+        hop_f = np.zeros(L)
+        hop_b = np.zeros(L)
+        no_hops = np.zeros(2 * L - 2, dtype=complex)
+        hop_f[:-1] = np.abs(H.diagonals.get(2, no_hops)[::2])
+        hop_b[1:] = np.abs(H.diagonals.get(-2, no_hops)[::2])
+        _write_csv(
+            _out(cfg, f"metric{suffix}.csv", written),
+            "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",
+            range(L), _floats(np.arange(L) * cfg.a), _floats(alpha), _floats(beta),
+            _floats(dlog), _floats(distance_profile(sample)), _floats(hop_f), _floats(hop_b),
+            _floats(cfg.M * alpha), _floats(-0.5 * dlog),
+        )
     return written
 
 
@@ -320,21 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    skip = {"command", "config", "k", "branch"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        overrides[key] = value
-    if args.command == "evolve" and (getattr(args, "k", None) is not None or getattr(args, "branch", None) is not None):
-        overrides["initial"] = {
-            "kind": "plane_wave",
-            "k": getattr(args, "k", None) or 0.0,
-            "branch": getattr(args, "branch", None) or 1,
-        }
-    if args.config:
-        return RunConfig.from_file(args.config, overrides)
-    return RunConfig.from_dict(overrides)
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    state = {key: flags.pop(key) for key in ("k", "branch") if key in flags}
+    overrides = {key: value for key, value in flags.items() if key not in ("command", "config")}
+    cfg = RunConfig.from_file(args.config, overrides) if args.config else RunConfig.from_dict(overrides)
+    # --k and --branch set one field each of the configured initial state
+    if state:
+        if cfg.initial["kind"] == "kick":
+            raise ConfigError(f"a kick initial state has no {' or '.join(state)}")
+        cfg.initial.update(state)
+        cfg.validate()
+    return cfg
 
 
 _FAILURES = {2: "config error", 3: "numerical failure"}

@@ -10,9 +10,9 @@ no seeds anywhere.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 from . import expr as _expr
@@ -24,14 +24,17 @@ OUTDIR_ENV = "CURVEDLATTICE_OUTDIR"
 
 _AXES = ("real", "imaginary", "both")
 _INITIAL_KINDS = ("plane_wave", "gaussian", "kick")
-# fields that must hold a number (None where the field is optional) or a list of numbers
+# fields that must hold a finite number (None where the field is optional) or a list of them
 _REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol")
 _INTEGERS = ("L", "n_e")
 _REAL_LISTS = ("times", "snapshot_times")
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A number that a float holds finitely: NaN fails every ordering test
+    of `validate`, and an infinite t1 would never end a run."""
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return finite and not isinstance(value, bool)
 
 
 class ConfigError(CurvedLatticeError):
@@ -110,7 +113,7 @@ class RunConfig:
         for name in _REALS:
             value = getattr(self, name)
             if value is not None and not _is_real(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in _INTEGERS:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
@@ -118,9 +121,9 @@ class RunConfig:
         for name in _REAL_LISTS:
             value = getattr(self, name)
             if not (isinstance(value, list) and all(map(_is_real, value))):
-                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+                raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
         if not (isinstance(self.params, dict) and all(map(_is_real, self.params.values()))):
-            raise ConfigError(f"params must map names to numbers, got {self.params!r}")
+            raise ConfigError(f"params must map names to finite numbers, got {self.params!r}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -131,14 +134,9 @@ class RunConfig:
             isinstance(self.initial, dict)
             and all(_is_real(v) for k, v in self.initial.items() if k != "kind")
         ):
-            raise ConfigError(f"initial must be an object of numbers and a kind, got {self.initial!r}")
-        # NaN fails no `<=` test below, and an infinite t1 never ends a run
-        for name in ("gamma", "tol", "e_min", "e_max", "t0", "t1"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if not all(math.isfinite(t) for t in self.times):
-            raise ConfigError(f"times must be finite, got {self.times}")
+            raise ConfigError(
+                f"initial must be an object of finite numbers and a kind, got {self.initial!r}"
+            )
         if self.schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {self.schema} (expected {SCHEMA_VERSION})")
         if self.L < 2:
@@ -159,7 +157,7 @@ class RunConfig:
             raise ConfigError(f"need e_max > e_min, got [{self.e_min}, {self.e_max}]")
         if not self.times:
             raise ConfigError("times must not be empty")
-        if self.dt <= 0 or not math.isfinite(self.dt):
+        if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t1 <= self.t0:
             raise ConfigError(f"need t1 > t0, got [{self.t0}, {self.t1}]")

@@ -90,7 +90,6 @@ class MetricModel:
     r: float = 0.0
     alpha_expr: _expr.Expr | None = None
     beta_expr: _expr.Expr | None = None
-    dbeta_expr: _expr.Expr | None = None
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -105,6 +104,8 @@ class MetricModel:
         if self.family == "custom":
             if self.alpha_expr is None or self.beta_expr is None:
                 raise MetricError("custom metric requires alpha and beta expressions")
+            # ∂₀β is derived, never set, so it cannot disagree with β
+            object.__setattr__(self, "dbeta_expr", _expr.diff_t(self.beta_expr))
             unbound = (
                 _expr.param_names(self.alpha_expr) | _expr.param_names(self.beta_expr)
             ) - set(self.params)
@@ -153,7 +154,6 @@ class MetricModel:
             a,
             alpha_expr=alpha_ast,
             beta_expr=beta_ast,
-            dbeta_expr=_expr.diff_t(beta_ast),
             params=dict(params or {}),
         )
 

@@ -38,10 +38,6 @@ class LdosGrid:
     gamma: float
     normalized: bool
 
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.values.shape[0])
-
 
 def lorentzian_delta(x, gamma: float):
     """Lorentzian approximation of δ(x): (1/π)·Γ/(x² + Γ²)."""

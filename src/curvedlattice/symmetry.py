@@ -22,8 +22,7 @@ taken from block offset −m in reverse site order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +62,6 @@ class SymmetryReport:
     classification: str
     spectrum_real: bool
     tol: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _guarded_product(A: np.ndarray, ratio) -> np.ndarray:

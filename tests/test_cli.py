@@ -54,6 +54,14 @@ def test_config_rejects_unknown_keys_and_bad_values():
         {"t1": float("nan")},
         {"times": [0.0, float("nan")]},
         {"times": [float("-inf")]},
+        {"a": float("inf")},
+        {"q": float("nan")},
+        {"q": 10**400},  # an integer no float holds
+        {"r": float("nan")},
+        {"M": float("nan")},
+        {"family": "custom", "alpha": "c*x", "beta": "1", "params": {"c": float("nan")}},
+        {"snapshot_times": [float("nan")]},
+        {"snapshot_times": [float("inf")]},
     ]:
         with pytest.raises(ConfigError, match="finite"):
             RunConfig.from_dict(bad)
@@ -192,7 +200,31 @@ def test_spectrum_multiple_time_slices(tmp_path):
     assert "symmetry_t0.25.json" in names and "symmetry_t0.5.json" in names
 
 
-@pytest.mark.parametrize("command", ["spectrum", "ldos"])
+# the files of one slice, and those written once per run
+_SLICE_FILES = {
+    "spectrum": (["spectrum.csv", "symmetry.json"], []),
+    "ldos": (["ldos_real.csv"], ["ldos_meta.json"]),
+    "classify": (["symmetry.json"], []),
+    "dump": (["matrix.csv", "metric.csv"], []),
+}
+
+
+@pytest.mark.parametrize("command", list(_SLICE_FILES))
+def test_every_time_slice_is_written(command, tmp_path):
+    argv = [command, "--family", "linear_conformal", "--r", "0.5", "--L", "6", "--times", "0.2"]
+    assert main([*argv, "--out-dir", str(tmp_path / "one")]) == 0
+    assert main([*argv, "0.7", "--out-dir", str(tmp_path / "two")]) == 0
+    per_slice, once = _SLICE_FILES[command]
+    tagged = {
+        tag: [f"{stem}_t{tag}{ext}" for stem, ext in map(os.path.splitext, per_slice)]
+        for tag in ("0.2", "0.7")
+    }
+    assert sorted(os.listdir(tmp_path / "two")) == sorted(tagged["0.2"] + tagged["0.7"] + once)
+    for name, first in zip(per_slice, tagged["0.2"]):
+        assert (tmp_path / "two" / first).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", list(_SLICE_FILES))
 @pytest.mark.parametrize("times", [["0.5", "0.5000001"], ["0.5", "0.5"]])
 def test_times_sharing_an_output_name_exit_2(command, times, tmp_path, capsys):
     # both slices would be written to *_t0.5.*: the run writes neither
@@ -417,6 +449,35 @@ def test_flags_override_config_file(tmp_path):
     assert report["hermitian_residual"] == 0.0
 
 
+@pytest.mark.parametrize("initial, argv, resolved", [
+    ({"kind": "plane_wave", "k": 0.4, "branch": 1}, ["--branch", "-1"],
+     {"kind": "plane_wave", "k": 0.4, "branch": -1}),
+    ({"kind": "gaussian", "width": 2.0, "k": 0.1}, ["--k", "0.3"],
+     {"kind": "gaussian", "width": 2.0, "k": 0.3}),
+    (None, ["--k", "0.3"], {"kind": "plane_wave", "k": 0.3, "branch": 1}),
+])
+def test_k_and_branch_override_only_their_field(initial, argv, resolved, tmp_path):
+    config = {"family": "flat", "L": 8}
+    if initial is not None:
+        config["initial"] = initial
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    args = cli._build_parser().parse_args(["evolve", "--config", str(path), *argv])
+    assert cli._config_from_args(args).initial == resolved
+
+
+@pytest.mark.parametrize("argv", [["--k", "0.3"], ["--branch", "-1"]])
+def test_k_and_branch_reject_a_kick_initial_state(argv, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"family": "flat", "L": 8, "t1": 0.01, "dt": 0.005,
+                                "initial": {"kind": "kick", "site": 2}}))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), *argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "kick" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("CURVEDLATTICE_OUTDIR", str(target))
@@ -515,9 +576,14 @@ def test_main_fuzz_exits_cleanly(command, base, bad):
         path = os.path.join(tmp, "run.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             code = main([command, "--config", path])
+        # a successful run lists each file it wrote once, and wrote it
+        printed = out.getvalue().splitlines()
+        if code == 0:
+            assert printed and len(set(printed)) == len(printed)
+            assert all(map(os.path.isfile, printed))
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")

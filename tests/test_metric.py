@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvedlattice.expr import ExpressionError, parse
 from curvedlattice.metric import MetricDomainError, MetricError, MetricModel, distance_profile
 
 
@@ -74,6 +75,17 @@ def test_custom_metric_matches_weyl():
     s, sr = m.sample(0.7), ref.sample(0.7)
     assert s.alpha == pytest.approx(sr.alpha, rel=1e-14)
     assert s.dlog_beta_dt == pytest.approx(sr.dlog_beta_dt, rel=1e-12)
+
+
+def test_custom_dbeta_is_derived_from_beta():
+    # the model built directly, not through `custom`, still carries ∂₀β
+    m = MetricModel("custom", 4, alpha_expr=parse("1"), beta_expr=parse("1+t*x"))
+    x = np.arange(4.0)
+    assert m.sample(0.5).dlog_beta_dt == pytest.approx(x / (1 + 0.5 * x), rel=1e-15)
+    with pytest.raises(TypeError):
+        MetricModel("custom", 4, alpha_expr=parse("1"), beta_expr=parse("1"), dbeta_expr=parse("0"))
+    with pytest.raises(ExpressionError):
+        MetricModel("custom", 4, alpha_expr=parse("1"), beta_expr=parse("1+abs(t)"))
 
 
 def test_custom_negative_sample_is_hard_error():

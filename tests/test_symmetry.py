@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -244,7 +245,7 @@ def test_classify_linear_conformal_nonhermitian():
 def test_report_json_roundtrip():
     s = MetricModel.flat(L=6).sample()
     rep = classify(build(s, M=0.0, a=1.0), s)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(asdict(rep)))
     assert data["classification"] == "Hermitian"
     assert set(data) >= {
         "hermitian_residual",

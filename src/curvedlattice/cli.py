@@ -31,7 +31,7 @@ from .evolve import Route, curved_route, dual_route
 from .heatmap import write_ppm
 from .metric import FAMILIES, distance_profile
 from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
-from .operator import build, hermitian_residual
+from .operator import band_blocks, build, hermitian_residual
 from .spectral import eig_general, eig_hermitian
 from .symmetry import classify
 
@@ -245,11 +245,9 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
         )
         alpha, beta, dlog = sample.alpha, sample.beta, sample.dlog_beta_dt
         L = sample.L
-        hop_f = np.zeros(L)
-        hop_b = np.zeros(L)
-        no_hops = np.zeros(2 * L - 2, dtype=complex)
-        hop_f[:-1] = np.abs(H.diagonals.get(2, no_hops)[::2])
-        hop_b[1:] = np.abs(H.diagonals.get(-2, no_hops)[::2])
+        hop_f, hop_b, blocks = np.zeros(L), np.zeros(L), band_blocks(H.diagonals, L)
+        for m, hops in ((1, hop_f[:-1]), (-1, hop_b[1:])):
+            hops[:] = np.abs(blocks[m][:, 0, 0]) if m in blocks else 0.0  # |H[2n, 2(n + m)]|
         _write_csv(
             _out(cfg, f"metric{suffix}.csv", written),
             "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",

@@ -21,10 +21,10 @@ linear_conformal      w_n(t) = rt+qna (both)                 r/w_n
 custom                user expressions for alpha, beta       d(beta)/beta
 ====================  =====================================  ==========
 
-All profiles must be nonnegative; a negative sample is a hard error.  The
-de Sitter horizon makes ``beta`` diverge at ``q·n·a = 1``; the sample stores
-it as-is (``inf``) and downstream code evaluates the analytically vanishing
-combinations with guarded products.
+All profiles must be finite and nonnegative; any other sample is a hard
+error, save one: the de Sitter horizon makes ``beta`` diverge where
+``alpha = 0`` (``q·n·a = 1``), the sample stores it as-is (``inf``), and
+downstream code evaluates the vanishing combinations with guarded products.
 """
 
 from __future__ import annotations
@@ -212,52 +212,54 @@ class MetricModel:
         """
         x = self.x
         L = self.L
-        if self.family == "flat":
-            alpha = np.ones(L)
-            beta = np.ones(L)
-            dlog = np.zeros(L)
-        elif self.family == "rindler":
-            alpha = self.q * x
-            beta = np.ones(L)
-            dlog = np.zeros(L)
-        elif self.family in ("de_sitter", "anti_de_sitter"):
-            sign = -1.0 if self.family == "de_sitter" else 1.0
-            s = 1.0 + sign * (self.q * x) ** 2
-            s[np.abs(s) <= _HORIZON_SNAP] = 0.0
-            if np.any(s < 0):
-                n_bad = int(np.argmax(s < 0))
-                raise MetricDomainError(
-                    f"de Sitter sample beyond the horizon at site {n_bad} "
-                    f"(q·x = {self.q * x[n_bad]:.6g} > 1)"
-                )
-            alpha = np.sqrt(s)
-            with np.errstate(divide="ignore"):
+        with np.errstate(all="ignore"):  # a non-finite sample is reported below
+            if self.family == "flat":
+                alpha = np.ones(L)
+                beta = np.ones(L)
+                dlog = np.zeros(L)
+            elif self.family == "rindler":
+                alpha = self.q * x
+                beta = np.ones(L)
+                dlog = np.zeros(L)
+            elif self.family in ("de_sitter", "anti_de_sitter"):
+                sign = -1.0 if self.family == "de_sitter" else 1.0
+                s = 1.0 + sign * (self.q * x) ** 2
+                s[np.abs(s) <= _HORIZON_SNAP] = 0.0
+                if np.any(s < 0):
+                    n_bad = int(np.argmax(s < 0))
+                    raise MetricDomainError(
+                        f"de Sitter sample beyond the horizon at site {n_bad} "
+                        f"(q·x = {self.q * x[n_bad]:.6g} > 1)"
+                    )
+                alpha = np.sqrt(s)
                 beta = 1.0 / alpha
-            dlog = np.zeros(L)
-        elif self.family == "weyl":
-            alpha = np.exp(self.r * t + self.q * x)
-            beta = alpha
-            dlog = np.full(L, self.r)
-        elif self.family == "linear_conformal":
-            w = self.r * t + self.q * x
-            if np.any(w < 0):
-                n_bad = int(np.argmax(w < 0))
-                raise MetricDomainError(
-                    f"linear_conformal sample w_n = rt+qx < 0 at site {n_bad}, t={t:g}"
-                )
-            if self.r != 0.0 and np.any(w == 0):
-                raise MetricDomainError(
-                    f"divergent ∂₀β/β: w_n = 0 with r = {self.r:g} at t={t:g}"
-                )
-            alpha = w
-            beta = w
-            dlog = self.r / w if self.r != 0.0 else np.zeros(L)
-        else:  # custom
-            alpha, beta, dlog = self._sample_custom(t, x)
+                dlog = np.zeros(L)
+            elif self.family == "weyl":
+                alpha = np.exp(self.r * t + self.q * x)
+                beta = alpha
+                dlog = np.full(L, self.r)
+            elif self.family == "linear_conformal":
+                w = self.r * t + self.q * x
+                if np.any(w < 0):
+                    n_bad = int(np.argmax(w < 0))
+                    raise MetricDomainError(
+                        f"linear_conformal sample w_n = rt+qx < 0 at site {n_bad}, t={t:g}"
+                    )
+                if self.r != 0.0 and np.any(w == 0):
+                    raise MetricDomainError(
+                        f"divergent ∂₀β/β: w_n = 0 with r = {self.r:g} at t={t:g}"
+                    )
+                alpha = w
+                beta = w
+                dlog = self.r / w if self.r != 0.0 else np.zeros(L)
+            else:  # custom
+                alpha, beta, dlog = self._sample_custom(t, x)
         if np.any(alpha < 0) or np.any(beta < 0):
             raise MetricDomainError(f"negative metric sample for {self.provenance()} at t={t:g}")
-        if not np.all(np.isfinite(dlog)):
-            raise MetricDomainError(f"non-finite ∂₀β/β for {self.provenance()} at t={t:g}")
+        bad = ~np.isfinite(alpha) | ~np.isfinite(beta) & (alpha != 0.0) | ~np.isfinite(dlog)
+        if np.any(bad):
+            n = int(np.argmax(bad))
+            raise MetricDomainError(f"non-finite metric at site {n} of {self.provenance()}, t={t:g}")
         return SampledMetric(
             t=float(t),
             alpha=np.asarray(alpha, dtype=float),

@@ -44,7 +44,8 @@ def lorentzian_delta(x, gamma: float):
     if gamma <= 0:
         raise ObservableError(f"broadening must be positive, got {gamma}")
     x = np.asarray(x, dtype=float)
-    return gamma / (np.pi * (x * x + gamma * gamma))
+    with np.errstate(over="ignore"):  # Γ² = inf gives the limit 0
+        return gamma / (np.pi * (x * x + gamma * gamma))
 
 
 def energy_grid(e_min: float, e_max: float, count: int) -> np.ndarray:

@@ -111,6 +111,24 @@ def band_matrix(diagonals: dict[int, np.ndarray], n: int, dtype=complex) -> np.n
     return A
 
 
+def band_blocks(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarray]:
+    """The 2×2 blocks of the 2L×2L matrix with the given nonzero diagonals,
+    by block offset m, in their dtype: ``X[m][p]`` is the block of row site
+    p + max(−m, 0) and column site p + max(−m, 0) + m.  Entry (2p + r,
+    2(p + m) + c) lies on diagonal k = 2m + c − r, so each diagonal fills one
+    spinor entry (r, c) of the blocks on one or (for odd k) two offsets."""
+    dtype = np.result_type(0.0, *diagonals.values())
+    out: dict[int, np.ndarray] = {}
+    for k, d in diagonals.items():
+        for r in (0, 1):
+            c = (r + k) % 2
+            m = (k + r - c) // 2
+            x = out.setdefault(m, np.zeros((L - abs(m), 2, 2), dtype=dtype))
+            p = np.arange(L - abs(m)) + max(-m, 0)
+            x[:, r, c] = d[2 * p + r if k >= 0 else 2 * (p + m) + c]  # np.diagonal order
+    return out
+
+
 def band_norm(pieces: dict) -> float:
     """Frobenius norm of a matrix given as disjoint pieces of its entries
     (its diagonals {k: entries}, or its 2×2 blocks by block offset)."""

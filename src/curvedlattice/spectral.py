@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import CurvedLatticeError
 from .operator import (
-    band_adjoint, band_distance, band_matrix, band_norm, band_positions, hermitian_residual,
+    band_adjoint, band_blocks, band_distance, band_matrix, band_norm, band_positions,
+    hermitian_residual,
 )
 
 _EPS = np.finfo(float).eps
@@ -298,15 +299,17 @@ def _chiral_block(R: dict[int, np.ndarray], n: int):
     rotates each site by (1, ±1)/√2 into the + sites, then the − sites.
     None when the rest, the part that commutes, exceeds ``_SYM_TOL``
     relative; a lattice operator's R has none, and the walk of
-    :func:`_symmetrizer` leaves rounding at most."""
+    :func:`_symmetrizer` leaves rounding at most.  Works on the band, in
+    O(L) up to forming Y: diagonal k of Rᵀ is diagonal −k of R."""
     if n % 2:
         return None
-    S = band_matrix(R, n, float)
-    X = (0.5 * (S - S.T)).reshape(n // 2, 2, n // 2, 2)
-    commuting = np.hypot(X[:, 0, :, 0] + X[:, 1, :, 1], X[:, 0, :, 1] + X[:, 1, :, 0])
-    if not np.linalg.norm(commuting) <= _SYM_TOL * np.linalg.norm(X):
+    keys = R.keys() | {-k for k in R}
+    X = band_blocks({k: 0.5 * (R.get(k, 0.0) - R.get(-k, 0.0)) for k in keys}, n // 2)
+    commuting = {m: np.hypot(x[:, 0, 0] + x[:, 1, 1], x[:, 0, 1] + x[:, 1, 0]) for m, x in X.items()}
+    if not band_norm(commuting) <= _SYM_TOL * band_norm(X):
         return None
-    return 0.5 * ((X[:, 0, :, 0] - X[:, 1, :, 1]) - (X[:, 0, :, 1] - X[:, 1, :, 0]))
+    Y = {m: 0.5 * ((x[:, 0, 0] - x[:, 1, 1]) - (x[:, 0, 1] - x[:, 1, 0])) for m, x in X.items()}
+    return band_matrix(Y, n // 2, float)
 
 
 def _eig_chiral(diagonals, n, d, c, Y, compute_vectors):

@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import CurvedLatticeError
 from .metric import SampledMetric
-from .operator import LatticeOperator, band_adjoint, band_distance, band_norm, hermitian_residual
+from .operator import (
+    LatticeOperator, band_adjoint, band_blocks, band_distance, band_norm, hermitian_residual,
+)
 from .spectral import SpectralDecomposition, eig_general
 
 CLASSIFICATIONS = ("Hermitian", "QuasiHermitian", "PTPseudoHermitian", "NonHermitian")
@@ -111,26 +113,6 @@ def _relative_residual(distance: float, scale: float) -> float:
     return 0.0 if scale == 0.0 else distance / scale
 
 
-def _blocks(H: LatticeOperator) -> dict[int, np.ndarray]:
-    """The 2×2 blocks of H by block offset m: ``X[m][p]`` is the block of
-    row site p + max(−m, 0) and column site p + max(−m, 0) + m.
-
-    Entry (2p + r, 2(p + m) + c) lies on diagonal k = 2m + c − r, so each
-    diagonal fills one spinor entry (r, c) of the blocks on one or (for odd
-    k) two block offsets.
-    """
-    L = H.L
-    out: dict[int, np.ndarray] = {}
-    for k, d in H.diagonals.items():
-        for r in (0, 1):
-            c = (r + k) % 2
-            m = (k + r - c) // 2
-            x = out.setdefault(m, np.zeros((L - abs(m), 2, 2), dtype=complex))
-            p = np.arange(L - abs(m)) + max(-m, 0)
-            x[:, r, c] = d[2 * p + r if k >= 0 else 2 * (p + m) + c]  # np.diagonal order
-    return out
-
-
 def classify(
     H: LatticeOperator,
     metric: SampledMetric,
@@ -155,7 +137,7 @@ def classify(
         quasi = np.inf
     # P H* P with P = (site reversal) ⊗ σ: the reversal takes block offset m
     # to −m in reverse site order, then σ sandwiches each 2×2 block
-    X = _blocks(H)
+    X = band_blocks(H.diagonals, H.L)
     reversed_conj = {-m: x[::-1].conj() for m, x in X.items()}
     pt_best, pt_name = np.inf, "I"
     for name, sigma in _PT_SPINORS.items():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from curvedlattice.config import ConfigError, RunConfig
 from curvedlattice.expr import ExpressionError
 from curvedlattice.metric import MetricDomainError, MetricError
 from curvedlattice.observables import ObservableError
+from curvedlattice.operator import build
 
 
 def _read_csv(path):
@@ -186,6 +188,52 @@ def test_dump_command(tmp_path):
     assert header[0:5] == ["n", "x", "alpha", "beta", "dlog_beta_dt"]
     hop_f = [float(r[6]) for r in mrows]
     assert hop_f[0] == pytest.approx(np.exp(0.1) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 6])
+@pytest.mark.parametrize("family", [["weyl", "--q", "0.2"], ["flat"]])
+def test_dump_hops_are_the_dense_entries(family, L, bc, tmp_path):
+    # hop_forward and hop_backward of site n are |H[2n, 2n ± 2]|, zero past
+    # an end; for L = 2 periodic the wrap lands on those entries too (and
+    # cancels the flat chain's hop)
+    argv = ["--family", *family, "--L", str(L), "--M", "0.3", "--bc", bc]
+    assert main(["dump", *argv, "--out-dir", str(tmp_path)]) == 0
+    cfg = cli._config_from_args(cli._build_parser().parse_args(["dump", *argv]))
+    H = build(cfg.model().sample(0.0), cfg.M, cfg.a, cfg.bc).matrix
+    header, rows = _read_csv(tmp_path / "metric.csv")
+    f, b = header.index("hop_forward"), header.index("hop_backward")
+    for n, row in enumerate(rows):
+        assert float(row[f]) == (abs(H[2 * n, 2 * n + 2]) if n + 1 < L else 0.0)
+        assert float(row[b]) == (abs(H[2 * n, 2 * n - 2]) if n > 0 else 0.0)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["spectrum", "--family", "weyl", "--q", "1", "--r", "1000", "--L", "5", "--times", "1"],
+     3, "non-finite metric at site 0 of weyl(q=1, r=1000), t=1"),
+    (["spectrum", "--family", "anti_de_sitter", "--q", "1e200", "--L", "5"],
+     3, "non-finite metric at site 1 of anti_de_sitter(q=1e+200), t=0"),
+    (["dump", "--family", "de_sitter", "--q", "1e300", "--L", "5"],
+     3, "de Sitter sample beyond the horizon at site 1"),
+    (["spectrum", "--family", "linear_conformal", "--q", "1e-320", "--r", "1", "--L", "5",
+      "--times", "1e-320"], 3, "non-finite metric at site 0 of linear_conformal("),
+    (["ldos", "--family", "flat", "--L", "5", "--gamma", "1e300"], 0, None),
+], ids=["weyl_exp", "anti_de_sitter_square", "de_sitter_square", "linear_conformal_divide",
+        "ldos_lorentzian"])
+def test_overflow_warns_nothing(argv, code, message, tmp_path, capsys):
+    # an overflowing metric is reported as the metric's fault, and no numpy
+    # warning reaches stderr; an infinite broadening gives the zero grid
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert not caught and "Warning" not in err
+    if message is None:
+        assert err == ""
+        meta = json.loads((tmp_path / "ldos_meta.json").read_text())
+        assert meta["ldos_real.csv"]["normalized"] is False
+    else:
+        assert err.startswith("numerical failure: ") and message in err
 
 
 def test_spectrum_multiple_time_slices(tmp_path):

@@ -7,6 +7,8 @@ from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.operator import (
     GammaAlgebra,
     OperatorError,
+    band_blocks,
+    band_matrix,
     build,
     flat_dispersion,
     gamma_algebra,
@@ -155,6 +157,29 @@ def test_gamma_algebra_relations():
 
 def _block(H, n, m):
     return H.matrix[2 * n : 2 * n + 2, 2 * m : 2 * m + 2]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 7])
+def test_band_blocks_match_the_dense_blocks(L, bc, dtype):
+    # random bands on the lattice's offsets; under periodic boundaries the
+    # corners sit at ±(2L−2), which for L = 2 are the offsets ±2 again
+    rng = np.random.default_rng(10 * L + (bc == "periodic"))
+    n = 2 * L
+    offsets = {0, 1, -1, 2, -2} | ({2 * L - 2, 2 - 2 * L} if bc == "periodic" else set())
+    diagonals = {}
+    for k in sorted(offsets):
+        d = rng.normal(size=n - abs(k))
+        diagonals[k] = d + 1j * rng.normal(size=d.size) if dtype is complex else d
+    dense = band_matrix(diagonals, n, dtype).reshape(L, 2, L, 2)
+    X = band_blocks(diagonals, L)
+    assert all(x.dtype == dtype for x in X.values())
+    for m in range(1 - L, L):
+        p = np.arange(L - abs(m)) + max(-m, 0)
+        expected = dense[p, :, p + m, :]  # the blocks (p, p + m)
+        assert np.array_equal(X.get(m, np.zeros_like(expected)), expected)
+        assert (m in X) == bool(expected.any())
 
 
 def test_flat_massless_blocks():

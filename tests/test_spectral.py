@@ -275,6 +275,63 @@ def test_benchmark_spectra_routes():
     assert cli._decompose(conformal, tol).route == "real-geev"
 
 
+def _dense_chiral_block(R, n):
+    """The chiral block as formed from the dense n×n real form: the
+    reference for the band reading of `spectral._chiral_block`."""
+    S = band_matrix(R, n, float)
+    X = (0.5 * (S - S.T)).reshape(n // 2, 2, n // 2, 2)
+    commuting = np.hypot(X[:, 0, :, 0] + X[:, 1, :, 1], X[:, 0, :, 1] + X[:, 1, :, 0])
+    if not np.linalg.norm(commuting) <= spectral._SYM_TOL * np.linalg.norm(X):
+        return None
+    return 0.5 * ((X[:, 0, :, 0] - X[:, 1, :, 1]) - (X[:, 0, :, 1] - X[:, 1, :, 0]))
+
+
+_CHIRAL_CATALOG = {
+    "rindler": lambda L: (MetricModel.rindler(q=1 / (L - 1), L=L), 0.5),
+    "de_sitter_horizon": lambda L: (MetricModel.de_sitter(q=1 / (L - 1), L=L), 1.0),
+    "anti_de_sitter": lambda L: (MetricModel.anti_de_sitter(q=0.1, L=L), 1.0),
+    "weyl_massless": lambda L: (MetricModel.weyl(q=0.05, r=0.3, L=L), 0.0),
+    "custom": lambda L: (MetricModel.custom("exp(0.01*x)", "1+0.01*x", L=L), 0.7),
+}
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 7, 40])
+@pytest.mark.parametrize("family", list(_CHIRAL_CATALOG))
+def test_chiral_block_matches_dense_reference(family, L, bc):
+    # the real forms of the operator and of its hermitian partner, read on
+    # the band, give the dense construction's Y bit for bit
+    model, M = _CHIRAL_CATALOG[family](L)
+    H = build(model.sample(0.4), M, 1.0, bc)
+    forms = [spectral._real_form(H.diagonals, H.dim)]
+    found = spectral._symmetrizer(H.diagonals, H.dim)
+    if found is not None:
+        forms.append(spectral._real_form(found[2], H.dim))
+    for R in forms:
+        Y, ref = spectral._chiral_block(R, H.dim), _dense_chiral_block(R, H.dim)
+        assert (Y is None) == (ref is None)
+        if ref is not None:
+            assert Y.dtype == ref.dtype and Y.tobytes() == ref.tobytes()
+    assert found is None or Y is not None
+
+
+def test_chiral_svd_forms_no_matrix_larger_than_the_block(monkeypatch):
+    # the chiral route reads its block from the band: the only dense matrix
+    # it requests is the L×L Y
+    L = 40
+    H = build(MetricModel.de_sitter(q=1 / (L - 1), L=L).sample(), 1.0, 1.0)
+    sizes = []
+
+    def recording(diagonals, n, *args, **kwargs):
+        sizes.append(n)
+        return band_matrix(diagonals, n, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "band_matrix", recording)
+    for dec in (eig_general(H), eig_general(H, compute_vectors=False)):
+        assert dec.route == "chiral-svd"
+    assert sizes and max(sizes) <= L
+
+
 def _two_horizons(L, beta):
     """A static chain with alpha = 0 on sites 3 and L - 4: two decoupled sites."""
     alpha = np.ones(L)

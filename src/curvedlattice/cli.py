@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""The commands of the ``curvedlattice`` CLI (its arguments: :mod:`.front`).
 
 Subcommands
 
@@ -28,8 +28,9 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .errors import CurvedLatticeError
 from .evolve import Route, curved_route, dual_route
+from .front import _build_parser, main  # noqa: F401  (re-exported)
 from .heatmap import write_ppm
-from .metric import FAMILIES, distance_profile
+from .metric import distance_profile
 from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
 from .operator import band_blocks, build, hermitian_residual
 from .spectral import eig_general, eig_hermitian
@@ -246,8 +247,11 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
         alpha, beta, dlog = sample.alpha, sample.beta, sample.dlog_beta_dt
         L = sample.L
         hop_f, hop_b, blocks = np.zeros(L), np.zeros(L), band_blocks(H.diagonals, L)
-        for m, hops in ((1, hop_f[:-1]), (-1, hop_b[1:])):
-            hops[:] = np.abs(blocks[m][:, 0, 0]) if m in blocks else 0.0  # |H[2n, 2(n + m)]|
+        pairs = [(1, hop_f[:-1]), (-1, hop_b[1:])]
+        if cfg.bc == "periodic":  # the wraps, blocks (L − 1, 0) and (0, L − 1)
+            pairs += [(1 - L, hop_f[-1:]), (L - 1, hop_b[:1])]
+        for m, hops in pairs:  # |H[2n, 2((n ± 1) mod L)]|
+            hops[:] = np.abs(blocks[m][:, 0, 0]) if m in blocks else 0.0
         _write_csv(
             _out(cfg, f"metric{suffix}.csv", written),
             "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",
@@ -267,55 +271,6 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--alpha", help="custom metric alpha(x, t) expression")
-    p.add_argument("--beta", help="custom metric beta(x, t) expression")
-    p.add_argument("--L", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--M", type=float)
-    p.add_argument("--bc", choices=("open", "periodic"))
-    p.add_argument("--tol", type=float)
-    p.add_argument("--times", type=float, nargs="+")
-    p.add_argument("--out-dir", dest="out_dir")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="curvedlattice",
-        description="Lattice Dirac Hamiltonians for curved 1+1D spacetime metrics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("spectrum", "eigenvalues and symmetry report"),
-        ("ldos", "local density of states grids"),
-        ("evolve", "time evolution of a spinor field"),
-        ("classify", "symmetry report only"),
-        ("dump", "matrix and metric tables"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "ldos":
-            p.add_argument("--axis", choices=("real", "imaginary", "both"))
-            p.add_argument("--gamma", type=float)
-            p.add_argument("--e-min", dest="e_min", type=float)
-            p.add_argument("--e-max", dest="e_max", type=float)
-            p.add_argument("--n-e", dest="n_e", type=int)
-            p.add_argument("--heatmap", action="store_true", default=None)
-        if name == "evolve":
-            p.add_argument("--t0", type=float)
-            p.add_argument("--t1", type=float)
-            p.add_argument("--dt", type=float)
-            p.add_argument("--k", type=float, help="plane-wave momentum")
-            p.add_argument("--branch", type=int, choices=(1, -1))
-            p.add_argument("--check-duality", action="store_true", default=None)
-            p.add_argument("--snapshot-times", dest="snapshot_times", type=float, nargs="+")
-    return parser
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     flags = {key: value for key, value in vars(args).items() if value is not None}
     state = {key: flags.pop(key) for key in ("k", "branch") if key in flags}
@@ -333,8 +288,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 _FAILURES = {2: "config error", 3: "numerical failure"}
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Run the command of the parsed ``args``; its exit code."""
     try:
         cfg = _config_from_args(args)
         written = _COMMANDS[args.command](cfg)

@@ -36,16 +36,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import CurvedLatticeError
-
-FAMILIES = (
-    "flat",
-    "rindler",
-    "de_sitter",
-    "anti_de_sitter",
-    "weyl",
-    "linear_conformal",
-    "custom",
-)
+from .front import FAMILIES
 
 _NEEDS_Q = ("rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal")
 _HAS_R = ("weyl", "linear_conformal")

@@ -194,18 +194,19 @@ def test_dump_command(tmp_path):
 @pytest.mark.parametrize("L", [2, 3, 6])
 @pytest.mark.parametrize("family", [["weyl", "--q", "0.2"], ["flat"]])
 def test_dump_hops_are_the_dense_entries(family, L, bc, tmp_path):
-    # hop_forward and hop_backward of site n are |H[2n, 2n ± 2]|, zero past
-    # an end; for L = 2 periodic the wrap lands on those entries too (and
-    # cancels the flat chain's hop)
+    # hop_forward and hop_backward of site n are |H[2n, 2((n ± 1) mod L)]|:
+    # zero past an open end, the wrap hop under periodic bc; for L = 2
+    # periodic a hop and its wrap share one entry (the flat chain's cancel)
     argv = ["--family", *family, "--L", str(L), "--M", "0.3", "--bc", bc]
     assert main(["dump", *argv, "--out-dir", str(tmp_path)]) == 0
     cfg = cli._config_from_args(cli._build_parser().parse_args(["dump", *argv]))
     H = build(cfg.model().sample(0.0), cfg.M, cfg.a, cfg.bc).matrix
     header, rows = _read_csv(tmp_path / "metric.csv")
     f, b = header.index("hop_forward"), header.index("hop_backward")
+    wraps = bc == "periodic"
     for n, row in enumerate(rows):
-        assert float(row[f]) == (abs(H[2 * n, 2 * n + 2]) if n + 1 < L else 0.0)
-        assert float(row[b]) == (abs(H[2 * n, 2 * n - 2]) if n > 0 else 0.0)
+        assert float(row[f]) == (abs(H[2 * n, 2 * ((n + 1) % L)]) if n + 1 < L or wraps else 0.0)
+        assert float(row[b]) == (abs(H[2 * n, 2 * ((n - 1) % L)]) if n > 0 or wraps else 0.0)
 
 
 @pytest.mark.parametrize("argv, code, message", [

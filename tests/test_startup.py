@@ -1,0 +1,106 @@
+"""Start-up cost: help, usage errors and a bare import load no numpy, and
+the lazy package namespace still exports every public name."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import curvedlattice
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run the package as ``python -m curvedlattice ARGS`` does, then report the
+# exit code and whether numpy was loaded on the last line of stdout.
+_RUN_MODULE = """
+import json, runpy, sys
+try:
+    runpy.run_module("curvedlattice", run_name="__main__")
+    code = None
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def _python(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1], proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *[[command, "-h"] for command in ("spectrum", "ldos", "evolve", "classify", "dump")],
+], ids=lambda argv: " ".join(argv))
+def test_help_loads_no_numpy(argv):
+    last, _ = _python(_RUN_MODULE, *argv)
+    assert json.loads(last) == [0, False]
+
+
+def test_usage_error_loads_no_numpy():
+    last, err = _python(_RUN_MODULE, "evolve", "--nope")
+    assert json.loads(last) == [2, False]
+    assert "unrecognized arguments: --nope" in err and "Traceback" not in err
+
+
+def test_bare_import_loads_no_numpy():
+    last, _ = _python("import sys, curvedlattice; print('numpy' in sys.modules)")
+    assert last == "False"
+
+
+def test_installed_command_loads_no_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["curvedlattice"]
+    module, _, attr = entry.partition(":")
+    code = (
+        "import importlib, sys\n"
+        f"main = getattr(importlib.import_module({module!r}), {attr!r})\n"
+        "sys.argv = ['curvedlattice', '--help']\n"
+        "try:\n    main()\nexcept SystemExit as stop:\n    assert stop.code == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    last, _ = _python(code)
+    assert last == "False"
+
+
+# the package namespace before it became lazy: each submodule's exports
+_EXPORTED = {
+    "errors": ["CurvedLatticeError"],
+    "evolve": ["EvolutionTrace", "SpinorField", "dual_propagate", "gaussian_packet",
+               "plane_wave", "propagate", "single_site"],
+    "expr": ["diff_t", "evaluate", "parse", "to_source"],
+    "heatmap": ["cubehelix", "cubehelix_rgb", "render_ppm", "write_ppm"],
+    "metric": ["MetricModel", "SampledMetric", "distance_profile"],
+    "observables": ["LdosGrid", "default_gamma", "energy_grid", "horizon_modes", "ldos_imag",
+                    "ldos_real", "lorentzian_delta", "site_weights"],
+    "operator": ["GammaAlgebra", "LatticeOperator", "build", "flat_dispersion", "gamma_algebra",
+                 "hermitian_residual", "naive_build"],
+    "spectral": ["SpectralDecomposition", "StepOperator", "eig_general", "eig_hermitian", "expm",
+                 "expm_apply", "match_eigenvalues", "propagator", "spectral_mismatch"],
+    "symmetry": ["SymmetryReport", "classify", "imaginary_gauge", "unbroken_pt"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(_EXPORTED))
+def test_lazy_exports_are_the_submodule_objects(module):
+    submodule = importlib.import_module(f"curvedlattice.{module}")
+    assert getattr(curvedlattice, module) is submodule
+    for name in _EXPORTED[module]:
+        assert getattr(curvedlattice, name) is getattr(submodule, name)
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    listed = set(dir(curvedlattice))
+    assert {name for names in _EXPORTED.values() for name in names} | set(_EXPORTED) <= listed
+    assert {"cli", "config", "__version__"} <= listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        curvedlattice.no_such_name
+    from curvedlattice import cli, spectral
+
+    assert cli is curvedlattice.cli and spectral is curvedlattice.spectral

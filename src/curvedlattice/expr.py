@@ -5,12 +5,12 @@ Expressions are parsed once into an immutable AST and evaluated many times
 dataclasses and evaluation is a recursive walk.  The grammar is ordinary
 infix notation::
 
-    expr   := additive
-    add    := mul (('+' | '-') mul)*
-    mul    := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?          # right-associative
+    expr   := ('-' expr | atom) (op expr)*   # precedence climbing over _PREC
     atom   := number | name | name '(' expr ')' | '(' expr ')'
+
+Binding tightens from ``+ -`` through ``* /`` and unary ``-`` to ``^``;
+``+ - * /`` are left-associative, ``^`` is right-associative and its
+exponent may carry a unary minus (``2^-3``).
 
 ``x`` and ``t`` are the only variables; every other bare name is a parameter
 that must be bound at evaluation time.  Evaluation either returns a finite
@@ -24,20 +24,27 @@ from dataclasses import dataclass
 
 from .errors import CurvedLatticeError
 
-FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "cosh", "sinh", "tanh", "abs")
+# name -> (value, d/du as a tree builder of the argument u); abs has no
+# derivative.  The builders use the folding constructors defined below.
+_FUNCTIONS = {
+    "exp": (math.exp, lambda u: Call("exp", u)),
+    "log": (math.log, lambda u: _div(_ONE, u)),
+    "sqrt": (math.sqrt, lambda u: _div(_ONE, _mul(Num(2.0), Call("sqrt", u)))),
+    "sin": (math.sin, lambda u: Call("cos", u)),
+    "cos": (math.cos, lambda u: _neg(Call("sin", u))),
+    "cosh": (math.cosh, lambda u: Call("sinh", u)),
+    "sinh": (math.sinh, lambda u: Call("cosh", u)),
+    "tanh": (math.tanh, lambda u: _sub(_ONE, _mul(Call("tanh", u), Call("tanh", u)))),
+    "abs": (abs, None),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
 VARIABLES = ("x", "t")
 
-_FUNC_IMPL = {
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "cosh": math.cosh,
-    "sinh": math.sinh,
-    "tanh": math.tanh,
-    "abs": abs,
-}
+# Binding strength of each operator; atoms bind tightest.  The parser climbs
+# this table and the printer parenthesizes by it.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PREC = 3
+_ATOM_PREC = 9
 
 
 class ExpressionError(CurvedLatticeError):
@@ -183,34 +190,20 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.offset)
         return self.advance()
 
-    def additive(self) -> Expr:
-        node = self.multiplicative()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
+    def binary(self, min_prec: int) -> Expr:
+        """Parse an operand followed by operators binding at least ``min_prec``."""
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+            node = Neg(self.binary(_NEG_PREC))
+        else:
+            node = self.atom()
+        while (tok := self.peek()).kind == "op" and _PREC[tok.text] >= min_prec:
             self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            # a power's exponent is a unary operand, so ^ nests to the right
+            prec = _NEG_PREC if tok.text == "^" else _PREC[tok.text] + 1
+            node = BinOp(tok.text, node, self.binary(prec))
+        return node
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -220,10 +213,13 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if self.peek().kind == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.offset)
+                if tok.text not in _FUNCTIONS:
+                    raise ParseError(
+                        f"unknown function {tok.text!r}; expected one of {', '.join(FUNCTIONS)}",
+                        tok.offset,
+                    )
                 self.advance()
-                arg = self.additive()
+                arg = self.binary(0)
                 self.expect(")", "')' closing function call")
                 return Call(tok.text, arg)
             if tok.text in VARIABLES:
@@ -231,7 +227,7 @@ class _Parser:
             return Param(tok.text)
         if tok.kind == "(":
             self.advance()
-            node = self.additive()
+            node = self.binary(0)
             self.expect(")", "')' closing group")
             return node
         raise ParseError("expected a number, name, '(' or unary '-'", tok.offset)
@@ -245,7 +241,7 @@ def parse(source: str) -> Expr:
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.additive()
+    node = parser.binary(0)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
@@ -313,7 +309,7 @@ def _eval(node: Expr, x: float, t: float, params: dict[str, float]) -> float:
         if node.fn == "log" and arg <= 0.0:
             raise EvalError(f"log of non-positive value {arg}")
         try:
-            return _FUNC_IMPL[node.fn](arg)
+            return _FUNCTIONS[node.fn][0](arg)
         except OverflowError:
             raise EvalError(f"overflow in {node.fn}") from None
     raise TypeError(f"not an expression node: {node!r}")
@@ -417,37 +413,15 @@ def diff_t(node: Expr) -> Expr:
         du = diff_t(node.arg)
         if _is_zero(du):
             return _ZERO
-        if node.fn == "abs":
-            raise DerivativeError("abs is not differentiable")
-        u = node.arg
-        outer: Expr
-        if node.fn == "exp":
-            outer = Call("exp", u)
-        elif node.fn == "log":
-            outer = _div(_ONE, u)
-        elif node.fn == "sqrt":
-            outer = _div(_ONE, _mul(Num(2.0), Call("sqrt", u)))
-        elif node.fn == "sin":
-            outer = Call("cos", u)
-        elif node.fn == "cos":
-            outer = _neg(Call("sin", u))
-        elif node.fn == "cosh":
-            outer = Call("sinh", u)
-        elif node.fn == "sinh":
-            outer = Call("cosh", u)
-        else:  # tanh
-            outer = _sub(_ONE, _mul(Call("tanh", u), Call("tanh", u)))
-        return _mul(du, outer)
+        outer = _FUNCTIONS[node.fn][1]
+        if outer is None:
+            raise DerivativeError(f"{node.fn} is not differentiable")
+        return _mul(du, outer(node.arg))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer and tree queries
-
-# Precedence levels used by the printer; atoms bind tightest.
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PREC = 3
-_ATOM_PREC = 9
 
 
 def _node_prec(node: Expr) -> int:
@@ -491,27 +465,20 @@ def _print(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _leaves(node: Expr) -> tuple[Var | Param, ...]:
+    """The Var and Param leaves of the tree, left to right."""
+    if isinstance(node, (Neg, Call)):
+        return _leaves(node.arg)
+    if isinstance(node, BinOp):
+        return _leaves(node.lhs) + _leaves(node.rhs)
+    return (node,) if isinstance(node, (Var, Param)) else ()
+
+
 def param_names(node: Expr) -> frozenset[str]:
     """All parameter names appearing in the tree."""
-    if isinstance(node, Param):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return param_names(node.arg)
-    if isinstance(node, Call):
-        return param_names(node.arg)
-    if isinstance(node, BinOp):
-        return param_names(node.lhs) | param_names(node.rhs)
-    return frozenset()
+    return frozenset(leaf.name for leaf in _leaves(node) if isinstance(leaf, Param))
 
 
 def uses_variable(node: Expr, name: str) -> bool:
     """True if variable ``name`` ('x' or 't') appears in the tree."""
-    if isinstance(node, Var):
-        return node.name == name
-    if isinstance(node, Neg):
-        return uses_variable(node.arg, name)
-    if isinstance(node, Call):
-        return uses_variable(node.arg, name)
-    if isinstance(node, BinOp):
-        return uses_variable(node.lhs, name) or uses_variable(node.rhs, name)
-    return False
+    return Var(name) in _leaves(node)

@@ -1,11 +1,14 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedlattice.cli import main
 from curvedlattice.expr import (
     FUNCTIONS,
     BinOp,
@@ -58,12 +61,62 @@ def test_parse_precedence():
     assert parse("2^-3") == BinOp("^", Num(2.0), Neg(Num(3.0)))
     assert parse("a-b+c") == BinOp("+", BinOp("-", Param("a"), Param("b")), Param("c"))
     assert parse("a/b/c") == BinOp("/", BinOp("/", Param("a"), Param("b")), Param("c"))
+    a, b, c, x, y, z = Param("a"), Param("b"), Param("c"), Var("x"), Param("y"), Param("z")
+    assert parse("-a^b") == Neg(BinOp("^", a, b))
+    assert parse("a^-b^c") == BinOp("^", a, Neg(BinOp("^", b, c)))
+    assert parse("a^b*c") == BinOp("*", BinOp("^", a, b), c)
+    assert parse("a*b^c") == BinOp("*", a, BinOp("^", b, c))
+    assert parse("-a*b") == BinOp("*", Neg(a), b)
+    assert parse("2*-3") == BinOp("*", Num(2.0), Neg(Num(3.0)))
+    assert parse("x^-y*z") == BinOp("*", BinOp("^", x, Neg(y)), z)
+    assert parse("a-b-c") == BinOp("-", BinOp("-", a, b), c)
+    assert parse("a^b^c") == BinOp("^", a, BinOp("^", b, c))
+    assert parse("--x") == Neg(Neg(x))
 
 
 @pytest.mark.parametrize("source", ["", "   ", "1+", "(1+2", "sin 3", "foo(2)", "1..2", "x y"])
 def test_parse_rejects_malformed(source):
     with pytest.raises(ParseError):
         parse(source)
+
+
+@pytest.mark.parametrize(
+    "source,message,offset",
+    [
+        ("", "empty expression", 0),
+        ("   ", "empty expression", 0),
+        ("1.2.3", "malformed number '1.2.3'", 0),
+        ("x$", "unexpected character '$'", 1),
+        ("sin(x", "expected ')' closing function call", 5),
+        ("(x", "expected ')' closing group", 2),
+        ("x+", "expected a number, name, '(' or unary '-'", 2),
+        ("*x", "expected a number, name, '(' or unary '-'", 0),
+        ("x^", "expected a number, name, '(' or unary '-'", 2),
+        ("x y", "unexpected trailing input 'y'", 2),
+    ],
+)
+def test_parse_error_text_and_offset(source, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at offset {offset})"
+
+
+def test_unknown_function_error_names_the_known_functions(tmp_path, capsys):
+    known = "exp, log, sqrt, sin, cos, cosh, sinh, tanh, abs"
+    with pytest.raises(ParseError) as err:
+        parse("foo(x)")
+    assert str(err.value) == f"unknown function 'foo'; expected one of {known} (at offset 0)"
+    argv = ["classify", "--family", "custom", "--alpha", "foo(x)", "--beta", "1", "--L", "4",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {err.value}\n"
+
+
+def test_readme_lists_the_dsl_functions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(line for line in readme.splitlines() if line.startswith("DSL functions:"))
+    assert tuple(re.findall(r"`(\w+)\(", line)) == FUNCTIONS
 
 
 def test_eval_examples():
@@ -92,6 +145,27 @@ def test_eval_domain_errors(source, x):
         evaluate(parse(source), x=x, t=0.0)
 
 
+@pytest.mark.parametrize(
+    "source,x,message",
+    [
+        ("q*x", 1.0, "unbound parameter 'q'"),
+        ("1/x", 0.0, "division by zero"),
+        ("x^0.5", -2.0, "non-integer power 0.5 of negative base -2.0"),
+        ("x^-1", 0.0, "zero raised to a negative power"),
+        ("10^x", 400.0, "overflow in power"),
+        ("exp(x)", 1e6, "overflow in exp"),
+        ("cosh(x)", 1e6, "overflow in cosh"),
+        ("sqrt(x)", -1.0, "sqrt of negative value -1.0"),
+        ("log(x)", 0.0, "log of non-positive value 0.0"),
+        ("x*x", 1e200, "non-finite result inf from 'x*x'"),
+    ],
+)
+def test_eval_error_text(source, x, message):
+    with pytest.raises(EvalError) as err:
+        evaluate(parse(source), x=x, t=0.0)
+    assert str(err.value) == message
+
+
 def test_eval_integer_power_of_negative_base():
     assert evaluate(parse("x^3"), x=-2.0, t=0.0) == -8.0
 
@@ -108,6 +182,12 @@ def test_diff_t_examples():
 def test_diff_t_rejects_abs():
     with pytest.raises(DerivativeError):
         diff_t(parse("abs(t)"))
+
+
+def test_diff_t_error_text():
+    with pytest.raises(DerivativeError) as err:
+        diff_t(parse("abs(t)"))
+    assert str(err.value) == "abs is not differentiable"
 
 
 def test_diff_t_of_abs_of_a_static_argument():

@@ -32,7 +32,7 @@ from .front import _build_parser, main  # noqa: F401  (re-exported)
 from .heatmap import write_ppm
 from .metric import distance_profile
 from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
-from .operator import band_blocks, build, hermitian_residual
+from .operator import band_blocks, band_positions, build, hermitian_residual
 from .spectral import eig_general, eig_hermitian
 from .symmetry import classify
 
@@ -232,7 +232,7 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
         # the nonzero entries of the band, in row-major order
         rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
         for k, d in H.diagonals.items():
-            i, j = H.positions(k)
+            i, j = band_positions(H.dim, k)
             rows.append(i)
             cols.append(j)
             vals.append(d)
@@ -303,6 +303,3 @@ def run(args: argparse.Namespace) -> int:
         print(path)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -64,10 +64,6 @@ class SpinorField:
     t: float = 0.0
 
     @property
-    def L(self) -> int:
-        return self.values.shape[0] // 2
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 

@@ -258,7 +258,7 @@ def evaluate(node: Expr, x: float, t: float, params: dict[str, float] | None = N
     Pure and reentrant: safe to call concurrently on a shared AST.  Returns a
     finite float or raises EvalError (unbound parameter, sqrt/log of a
     negative number, division by zero, non-integer power of a negative base,
-    overflow).
+    overflow, sin/cos of an infinite value).
     """
     params = params or {}
     result = _eval(node, x, t, params)
@@ -312,6 +312,8 @@ def _eval(node: Expr, x: float, t: float, params: dict[str, float]) -> float:
             return _FUNCTIONS[node.fn][0](arg)
         except OverflowError:
             raise EvalError(f"overflow in {node.fn}") from None
+        except ValueError:  # sin and cos of ±inf
+            raise EvalError(f"{node.fn} of infinite value {arg}") from None
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -263,7 +263,7 @@ class MetricModel:
         alpha = np.empty(self.L)
         beta = np.empty(self.L)
         dlog = np.empty(self.L)
-        for n, xn in enumerate(x):
+        for n, xn in enumerate(x.tolist()):
             try:
                 alpha[n] = _expr.evaluate(self.alpha_expr, xn, t, params)
                 beta[n] = _expr.evaluate(self.beta_expr, xn, t, params)

@@ -87,10 +87,6 @@ class LatticeOperator:
     def L(self) -> int:
         return self.dim // 2
 
-    def positions(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the entries of diagonal k."""
-        return band_positions(self.dim, k)
-
     @cached_property
     def matrix(self) -> np.ndarray:
         return band_matrix(self.diagonals, self.dim)
@@ -109,6 +105,24 @@ def band_matrix(diagonals: dict[int, np.ndarray], n: int, dtype=complex) -> np.n
     for k, d in diagonals.items():
         A[band_positions(n, k)] = d
     return A
+
+
+def band_similarity(
+    diagonals: dict[int, np.ndarray], n: int, s: np.ndarray
+) -> dict[int, np.ndarray]:
+    """The diagonals of diag(s)·A·diag(s)⁻¹ for the n×n matrix A: entry
+    (i, j) off the main diagonal times s_i/s_j, one rounding; the main
+    diagonal unchanged.  Exact zeros stay exactly zero, so a decoupled
+    horizon site (s = ∞) takes the limits 0·∞ → 0 and ∞/∞ → 1; any other
+    non-finite entry is left for the caller to reject."""
+    out = {}
+    with np.errstate(all="ignore"):
+        for k, d in diagonals.items():
+            if k:
+                rows, cols = band_positions(n, k)
+                d = np.where(d == 0.0, 0.0, d * (s[rows] / s[cols]))
+            out[k] = d
+    return out
 
 
 def band_blocks(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarray]:

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import CurvedLatticeError
 from .operator import (
     band_adjoint, band_blocks, band_distance, band_matrix, band_norm, band_positions,
-    hermitian_residual,
+    band_similarity, hermitian_residual,
 )
 
 _EPS = np.finfo(float).eps
@@ -257,14 +257,16 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
     logd, root = np.array(logd), np.array(root)
     low = np.full(n, np.inf)
     np.minimum.at(low, root, logd)
-    with np.errstate(all="ignore"):  # an overflowing range is rejected below
+    with np.errstate(all="ignore"):  # an overflowing range is rejected
         d = np.exp(logd - low[root])
-        B = {}
-        for k, diag in diagonals.items():
-            rows, cols = band_positions(n, k)
-            B[k] = diag - 1j * c if k == 0 else diag * (d[rows] / d[cols])
+    if not np.all(np.isfinite(d)):
+        return None
+    B = band_similarity(diagonals, n, d)
+    if 0 in B:
+        B[0] = B[0] - 1j * c
+    with np.errstate(all="ignore"):
         residual = band_distance(B, band_adjoint(B))
-    if not (np.all(np.isfinite(d)) and residual <= _SYM_TOL * band_norm(B)):
+    if not residual <= _SYM_TOL * band_norm(B):
         return None
     return d, c, B
 

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import CurvedLatticeError
 from .metric import SampledMetric
 from .operator import (
-    LatticeOperator, band_adjoint, band_blocks, band_distance, band_norm, hermitian_residual,
+    LatticeOperator, band_adjoint, band_blocks, band_distance, band_norm, band_similarity,
+    hermitian_residual,
 )
 from .spectral import SpectralDecomposition, eig_general
 
@@ -53,8 +54,8 @@ class SymmetryError(CurvedLatticeError):
 class SymmetryReport:
     """Residuals of the three symmetry tests and the resulting class.
 
-    Precedence: Hermitian > QuasiHermitian > PTPseudoHermitian > NonHermitian
-    (the first residual at or below ``tol`` wins).
+    The class is the first of :data:`CLASSIFICATIONS` whose residual is at
+    or below ``tol``, and NonHermitian when none is.
     """
 
     hermitian_residual: float
@@ -66,35 +67,18 @@ class SymmetryReport:
     tol: float
 
 
-def _guarded_product(A: np.ndarray, ratio) -> np.ndarray:
-    """A·ratio entrywise, with exactly-zero entries of A kept exactly zero
-    (decoupled horizon rows and columns), so the analytic limit 0·inf → 0 is
-    taken instead of NaN; a non-finite product on a coupled entry raises."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = np.where(A == 0.0, 0.0, A * ratio)
-    if not np.all(np.isfinite(out)):
-        raise SymmetryError("divergent scale factor on a coupled entry")
-    return out
-
-
 def _similarity(H: LatticeOperator, s: np.ndarray) -> dict[int, np.ndarray]:
-    """The diagonals of diag(s) H diag(s)⁻¹, with the guards of
-    :func:`_guarded_product`; the ratio on the main diagonal is pinned to 1,
-    so the analytic limit inf/inf → 1 is taken."""
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / s
-    out = {}
-    for k, d in H.diagonals.items():
-        rows, cols = H.positions(k)
-        with np.errstate(invalid="ignore"):  # inf·0 at a horizon site
-            ratio = 1.0 if k == 0 else s[rows] * inv[cols]
-        out[k] = _guarded_product(d, ratio)
+    """The diagonals of diag(s) H diag(s)⁻¹ (:func:`band_similarity`); a
+    non-finite entry (a divergent scale on a coupled entry) raises."""
+    out = band_similarity(H.diagonals, H.dim, s)
+    if not all(np.all(np.isfinite(d)) for d in out.values()):
+        raise SymmetryError("divergent scale factor on a coupled entry")
     return out
 
 
 def imaginary_gauge(H: LatticeOperator, beta: np.ndarray) -> LatticeOperator:
     """Similarity S H S⁻¹ with S = diag(√β_n)⊗I₂ (isospectral rescaling),
-    applied diagonal by diagonal with the guards of :func:`_guarded_product`.
+    applied on the band by :func:`_similarity`.
 
     For operators built from static metrics this returns the hermitian
     partner; for the uniform Hatano-Nelson-like chain (Weyl, r=0, M=0) the
@@ -145,14 +129,8 @@ def classify(
         res = _relative_residual(band_distance(X, image), scale)
         if res < pt_best:
             pt_best, pt_name = res, name
-    if herm <= tol:
-        label = "Hermitian"
-    elif quasi <= tol:
-        label = "QuasiHermitian"
-    elif pt_best <= tol:
-        label = "PTPseudoHermitian"
-    else:
-        label = "NonHermitian"
+    passed = (name for name, res in zip(CLASSIFICATIONS, (herm, quasi, pt_best)) if res <= tol)
+    label = next(passed, CLASSIFICATIONS[-1])
     if decomposition is None:
         decomposition = eig_general(H, compute_vectors=False)
     return SymmetryReport(

@@ -237,6 +237,20 @@ def test_overflow_warns_nothing(argv, code, message, tmp_path, capsys):
         assert err.startswith("numerical failure: ") and message in err
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("sin(x*1e300*1e300)", "sin of infinite value inf"),
+    ("x*1e200*1e200", "non-finite result inf from 'x*1e+200*1e+200'"),
+], ids=["sin_of_inf", "non_finite_result"])
+def test_custom_metric_failure_names_the_site(alpha, message, tmp_path, capsys):
+    # a custom metric that leaves the reals at site 1 exits 3 with one line
+    argv = ["classify", "--family", "custom", "--alpha", alpha, "--beta", "1", "--L", "8",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: custom metric at site 1, t=0: {message}\n"
+    )
+
+
 def test_spectrum_multiple_time_slices(tmp_path):
     out = str(tmp_path)
     code = main([

@@ -158,6 +158,8 @@ def test_eval_domain_errors(source, x):
         ("sqrt(x)", -1.0, "sqrt of negative value -1.0"),
         ("log(x)", 0.0, "log of non-positive value 0.0"),
         ("x*x", 1e200, "non-finite result inf from 'x*x'"),
+        ("sin(x*x)", 1e200, "sin of infinite value inf"),
+        ("cos(-x*x)", 1e200, "cos of infinite value -inf"),
     ],
 )
 def test_eval_error_text(source, x, message):
@@ -177,6 +179,23 @@ def test_diff_t_examples():
     d = diff_t(parse("r*t+q*x"))
     for x, t in [(0.0, 0.0), (2.5, -1.0), (-3.0, 7.0)]:
         assert evaluate(d, x=x, t=t, params={"r": 0.5, "q": 0.1}) == 0.5
+
+
+def test_diff_t_of_a_power_of_t_folds():
+    # u^v with du = 0 is u^v·log(u)·dv, and dv = 1 folds away
+    d = diff_t(parse("2^t"))
+    assert d == BinOp("*", BinOp("^", Num(2.0), Var("t")), Call("log", Num(2.0)))
+    assert to_source(d) == "2.0^t*log(2.0)"
+
+
+@pytest.mark.parametrize("source", ["x^t", "t^t", "(1+t)^(x*t)"])
+def test_diff_t_of_a_power_matches_central_differences(source):
+    # the exponent rule u^v·(dv·log(u) + v·du/u), and its du = 0 branch
+    ast, h = parse(source), 1e-6
+    d = diff_t(ast)
+    for x, t in [(0.5, 0.7), (1.3, 1.1), (2.0, 0.4)]:
+        numeric = (evaluate(ast, x=x, t=t + h) - evaluate(ast, x=x, t=t - h)) / (2 * h)
+        assert evaluate(d, x=x, t=t) == pytest.approx(numeric, rel=1e-8)
 
 
 def test_diff_t_rejects_abs():

@@ -9,6 +9,7 @@ from curvedlattice.operator import (
     OperatorError,
     band_blocks,
     band_matrix,
+    band_similarity,
     build,
     flat_dispersion,
     gamma_algebra,
@@ -303,3 +304,21 @@ def test_invalid_inputs():
         build(s, M=0.0, a=0.0)
     with pytest.raises(OperatorError):
         build(s, M=0.0, a=1.0, bc="twisted")
+
+
+def test_band_similarity_limits_at_a_horizon():
+    # off the main diagonal, entry (i, j) times s_i/s_j; the main diagonal
+    # passes unchanged; an exact zero stays zero against s = inf, and a
+    # coupled entry against it is left non-finite for the caller
+    s = np.array([2.0, np.inf, 0.5])
+    A = {
+        0: np.array([1.0, 2.0, 3.0j]),
+        1: np.array([3.0, 4.0 + 0j]),
+        -1: np.array([0.0, 5.0 + 0j]),
+        2: np.array([0.25 + 1j]),
+    }
+    out = band_similarity(A, 3, s)
+    assert out[0] is A[0]
+    assert out[1][0] == 0.0 and not np.isfinite(out[1][1])
+    assert np.array_equal(out[-1], [0.0, 0.0])
+    assert np.array_equal(out[2], [(0.25 + 1j) * (2.0 / 0.5)])

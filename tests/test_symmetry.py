@@ -53,7 +53,7 @@ def test_gauge_rejects_nonpositive_beta():
 def _dense_gauge(A, beta):
     s = np.repeat(np.sqrt(beta), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.outer(s, 1.0 / s)
+        ratio = s[:, None] / s[None, :]
         np.fill_diagonal(ratio, 1.0)
         return np.where(A == 0.0, 0.0, A * ratio)
 

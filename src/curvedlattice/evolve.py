@@ -10,9 +10,9 @@ shifted band, the substep count and the Taylor degree), then applied to the
 state every step; a time-dependent one is built, as its band of nonzero
 diagonals, from the metric at each midpoint.  Either way only the action of
 the exponential on the state is computed (a truncated Taylor series of band
-products), so no dense matrix is formed, unless a static step is applied
-so often, or is so long, that forming the dense step matrix and applying it
-is estimated to cost less than the band products.
+products), so no dense matrix is formed, unless a step is applied so
+often, or is so long, that forming the dense step matrix and applying it is
+estimated to cost less than the band products.
 
 A run is a :class:`Route`: it is advanced one step at a time on the exact
 grid t_i = t0 + i·dt and holds only the current state and the prepared

@@ -220,8 +220,8 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise OperatorError(f"unknown boundary condition {bc!r}")
-    if a <= 0:
-        raise OperatorError(f"lattice spacing must be positive, got {a}")
+    if not a > 0 or math.isinf(0.5 / float(a)):
+        raise OperatorError(f"lattice spacing a={a} must be positive and leave 1/(2a) finite")
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
     K = gamma_algebra().hop_kernel
@@ -251,8 +251,8 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
     nonhermitian even when the regularized one is hermitian, and its
     spectrum differs at O(a).
     """
-    if a <= 0:
-        raise OperatorError(f"lattice spacing must be positive, got {a}")
+    if not a > 0 or math.isinf(0.5 / float(a)):
+        raise OperatorError(f"lattice spacing a={a} must be positive and leave 1/(2a) finite")
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
     K = gamma_algebra().hop_kernel

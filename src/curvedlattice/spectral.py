@@ -31,10 +31,10 @@ diagonals, O(L) each for a lattice step, or summed as the dense exp(B + μ)
 by scaling, Paterson–Stockmeyer and squaring (:func:`_dense_exp`).
 :func:`propagator` prepares the step exp(−iH·dt) once per step length as a
 :class:`StepOperator`, which a static operator reuses every step (``U @
-psi``); settled for the number of steps that reuse it, the step forms its
-dense matrix only when forming it and that many dense products are
-estimated to cost less than as many band steps.  :func:`expm_apply`
-prepares and applies a step at once, dense only when ‖B‖₁ exceeds n.
+psi``); settled for the number of steps that reuse it, one for the step
+:func:`expm_apply` takes, the step forms its dense matrix only when forming
+it and that many dense products are estimated to cost less than as many
+band steps (:meth:`StepOperator.for_steps`, the one routing rule).
 :func:`expm` is the public dense exponential (c = 1).
 """
 
@@ -229,11 +229,12 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
     for k, upper in diagonals.items():
         if k > 0:
             lower = diagonals[-k]
-            p = upper * lower
+            # the phase of A_ij·A_ji, read without forming the product, which may overflow
+            theta = np.where(upper != 0, np.angle(upper) + np.angle(lower), 0.0)
             if (
                 not np.array_equal(upper != 0, lower != 0)
-                or np.any(p.real < 0)
-                or np.any(np.abs(p.imag) > _SYM_TOL * np.abs(p))
+                or np.any(np.cos(theta) < 0)
+                or np.any(np.abs(np.sin(theta)) > _SYM_TOL)
             ):
                 return None
     neighbours = [[] for _ in range(n)]
@@ -466,30 +467,31 @@ def _taylor_action(B: dict, mu: complex, s: int, m: int, psi: np.ndarray) -> np.
 
 
 # Estimated costs, in nanoseconds, of the two ways to apply a step, fitted
-# to in-process timings at n = 50 … 1000 on a 2-vCPU Haswell VM (OpenBLAS,
-# two threads): a band Horner term pays numpy call overheads per term and
-# per diagonal on top of its entries; forming the dense step matrix pays its
-# n×n products and elementwise passes; a dense step is one n×n matvec.  The
-# band costs are upper bounds of those timings and the dense ones lower
-# bounds, so the band is chosen only where it beats the dense route.
+# to in-process timings on a 2-vCPU Haswell VM (OpenBLAS, two threads; the
+# fit is recorded in CHANGES.md): a band Horner term pays numpy call
+# overheads per term and per diagonal on top of its entries (upper bounds
+# of its timings); forming the dense step matrix pays a fixed overhead, its
+# n×n products and elementwise passes (near their medians, ±50 %); a dense
+# step is one n×n matvec.
 _NS_HORNER_TERM = 10_000.0
 _NS_BAND_DIAGONAL = 2_000.0
 _NS_BAND_ENTRY = 4.0
-_NS_MATVEC = 1_000.0
+_NS_MATVEC = 2_000.0
 _NS_MATVEC_ENTRY = 0.25
-_NS_PRODUCT_ENTRY = 0.07  # per n³ multiply-add of an n×n product
+_NS_FORMING = 150_000.0
+_NS_PRODUCT_ENTRY = 0.16  # per n³ multiply-add of an n×n product
 _NS_PASS_ENTRY = 2.5  # per entry of an elementwise n×n pass
 
 
 def _dense_costs(n: int, norm1: float) -> tuple[float, float]:
-    """(forming, applying) the dense step matrix of ‖B‖₁ = ``norm1``,
-    in estimated ns: the Paterson–Stockmeyer products of :func:`_taylor_poly`
-    and the j squarings, about 2m + 10 elementwise passes, and one matvec."""
+    """(forming, applying) the dense step matrix of ‖B‖₁ = ``norm1``, in
+    estimated ns: a fixed overhead, the products of :func:`_taylor_poly` and
+    the j squarings, about 2m + 10 elementwise passes, and one matvec."""
     j, m = _squarings_and_degree(norm1)
     q = max(1, math.isqrt(m))
     products = (q - 1) + (math.ceil(max(m, 1) / q) - 1) + j
     forming = products * n**3 * _NS_PRODUCT_ENTRY + (2 * m + 10) * n * n * _NS_PASS_ENTRY
-    return forming, _NS_MATVEC + n * n * _NS_MATVEC_ENTRY
+    return _NS_FORMING + forming, _NS_MATVEC + n * n * _NS_MATVEC_ENTRY
 
 
 @dataclass
@@ -573,22 +575,18 @@ def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
 
     All work runs on the nonzero diagonals of H (a :class:`LatticeOperator`'s
     band, or those of a dense matrix), so a lattice step costs O(L) per
-    product.  The step is prepared as by :func:`propagator` and applied
-    once: with B = -i·dt·H shifted by μ = tr(B)/n, s = max(1, ⌈‖B − μ‖₁⌉)
+    product.  The step is prepared by :func:`propagator` and applied once:
+    with B = -i·dt·H shifted by μ = tr(B)/n, s = max(1, ⌈‖B − μ‖₁⌉)
     substeps, each the Taylor polynomial of degree :func:`_taylor_degree`
-    (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule.  When s exceeds the
-    dimension n, the step forms its dense step matrix and applies that
-    instead, which for a band of at least n entries is cheaper.
+    (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule, or as its dense step
+    matrix where that is estimated to cost less.
     Raises on nonhermitian growth beyond the representable range.
     """
-    diagonals, n = _band(H)
+    U = propagator(H, dt)
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (n,):
-        raise SpectralError(f"state length {psi.shape} does not match matrix {(n, n)}")
-    step = _taylor_step(diagonals, n, dt)
-    if step.s > n:
-        step.form_dense()
-    return step @ psi
+    if psi.shape != (U.n,):
+        raise SpectralError(f"state length {psi.shape} does not match matrix {(U.n, U.n)}")
+    return U @ psi
 
 
 # ---------------------------------------------------------------------------

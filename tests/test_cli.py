@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,9 +17,9 @@ from curvedlattice import cli
 from curvedlattice.cli import main
 from curvedlattice.config import ConfigError, RunConfig
 from curvedlattice.expr import ExpressionError
-from curvedlattice.metric import MetricDomainError, MetricError
+from curvedlattice.metric import MetricDomainError, MetricError, MetricModel
 from curvedlattice.observables import ObservableError
-from curvedlattice.operator import build
+from curvedlattice.operator import OperatorError, build, naive_build
 
 
 def _read_csv(path):
@@ -249,6 +250,48 @@ def test_custom_metric_failure_names_the_site(alpha, message, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"numerical failure: custom metric at site 1, t=0: {message}\n"
     )
+
+
+def test_overflowing_coupling_product_classifies_without_warning(tmp_path, capsys):
+    # A_ij·A_ji overflows at M = 1e300; the symmetrizer reads its phase
+    # without forming it, and the report keeps its bytes
+    argv = ["classify", "--family", "rindler", "--L", "5", "--q", "0.1", "--M", "1e300",
+            "--out-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "symmetry.json").read_bytes() == (
+        b'{\n  "classification": "Hermitian",\n  "hermitian_residual": 0.0,\n'
+        b'  "pt_residual": Infinity,\n  "pt_spinor": "I",\n  "quasi_hermitian_residual": 0.0,\n'
+        b'  "spectrum_real": true,\n  "tol": 1e-12\n}\n'
+    )
+
+
+def test_lattice_spacing_whose_half_inverse_overflows_exits_3(tmp_path, capsys):
+    # 1/(2a) overflows for a = 1e-320: build and naive_build name a before any arithmetic
+    message = "lattice spacing a=1e-320 must be positive and leave 1/(2a) finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--family", "flat", "--L", "5", "--a", "1e-320",
+                     "--out-dir", str(tmp_path)]) == 3
+        for assemble in (build, naive_build):
+            with pytest.raises(OperatorError, match=re.escape(message)):
+                assemble(MetricModel.flat(5).sample(0.0), 0.0, 1e-320)
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+def test_negative_exponent_value_is_joined_to_its_flag(tmp_path, capsys):
+    # argparse reads "-1e-3" after a space as an option; the README gives the "=" form
+    argv = ["evolve", "--family", "flat", "--L", "4", "--t1", "0.01", "--dt", "1e-3",
+            "--out-dir", str(tmp_path)]
+    assert main([*argv, "--t0=-1e-3"]) == 0
+    header, rows = _read_csv(tmp_path / "trace.csv")
+    assert float(rows[0][header.index("t")]) == -1e-3
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--t0", "-1e-3"])
+    assert exit_.value.code == 2
+    assert "argument --t0: expected one argument" in capsys.readouterr().err
 
 
 def test_spectrum_multiple_time_slices(tmp_path):

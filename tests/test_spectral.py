@@ -561,8 +561,9 @@ def test_expm_apply_vs_scipy_on_catalog(model, M, bc, dt):
 @pytest.mark.parametrize("n", [3, 16, 64])
 @pytest.mark.parametrize("norm1", [1e-4, 0.3, 1.0, 4.0, 17.0, 50.0])
 def test_expm_apply_vs_scipy_random(n, norm1, monkeypatch):
-    # ||H dt||_1 above 1 takes several Taylor substeps; above n, the step
-    # forms its dense step matrix and applies that instead
+    # ||H dt||_1 above 1 takes several Taylor substeps; where forming the
+    # dense step matrix and one product is estimated to cost less than the
+    # band step (for_steps(1)), the step applies that instead
     calls = []
     form_dense = spectral.StepOperator.form_dense
     monkeypatch.setattr(
@@ -574,13 +575,14 @@ def test_expm_apply_vs_scipy_random(n, norm1, monkeypatch):
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     ref = scipy.linalg.expm(-1j * dt * H) @ psi
     assert _rel_err(expm_apply(H, dt, psi), ref) <= 1e-10
-    shifted = -1j * dt * (H - np.trace(H) / n * np.eye(n))
-    assert len(calls) == (np.max(np.sum(np.abs(shifted), axis=0)) > n)
+    step = spectral._taylor_step(*spectral._band(H), dt)
+    forming, applying = spectral._dense_costs(n, step.norm1)
+    assert len(calls) == (forming + applying < step.band_cost())
 
 
 def test_lattice_operator_is_read_only_through_its_band(monkeypatch):
-    # the complex-geev fallback, a dense step matrix and expm_apply's s > n
-    # branch all work from the band; none builds the operator's dense matrix
+    # the complex-geev fallback, a dense step matrix and a one-off step of
+    # s > n substeps all work from the band; none builds the operator's dense matrix
     H = build(MetricModel.linear_conformal(q=1 / 11, r=0.5, L=12).sample(0.5), 1.0, 1.0)
     A = band_matrix(H.diagonals, H.dim)
     ref = np.linalg.eigvals(A)
@@ -639,6 +641,31 @@ def test_propagator_step_vs_scipy(model, M, bc):
         assert np.array_equal(U.dense, expm(-1j * dt * H.matrix))
         assert _rel_err(U @ psi, ref) <= 1e-10
     assert once[0] is False and once[-1] is True
+
+
+@pytest.mark.parametrize(
+    "model, M, dt, dense",
+    [
+        # in-process medians (OpenBLAS, 2 threads), q = 1/(L - 1), in ms: the
+        # band step / forming the dense step matrix and one product
+        (MetricModel.rindler(q=1 / 29, L=30), 0.0, 50.0, True),  # 8.8 / 1.0 ms
+        (MetricModel.de_sitter(q=1 / 49, L=50), 1.0, 10.0, True),  # 6.7 / 3.0 ms
+        (MetricModel.de_sitter(q=1 / 49, L=50), 0.0, 10.0, False),  # 2.2 / 2.8 ms
+        (MetricModel.linear_conformal(q=1 / 19, r=0.5, L=20), 1.0, 1e-3, False),  # 0.14 / 0.24 ms
+        (MetricModel.linear_conformal(q=1 / 199, r=0.5, L=200), 1.0, 1e-3, False),  # 0.20 / 27 ms
+        (MetricModel.rindler(q=1 / 199, L=200), 1.0, 50.0, False),  # 37 / 185 ms
+        (MetricModel.linear_conformal(q=1 / 199, r=0.5, L=200), 1.0, 10.0, False),  # 6.1 / 139 ms
+        (MetricModel.rindler(q=1 / 249, L=250), 3.0, 100.0, False),  # 106 / 560 ms
+        (MetricModel.de_sitter(q=1 / 249, L=250), 5.0, 100.0, False),  # 176 / 653 ms
+    ],
+    ids=["rindler_L30", "de_sitter_L50_M1", "de_sitter_L50_M0", "linear_conformal_L20",
+         "linear_conformal_L200_dt1e-3", "rindler_L200", "linear_conformal_L200_dt10",
+         "rindler_L250", "de_sitter_L250"],
+)
+def test_one_off_route_follows_measurement(model, M, dt, dense):
+    # one application takes the route that measured faster; nothing is timed
+    H = build(model.sample(0.5), M, 1.0)
+    assert (propagator(H, dt).dense is not None) == dense
 
 
 @pytest.mark.parametrize(

@@ -22,12 +22,12 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
 from .errors import CurvedLatticeError
-from .evolve import Route, curved_route, dual_route
 from .front import _build_parser, main  # noqa: F401  (re-exported)
 from .heatmap import write_ppm
 from .metric import distance_profile
@@ -35,6 +35,9 @@ from .observables import default_gamma, energy_grid, ldos_imag, ldos_real
 from .operator import band_blocks, band_positions, build, hermitian_residual
 from .spectral import eig_general, eig_hermitian
 from .symmetry import classify
+
+if TYPE_CHECKING:
+    from .evolve import Route
 
 
 def _floats(values) -> list[float]:
@@ -208,6 +211,8 @@ def _trace_rows(curved: Route, dual: Route | None):
 
 
 def cmd_evolve(cfg: RunConfig) -> list[str]:
+    from .evolve import curved_route, dual_route
+
     run = (cfg.model(), cfg.M, cfg.initial_state(), cfg.t0, cfg.t1, cfg.dt, cfg.bc)
     curved = curved_route(*run, snapshot_times=cfg.snapshot_times)
     dual = dual_route(*run) if cfg.check_duality else None

@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from . import expr as _expr
 from .errors import CurvedLatticeError
 from .metric import MetricError, MetricModel
 
@@ -171,15 +170,18 @@ class RunConfig:
     # -- derived objects ---------------------------------------------------
 
     def model(self) -> MetricModel:
+        if self.family != "custom":
+            try:
+                return MetricModel(self.family, self.L, self.a, q=self.q_value, r=self.r)
+            except MetricError as err:
+                raise ConfigError(str(err)) from err
+        if not self.alpha or not self.beta:
+            raise ConfigError("custom metric needs both alpha and beta expressions")
+        from .expr import ExpressionError  # the DSL loads for custom metrics only
+
         try:
-            if self.family == "custom":
-                if not self.alpha or not self.beta:
-                    raise ConfigError("custom metric needs both alpha and beta expressions")
-                return MetricModel.custom(
-                    self.alpha, self.beta, L=self.L, a=self.a, params=self.params
-                )
-            return MetricModel(self.family, self.L, self.a, q=self.q_value, r=self.r)
-        except (MetricError, _expr.ExpressionError) as err:
+            return MetricModel.custom(self.alpha, self.beta, L=self.L, a=self.a, params=self.params)
+        except (MetricError, ExpressionError) as err:
             raise ConfigError(str(err)) from err
 
     def initial_state(self):

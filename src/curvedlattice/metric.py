@@ -30,13 +30,15 @@ downstream code evaluates the vanishing combinations with guarded products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from . import expr as _expr
 from .errors import CurvedLatticeError
 from .front import FAMILIES
+
+if TYPE_CHECKING:
+    from . import expr as _expr
 
 _NEEDS_Q = ("rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal")
 _HAS_R = ("weyl", "linear_conformal")
@@ -95,6 +97,8 @@ class MetricModel:
         if self.family == "custom":
             if self.alpha_expr is None or self.beta_expr is None:
                 raise MetricError("custom metric requires alpha and beta expressions")
+            from . import expr as _expr
+
             # ∂₀β is derived, never set, so it cannot disagree with β
             object.__setattr__(self, "dbeta_expr", _expr.diff_t(self.beta_expr))
             unbound = (
@@ -137,6 +141,8 @@ class MetricModel:
         a: float = 1.0,
         params: Mapping[str, float] | None = None,
     ) -> "MetricModel":
+        from . import expr as _expr
+
         alpha_ast = _expr.parse(alpha) if isinstance(alpha, str) else alpha
         beta_ast = _expr.parse(beta) if isinstance(beta, str) else beta
         return MetricModel(
@@ -162,6 +168,8 @@ class MetricModel:
             return False
         if self.family in _HAS_R:
             return self.r != 0.0
+        from . import expr as _expr
+
         return _expr.uses_variable(self.alpha_expr, "t") or _expr.uses_variable(
             self.beta_expr, "t"
         )
@@ -182,6 +190,8 @@ class MetricModel:
 
     def provenance(self) -> str:
         if self.family == "custom":
+            from . import expr as _expr
+
             return (
                 f"custom(alpha={_expr.to_source(self.alpha_expr)!r}, "
                 f"beta={_expr.to_source(self.beta_expr)!r})"
@@ -259,6 +269,8 @@ class MetricModel:
         )
 
     def _sample_custom(self, t, x):
+        from . import expr as _expr
+
         params = dict(self.params)
         alpha = np.empty(self.L)
         beta = np.empty(self.L)

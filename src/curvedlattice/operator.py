@@ -143,10 +143,29 @@ def band_blocks(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarra
     return out
 
 
+def column_norms(A: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of A.  A column of finite entries whose
+    plain sum of squares overflows is summed again scaled by its largest
+    real or imaginary magnitude, so its norm is finite wherever the true
+    norm is; every other column keeps the plain sum's bytes."""
+    with np.errstate(over="ignore"):  # a true norm beyond the float range is inf
+        norms = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
+        for j in np.flatnonzero(np.isinf(norms)):
+            big = np.max(np.maximum(np.abs(A[:, j].real), np.abs(A[:, j].imag)))
+            if np.isfinite(big):
+                norms[j] = big * np.sqrt(np.sum(np.abs(A[:, j] / big) ** 2))
+    return norms
+
+
 def band_norm(pieces: dict) -> float:
     """Frobenius norm of a matrix given as disjoint pieces of its entries
-    (its diagonals {k: entries}, or its 2×2 blocks by block offset)."""
-    return math.sqrt(sum(float(np.vdot(d, d).real) for d in pieces.values()))
+    (its diagonals {k: entries}, or its 2×2 blocks by block offset).  A
+    plain sum of squares that overflows is redone by :func:`column_norms`."""
+    total = sum(float(np.vdot(d, d).real) for d in pieces.values())
+    if not math.isinf(total):
+        return math.sqrt(total)
+    entries = np.concatenate([np.ravel(d) for d in pieces.values()])
+    return float(column_norms(entries[:, None])[0])
 
 
 def band_distance(X: dict, Y: dict) -> float:

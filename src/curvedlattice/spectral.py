@@ -48,7 +48,7 @@ import numpy as np
 from .errors import CurvedLatticeError
 from .operator import (
     band_adjoint, band_blocks, band_distance, band_matrix, band_norm, band_positions,
-    band_similarity, hermitian_residual,
+    band_similarity, column_norms, hermitian_residual,
 )
 
 _EPS = np.finfo(float).eps
@@ -102,7 +102,7 @@ def _decomposition(lam, V, diagonals, route) -> SpectralDecomposition:
         return SpectralDecomposition(lam, None, None, hnorm, route)
     V = V[:, order]
     R = _band_matvec(diagonals, V) - V * lam[None, :]
-    return SpectralDecomposition(lam, V, np.sqrt(np.sum(np.abs(R) ** 2, axis=0)), hnorm, route)
+    return SpectralDecomposition(lam, V, column_norms(R), hnorm, route)
 
 
 def _accepted(dec: SpectralDecomposition) -> bool:

@@ -254,7 +254,7 @@ def test_custom_metric_failure_names_the_site(alpha, message, tmp_path, capsys):
 
 def test_overflowing_coupling_product_classifies_without_warning(tmp_path, capsys):
     # A_ij·A_ji overflows at M = 1e300; the symmetrizer reads its phase
-    # without forming it, and the report keeps its bytes
+    # without forming it, and the PT residual is the finite ‖α − reversed α‖/‖α‖
     argv = ["classify", "--family", "rindler", "--L", "5", "--q", "0.1", "--M", "1e300",
             "--out-dir", str(tmp_path)]
     with warnings.catch_warnings():
@@ -263,9 +263,52 @@ def test_overflowing_coupling_product_classifies_without_warning(tmp_path, capsy
     assert capsys.readouterr().err == ""
     assert (tmp_path / "symmetry.json").read_bytes() == (
         b'{\n  "classification": "Hermitian",\n  "hermitian_residual": 0.0,\n'
-        b'  "pt_residual": Infinity,\n  "pt_spinor": "I",\n  "quasi_hermitian_residual": 0.0,\n'
-        b'  "spectrum_real": true,\n  "tol": 1e-12\n}\n'
+        b'  "pt_residual": 1.1547005383792515,\n  "pt_spinor": "I",\n'
+        b'  "quasi_hermitian_residual": 0.0,\n  "spectrum_real": true,\n  "tol": 1e-12\n}\n'
     )
+
+
+def _strict_json(path):
+    """The JSON document at path; NaN and Infinity, which RFC 8259 lacks, raise."""
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,residuals", [
+    # −ir/2 on the diagonal dominates: ‖H − H†‖ = 2‖H‖
+    (["--family", "weyl", "--q", "0.05", "--r", "1e300"], (2.0, 2.0, 2.0)),
+    # ∂₀β/β = r/w = 1e300 at the first site alone
+    (["--family", "linear_conformal", "--q", "0.1", "--r", "0.5", "--times", "1e-300"],
+     (2.0, 2.0, 2**0.5)),
+], ids=["weyl", "linear_conformal"])
+def test_residuals_stay_finite_when_squares_overflow(argv, residuals, tmp_path, capsys):
+    # entries past 1e154 overflow a plain sum of squares; the norms rescale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", *argv, "--L", "5", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = _strict_json(tmp_path / "symmetry.json")
+    got = (report["hermitian_residual"], report["quasi_hermitian_residual"], report["pt_residual"])
+    assert got == pytest.approx(residuals, rel=1e-12)
+    assert report["classification"] == "NonHermitian"
+
+
+def test_residual_column_stays_finite_when_squares_overflow(tmp_path, capsys):
+    # hoppings of 1/(2a) = 5e299: each residual is summed scaled by its largest entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--family", "flat", "--L", "5", "--a", "1e-300",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_csv(tmp_path / "spectrum.csv")
+    energies = np.array([float(row[header.index("re_E")]) for row in rows])
+    residuals = np.array([float(row[header.index("residual")]) for row in rows])
+    band = 1e300 * np.cos(np.pi * np.arange(1, 6) / 6)  # the open chain's ±(1/a)cos(jπ/6)
+    assert np.allclose(energies, np.sort(np.concatenate([band, -band])), rtol=1e-14, atol=1e286)
+    assert np.all(np.isfinite(residuals)) and residuals.max() < 1e-14 * np.abs(energies).max()
+    assert _strict_json(tmp_path / "symmetry.json")["classification"] == "Hermitian"
 
 
 def test_lattice_spacing_whose_half_inverse_overflows_exits_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from curvedlattice.operator import (
     OperatorError,
     band_blocks,
     band_matrix,
+    band_norm,
     band_similarity,
     build,
+    column_norms,
     flat_dispersion,
     gamma_algebra,
     hermitian_residual,
@@ -322,3 +326,28 @@ def test_band_similarity_limits_at_a_horizon():
     assert out[1][0] == 0.0 and not np.isfinite(out[1][1])
     assert np.array_equal(out[-1], [0.0, 0.0])
     assert np.array_equal(out[2], [(0.25 + 1j) * (2.0 / 0.5)])
+
+
+def test_norms_keep_the_plain_sum_in_range():
+    # entries from 1e-150 to 1e150: no square overflows, so both norms are
+    # the plain sums of squares, byte for byte
+    rng = np.random.default_rng(7)
+    A = (rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))) * 10.0 ** rng.integers(
+        -150, 150, size=(40, 6)
+    )
+    assert np.array_equal(column_norms(A), np.sqrt(np.sum(np.abs(A) ** 2, axis=0)))
+    pieces = {k: A[:, k] for k in range(6)}
+    plain = np.sqrt(sum(float(np.vdot(d, d).real) for d in pieces.values()))
+    assert band_norm(pieces) == plain
+
+
+def test_norms_rescale_a_sum_of_squares_that_overflows():
+    big = 3e300
+    A = np.array([[big, 1.0, np.inf], [4j * big / 3, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = column_norms(A)
+        assert norms[0] == pytest.approx(5e300, rel=1e-15)
+        assert norms[1] == 1.0 and norms[2] == np.inf  # a non-finite entry stays non-finite
+        assert band_norm({0: A[:, 0], 1: A[:, 1]}) == pytest.approx(np.hypot(5e300, 1.0))
+        assert band_norm({0: np.full(3, 1.5e308)}) == np.inf  # beyond the float range

@@ -1,5 +1,6 @@
-"""Start-up cost: help, usage errors and a bare import load no numpy, and
-the lazy package namespace still exports every public name."""
+"""Start-up cost: help, usage errors and a bare import load no numpy, each
+command loads only the package modules it runs, and the lazy package
+namespace still exports every public name."""
 
 import importlib
 import json
@@ -27,6 +28,12 @@ print(json.dumps([code, "numpy" in sys.modules]))
 """
 
 
+# ... then the exit code and the package modules loaded, on one more line
+_RUN_MODULE_LOADED = _RUN_MODULE + (
+    'print(json.dumps([code, [m for m in sys.modules if m.startswith("curvedlattice.")]]))\n'
+)
+
+
 def _python(code, *argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
@@ -46,6 +53,29 @@ def test_usage_error_loads_no_numpy():
     last, err = _python(_RUN_MODULE, "evolve", "--nope")
     assert json.loads(last) == [2, False]
     assert "unrecognized arguments: --nope" in err and "Traceback" not in err
+
+
+_CATALOG = ["--family", "de_sitter", "--L", "8"]
+# the modules whose functions perfbench/tracer.py wraps where cli looks them up
+_LOOKUP_SITES = {"spectral", "symmetry", "observables", "heatmap"}
+
+
+@pytest.mark.parametrize("argv,loads,skips", [
+    *[pytest.param([command, *_CATALOG], set(), {"expr", "evolve"}, id=command)
+      for command in ("spectrum", "ldos", "classify", "dump")],
+    pytest.param(["evolve", "--family", "linear_conformal", "--q", "0.1", "--r", "0.5", "--L", "8",
+                  "--t0", "0.1", "--t1", "0.102", "--dt", "1e-3"], {"evolve"}, {"expr"}, id="evolve"),
+    pytest.param(["classify", "--family", "custom", "--alpha", "1+0.1*x", "--beta", "exp(-t)",
+                  "--L", "8"], {"expr"}, {"evolve"}, id="custom"),
+])
+def test_commands_load_only_the_modules_they_run(argv, loads, skips, tmp_path):
+    # the metric DSL loads for a custom metric alone, evolve for evolve alone
+    last, _ = _python(_RUN_MODULE_LOADED, *argv, "--out-dir", str(tmp_path))
+    code, loaded = json.loads(last)
+    loaded = {name.removeprefix("curvedlattice.") for name in loaded}
+    assert code == 0
+    assert loads | _LOOKUP_SITES <= loaded
+    assert not skips & loaded
 
 
 def test_bare_import_loads_no_numpy():

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import CurvedLatticeError
-from .metric import MetricError, MetricModel
+from .metric import MetricModel
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "CURVEDLATTICE_OUTDIR"
@@ -170,18 +170,17 @@ class RunConfig:
     # -- derived objects ---------------------------------------------------
 
     def model(self) -> MetricModel:
-        if self.family != "custom":
-            try:
-                return MetricModel(self.family, self.L, self.a, q=self.q_value, r=self.r)
-            except MetricError as err:
-                raise ConfigError(str(err)) from err
-        if not self.alpha or not self.beta:
+        """The configured metric.  Building one samples nothing, so every
+        error it raises is a setting: a ConfigError with the same text."""
+        if self.family == "custom" and not (self.alpha and self.beta):
             raise ConfigError("custom metric needs both alpha and beta expressions")
-        from .expr import ExpressionError  # the DSL loads for custom metrics only
-
         try:
-            return MetricModel.custom(self.alpha, self.beta, L=self.L, a=self.a, params=self.params)
-        except (MetricError, ExpressionError) as err:
+            if self.family == "custom":
+                return MetricModel.custom(
+                    self.alpha, self.beta, L=self.L, a=self.a, params=self.params
+                )
+            return MetricModel(self.family, self.L, self.a, q=self.q_value, r=self.r)
+        except CurvedLatticeError as err:
             raise ConfigError(str(err)) from err
 
     def initial_state(self):

@@ -289,15 +289,14 @@ def dual_route(
 ) -> Route:
     """The flat-spacetime dual of a conformally flat metric, as a :class:`Route`.
 
-    Requires α = β (Weyl, linear-conformal, or a custom metric with equal
-    expressions).  The rescaled field ψ̃ = D(t)ψ evolves under the flat
-    kinetic term plus the renormalized mass M·α_n(t); the route records the
-    physical field ψ(t) = D(t)⁻¹ψ̃(t).
+    Requires α ≡ β (:attr:`MetricModel.conformally_flat`).  The rescaled
+    field ψ̃ = D(t)ψ evolves under the flat kinetic term plus the
+    renormalized mass M·α_n(t); the route records the physical field
+    ψ(t) = D(t)⁻¹ψ̃(t).
     """
-    if model.family == "custom":
-        if model.alpha_expr != model.beta_expr:
+    if not model.conformally_flat:
+        if model.alpha_expr is not None:  # a metric given by expressions
             raise EvolveError("dual propagation needs alpha = beta (conformally flat)")
-    elif model.family not in ("flat", "weyl", "linear_conformal"):
         raise EvolveError(f"metric family {model.family!r} is not conformally flat")
     L, a = model.L, model.a
     # the flat kinetic band has no ±1 diagonals (its mass entries are exactly

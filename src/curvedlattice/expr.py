@@ -434,22 +434,18 @@ def _node_prec(node: Expr) -> int:
     return _ATOM_PREC
 
 
-def to_source(node: Expr) -> str:
-    """Render the AST back to parseable text with minimal parentheses.
-
-    ``parse(to_source(ast))`` is structurally identical to ``ast``.
-    """
-    return _print(node)
-
-
 def _wrap(node: Expr, min_prec: int) -> str:
-    text = _print(node)
+    text = to_source(node)
     if _node_prec(node) < min_prec:
         return f"({text})"
     return text
 
 
-def _print(node: Expr) -> str:
+def to_source(node: Expr) -> str:
+    """Render the AST back to parseable text with minimal parentheses.
+
+    ``parse(to_source(ast))`` is structurally identical to ``ast``.
+    """
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, (Var, Param)):
@@ -457,7 +453,7 @@ def _print(node: Expr) -> str:
     if isinstance(node, Neg):
         return "-" + _wrap(node.arg, _NEG_PREC)
     if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg)})"
+        return f"{node.fn}({to_source(node.arg)})"
     if isinstance(node, BinOp):
         if node.op == "^":
             # lhs must be atomic; rhs parses at the unary level
@@ -484,3 +480,38 @@ def param_names(node: Expr) -> frozenset[str]:
 def uses_variable(node: Expr, name: str) -> bool:
     """True if variable ``name`` ('x' or 't') appears in the tree."""
     return Var(name) in _leaves(node)
+
+
+# ---------------------------------------------------------------------------
+# Custom metrics
+
+
+class CustomProfiles:
+    """A custom metric: α(x, t), β(x, t), the ∂₀β derived from β (so it cannot
+    disagree with β; building raises DerivativeError where β has none) and
+    the parameters they are sampled with."""
+
+    def __init__(self, alpha: Expr, beta: Expr, params):
+        self.alpha, self.beta, self.dbeta, self.params = alpha, beta, diff_t(beta), dict(params)
+        self.param_names = param_names(alpha) | param_names(beta)
+        self.time_dependent = uses_variable(alpha, "t") or uses_variable(beta, "t")
+        self.conformally_flat = alpha == beta
+        self.source = f"custom(alpha={to_source(alpha)!r}, beta={to_source(beta)!r})"
+
+    def sample(self, xs, t: float) -> tuple[list[float], list[float], list[float]]:
+        """α, β and ∂₀β/β (0 where β = 0 = ∂₀β) at each site coordinate of
+        ``xs`` at time t.  An EvalError names the first site that fails."""
+        alpha, beta, dlog = [], [], []
+        for n, x in enumerate(xs):
+            try:
+                a = evaluate(self.alpha, x, t, self.params)
+                b = evaluate(self.beta, x, t, self.params)
+                db = evaluate(self.dbeta, x, t, self.params)
+            except EvalError as err:
+                raise EvalError(f"custom metric at site {n}, t={t:g}: {err}") from err
+            if b == 0.0 and db != 0.0:
+                raise EvalError(f"divergent ∂₀β/β: β = 0 with ∂₀β = {db:g} at site {n}, t={t:g}")
+            alpha.append(a)
+            beta.append(b)
+            dlog.append(db / b if b != 0.0 else 0.0)
+        return alpha, beta, dlog

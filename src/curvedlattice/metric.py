@@ -30,6 +30,7 @@ downstream code evaluates the vanishing combinations with guarded products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -46,6 +47,11 @@ _HAS_R = ("weyl", "linear_conformal")
 # Samples within a few ulp of the de Sitter horizon are snapped onto it so a
 # horizon pinned to a lattice site decouples exactly (zero hopping, not 1e-8).
 _HORIZON_SNAP = 16 * np.finfo(float).eps
+
+
+def _dsl():
+    from . import expr  # the expression DSL loads with the first custom metric
+    return expr
 
 
 class MetricError(CurvedLatticeError):
@@ -97,15 +103,14 @@ class MetricModel:
         if self.family == "custom":
             if self.alpha_expr is None or self.beta_expr is None:
                 raise MetricError("custom metric requires alpha and beta expressions")
-            from . import expr as _expr
-
-            # ∂₀β is derived, never set, so it cannot disagree with β
-            object.__setattr__(self, "dbeta_expr", _expr.diff_t(self.beta_expr))
-            unbound = (
-                _expr.param_names(self.alpha_expr) | _expr.param_names(self.beta_expr)
-            ) - set(self.params)
+            unbound = self._custom.param_names - set(self.params)
             if unbound:
                 raise MetricError(f"unbound metric parameters: {sorted(unbound)}")
+
+    @cached_property
+    def _custom(self) -> _expr.CustomProfiles:
+        """The custom metric's profiles, built once, by the constructor."""
+        return _dsl().CustomProfiles(self.alpha_expr, self.beta_expr, self.params)
 
     # -- constructors ------------------------------------------------------
 
@@ -141,16 +146,11 @@ class MetricModel:
         a: float = 1.0,
         params: Mapping[str, float] | None = None,
     ) -> "MetricModel":
-        from . import expr as _expr
-
-        alpha_ast = _expr.parse(alpha) if isinstance(alpha, str) else alpha
-        beta_ast = _expr.parse(beta) if isinstance(beta, str) else beta
+        parse = _dsl().parse
         return MetricModel(
-            "custom",
-            L,
-            a,
-            alpha_expr=alpha_ast,
-            beta_expr=beta_ast,
+            "custom", L, a,
+            alpha_expr=parse(alpha) if isinstance(alpha, str) else alpha,
+            beta_expr=parse(beta) if isinstance(beta, str) else beta,
             params=dict(params or {}),
         )
 
@@ -164,15 +164,16 @@ class MetricModel:
     @property
     def time_dependent(self) -> bool:
         """True if the sampled profiles can change with t."""
-        if self.family in ("flat", "rindler", "de_sitter", "anti_de_sitter"):
-            return False
-        if self.family in _HAS_R:
-            return self.r != 0.0
-        from . import expr as _expr
+        if self.family == "custom":
+            return self._custom.time_dependent
+        return self.family in _HAS_R and self.r != 0.0
 
-        return _expr.uses_variable(self.alpha_expr, "t") or _expr.uses_variable(
-            self.beta_expr, "t"
-        )
+    @property
+    def conformally_flat(self) -> bool:
+        """True if α ≡ β, so that the field has a flat-spacetime dual."""
+        if self.family == "custom":
+            return self._custom.conformally_flat
+        return self.family in ("flat", "weyl", "linear_conformal")
 
     def static_operator(self, M: float) -> bool:
         """True if the assembled Hamiltonian is time-independent.
@@ -182,20 +183,11 @@ class MetricModel:
         the onsite term to -ir/2, none of which depend on t, so H is static
         even though the metric itself is not.
         """
-        if not self.time_dependent:
-            return True
-        if self.family == "weyl" and M == 0.0:
-            return True
-        return False
+        return not self.time_dependent or (self.family == "weyl" and M == 0.0)
 
     def provenance(self) -> str:
         if self.family == "custom":
-            from . import expr as _expr
-
-            return (
-                f"custom(alpha={_expr.to_source(self.alpha_expr)!r}, "
-                f"beta={_expr.to_source(self.beta_expr)!r})"
-            )
+            return self._custom.source
         bits = []
         if self.family in _NEEDS_Q:
             bits.append(f"q={self.q:g}")
@@ -214,14 +206,9 @@ class MetricModel:
         x = self.x
         L = self.L
         with np.errstate(all="ignore"):  # a non-finite sample is reported below
-            if self.family == "flat":
-                alpha = np.ones(L)
-                beta = np.ones(L)
-                dlog = np.zeros(L)
-            elif self.family == "rindler":
-                alpha = self.q * x
-                beta = np.ones(L)
-                dlog = np.zeros(L)
+            if self.family in ("flat", "rindler"):
+                alpha = np.ones(L) if self.family == "flat" else self.q * x
+                beta, dlog = np.ones(L), np.zeros(L)
             elif self.family in ("de_sitter", "anti_de_sitter"):
                 sign = -1.0 if self.family == "de_sitter" else 1.0
                 s = 1.0 + sign * (self.q * x) ** 2
@@ -254,7 +241,10 @@ class MetricModel:
                 beta = w
                 dlog = self.r / w if self.r != 0.0 else np.zeros(L)
             else:  # custom
-                alpha, beta, dlog = self._sample_custom(t, x)
+                try:
+                    alpha, beta, dlog = map(np.array, self._custom.sample(x.tolist(), t))
+                except CurvedLatticeError as err:  # the DSL's EvalError, naming the site
+                    raise MetricDomainError(str(err)) from err
         if np.any(alpha < 0) or np.any(beta < 0):
             raise MetricDomainError(f"negative metric sample for {self.provenance()} at t={t:g}")
         bad = ~np.isfinite(alpha) | ~np.isfinite(beta) & (alpha != 0.0) | ~np.isfinite(dlog)
@@ -267,30 +257,6 @@ class MetricModel:
             beta=np.asarray(beta, dtype=float),
             dlog_beta_dt=np.asarray(dlog, dtype=float),
         )
-
-    def _sample_custom(self, t, x):
-        from . import expr as _expr
-
-        params = dict(self.params)
-        alpha = np.empty(self.L)
-        beta = np.empty(self.L)
-        dlog = np.empty(self.L)
-        for n, xn in enumerate(x.tolist()):
-            try:
-                alpha[n] = _expr.evaluate(self.alpha_expr, xn, t, params)
-                beta[n] = _expr.evaluate(self.beta_expr, xn, t, params)
-                dbeta = _expr.evaluate(self.dbeta_expr, xn, t, params)
-            except _expr.EvalError as err:
-                raise MetricDomainError(f"custom metric at site {n}, t={t:g}: {err}") from err
-            if beta[n] == 0.0:
-                if dbeta != 0.0:
-                    raise MetricDomainError(
-                        f"divergent ∂₀β/β: β = 0 with ∂₀β = {dbeta:g} at site {n}, t={t:g}"
-                    )
-                dlog[n] = 0.0
-            else:
-                dlog[n] = dbeta / beta[n]
-        return alpha, beta, dlog
 
 
 def distance_profile(metric: SampledMetric) -> np.ndarray:

@@ -40,9 +40,17 @@ class LdosGrid:
 
 
 def lorentzian_delta(x, gamma: float):
-    """Lorentzian approximation of δ(x): (1/π)·Γ/(x² + Γ²)."""
+    """Lorentzian approximation of δ(x): (1/π)·Γ/(x² + Γ²).
+
+    Γ² must not fall below the normal float range: there the peak 1/(πΓ)
+    is lost to underflow (Γ² = 0 divides by zero), so such a Γ is an error.
+    """
     if gamma <= 0:
         raise ObservableError(f"broadening must be positive, got {gamma}")
+    if gamma * gamma < np.finfo(float).tiny:
+        raise ObservableError(
+            f"broadening gamma={gamma:g} cannot be squared: gamma² underflows the float range"
+        )
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # Γ² = inf gives the limit 0
         return gamma / (np.pi * (x * x + gamma * gamma))

@@ -28,6 +28,10 @@ from .errors import CurvedLatticeError
 from .metric import SampledMetric
 
 BOUNDARY_CONDITIONS = ("open", "periodic")
+_TINY = np.finfo(float).tiny  # the smallest normal float
+# every entry of a sum of squares below _TINY is under 2^-511: lifted by
+# 2^600 its square is normal, and a sum of squares cannot overflow
+_LIFT = 2.0**600
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -146,25 +150,31 @@ def band_blocks(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarra
 def column_norms(A: np.ndarray) -> np.ndarray:
     """The 2-norm of each column of A.  A column of finite entries whose
     plain sum of squares overflows is summed again scaled by its largest
-    real or imaginary magnitude, so its norm is finite wherever the true
+    real or imaginary magnitude, and one whose sum falls below the normal
+    range (where squares underflow) is summed again lifted by the exact
+    power of two _LIFT, so its norm is finite and nonzero wherever the true
     norm is; every other column keeps the plain sum's bytes."""
     with np.errstate(over="ignore"):  # a true norm beyond the float range is inf
-        norms = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
-        for j in np.flatnonzero(np.isinf(norms)):
+        squares = np.sum(np.abs(A) ** 2, axis=0)
+        norms = np.sqrt(squares)
+        for j in np.flatnonzero(np.isinf(squares)):
             big = np.max(np.maximum(np.abs(A[:, j].real), np.abs(A[:, j].imag)))
             if np.isfinite(big):
                 norms[j] = big * np.sqrt(np.sum(np.abs(A[:, j] / big) ** 2))
+    for j in np.flatnonzero(squares < _TINY):
+        norms[j] = np.sqrt(np.sum(np.abs(A[:, j] * _LIFT) ** 2)) / _LIFT
     return norms
 
 
 def band_norm(pieces: dict) -> float:
     """Frobenius norm of a matrix given as disjoint pieces of its entries
     (its diagonals {k: entries}, or its 2×2 blocks by block offset).  A
-    plain sum of squares that overflows is redone by :func:`column_norms`."""
+    plain sum of squares that overflows or falls below the normal range is
+    redone by :func:`column_norms`."""
     total = sum(float(np.vdot(d, d).real) for d in pieces.values())
-    if not math.isinf(total):
+    if _TINY <= total < math.inf:
         return math.sqrt(total)
-    entries = np.concatenate([np.ravel(d) for d in pieces.values()])
+    entries = np.concatenate([np.zeros(0), *map(np.ravel, pieces.values())])
     return float(column_norms(entries[:, None])[0])
 
 

@@ -6,6 +6,7 @@ from curvedlattice.evolve import (
     EvolveError,
     PropagationError,
     dual_propagate,
+    dual_route,
     gaussian_packet,
     plane_wave,
     propagate,
@@ -162,6 +163,31 @@ def test_dual_requires_conformally_flat():
     model = MetricModel.rindler(q=0.1, L=20)
     with pytest.raises(EvolveError):
         dual_propagate(model, 0.0, single_site(5, 20), 0.0, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("model,message", [
+    (MetricModel.flat(L=6), None),
+    (MetricModel.weyl(q=0.1, r=0.2, L=6), None),
+    (MetricModel.linear_conformal(q=0.1, r=0.2, L=6), None),
+    (MetricModel.custom("exp(c*x+t)", "exp(c*x+t)", L=6, params={"c": 0.1}), None),
+    (MetricModel.rindler(q=0.1, L=6), "metric family 'rindler' is not conformally flat"),
+    (MetricModel.de_sitter(q=0.1, L=6), "metric family 'de_sitter' is not conformally flat"),
+    (MetricModel.anti_de_sitter(q=0.1, L=6),
+     "metric family 'anti_de_sitter' is not conformally flat"),
+    (MetricModel.custom("exp(0.1*x)", "exp(0.1*x+0*t)", L=6),
+     "dual propagation needs alpha = beta (conformally flat)"),
+], ids=["flat", "weyl", "linear_conformal", "custom-equal", "rindler", "de_sitter",
+        "anti_de_sitter", "custom-unequal"])
+def test_dual_route_takes_exactly_the_conformally_flat_metrics(model, message):
+    # α ≡ β is decided on the trees as written: exp(0.1*x+0*t) is not exp(0.1*x)
+    assert model.conformally_flat is (message is None)
+    psi0 = single_site(2, 6)
+    if message is None:
+        assert not dual_route(model, 0.5, psi0, 0.1, 0.12, 1e-2).done
+    else:
+        with pytest.raises(EvolveError) as err:
+            dual_route(model, 0.5, psi0, 0.1, 0.12, 1e-2)
+        assert str(err.value) == message
 
 
 def test_domain_violation_mid_run_flushes_partial():

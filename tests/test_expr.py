@@ -28,7 +28,7 @@ from curvedlattice.expr import (
     to_source,
     uses_variable,
 )
-from curvedlattice.metric import MetricError, MetricModel
+from curvedlattice.metric import MetricDomainError, MetricError, MetricModel
 from curvedlattice.operator import OperatorError, build
 
 
@@ -355,3 +355,27 @@ def test_hypothesis_unit_beta_gives_entrywise_hermitian_operator(tree, t, M, bc)
     except (MetricError, ExpressionError, OperatorError):
         return  # alpha leaves its domain on the chain
     assert np.array_equal(H, H.conj().T)
+
+
+@pytest.mark.parametrize("alpha,beta,error", [
+    ("sqrt(1+c*x)*(1+0.1*tanh(t))", "exp(-0.5*t)*log(2+x)^2", None),
+    ("sqrt(x-3)", "1", "custom metric at site 0, t=0.5: sqrt of negative value -3.0"),
+    ("1+c*log(abs(x-1))", "1", "custom metric at site 1, t=0.5: log of non-positive value 0.0"),
+    # β = 0 = ∂₀β at site 0 gives ∂₀β/β = 0; site 1 has ∂₀β = 1
+    ("1", "(t-0.5)*x", "divergent ∂₀β/β: β = 0 with ∂₀β = 1 at site 1, t=0.5"),
+], ids=["profiles", "sqrt", "log", "beta0"])
+def test_direct_and_custom_built_models_sample_alike(alpha, beta, error):
+    # one owner samples both: the same bytes, or the same error at the same site
+    params = {"c": 0.01}
+    built = MetricModel.custom(alpha, beta, L=8, params=params)
+    direct = MetricModel("custom", 8, alpha_expr=parse(alpha), beta_expr=parse(beta), params=params)
+    if error is None:
+        for t in (0.0, 0.5):
+            a, b = built.sample(t), direct.sample(t)
+            for name in ("alpha", "beta", "dlog_beta_dt"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        return
+    for model in (built, direct):
+        with pytest.raises(MetricDomainError) as err:
+            model.sample(0.5)
+        assert str(err.value) == error

@@ -281,12 +281,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     state = {key: flags.pop(key) for key in ("k", "branch") if key in flags}
     overrides = {key: value for key, value in flags.items() if key not in ("command", "config")}
     cfg = RunConfig.from_file(args.config, overrides) if args.config else RunConfig.from_dict(overrides)
-    # --k and --branch set one field each of the configured initial state
-    if state:
-        if cfg.initial["kind"] == "kick":
-            raise ConfigError(f"a kick initial state has no {' or '.join(state)}")
-        cfg.initial.update(state)
-        cfg.validate()
+    # --k and --branch set one field each of the configured initial state,
+    # which `initial_state` checks when `evolve` builds it
+    cfg.initial.update(state)
     return cfg
 
 

@@ -4,7 +4,8 @@ A config file is a single JSON document with a ``schema`` version field.
 Every CLI flag has a file equivalent; flags override file values, and the
 ``CURVEDLATTICE_OUTDIR`` environment variable overrides the file's output
 directory (but not an explicit flag).  Configs are fully deterministic —
-no seeds anywhere.
+no seeds anywhere.  :class:`RunConfig` alone resolves and checks a run: it
+validates once and keeps the metric it built.
 """
 
 from __future__ import annotations
@@ -14,15 +15,21 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .errors import CurvedLatticeError
+from .front import AXES, BOUNDARY_CONDITIONS
 from .metric import MetricModel
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "CURVEDLATTICE_OUTDIR"
 
-_AXES = ("real", "imaginary", "both")
-_INITIAL_KINDS = ("plane_wave", "gaussian", "kick")
+# the fields each initial-state kind takes; any other field is a config error
+_INITIAL_FIELDS = {
+    "plane_wave": ("k", "branch"),
+    "gaussian": ("center", "width", "k", "branch"),
+    "kick": ("site", "component"),
+}
 # fields that must hold a finite number (None where the field is optional) or a list of them
 _REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol")
 _INTEGERS = ("L", "n_e")
@@ -38,6 +45,22 @@ def _is_real(value) -> bool:
 
 class ConfigError(CurvedLatticeError):
     """Invalid run configuration."""
+
+
+def _check_initial(initial) -> None:
+    """An initial state is an object of a known kind and the finite numbers
+    of that kind's fields, a whole number where the field counts."""
+    if not (isinstance(initial, dict) and all(_is_real(v) for k, v in initial.items() if k != "kind")):
+        raise ConfigError(f"initial must be an object of finite numbers and a kind, got {initial!r}")
+    kind = initial.get("kind")
+    if kind not in _INITIAL_FIELDS:
+        raise ConfigError(f"initial.kind must be one of {tuple(_INITIAL_FIELDS)}, got {kind!r}")
+    foreign = [name for name in initial if name != "kind" and name not in _INITIAL_FIELDS[kind]]
+    if foreign:
+        raise ConfigError(f"a {kind} initial state has no {' or '.join(foreign)}")
+    for name in ("branch", "site", "component"):
+        if name in initial and initial[name] != int(initial[name]):
+            raise ConfigError(f"initial.{name} must be a whole number, got {initial[name]!r}")
 
 
 @dataclass
@@ -101,6 +124,8 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
         merged = dict(data)
+        if OUTDIR_ENV in os.environ:  # it overrides the file (from_dict reads it)
+            merged.pop("out_dir", None)
         merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         return cls.from_dict(merged)
 
@@ -129,23 +154,16 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an expression string, got {value!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
-        if not (
-            isinstance(self.initial, dict)
-            and all(_is_real(v) for k, v in self.initial.items() if k != "kind")
-        ):
-            raise ConfigError(
-                f"initial must be an object of finite numbers and a kind, got {self.initial!r}"
-            )
         if self.schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {self.schema} (expected {SCHEMA_VERSION})")
         if self.L < 2:
             raise ConfigError(f"L must be at least 2, got {self.L}")
         if self.a <= 0:
             raise ConfigError(f"a must be positive, got {self.a}")
-        if self.bc not in ("open", "periodic"):
-            raise ConfigError(f"bc must be open or periodic, got {self.bc!r}")
-        if self.axis not in _AXES:
-            raise ConfigError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        if self.bc not in BOUNDARY_CONDITIONS:
+            raise ConfigError(f"bc must be {' or '.join(BOUNDARY_CONDITIONS)}, got {self.bc!r}")
+        if self.axis not in AXES:
+            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if self.n_e < 2:
@@ -162,16 +180,19 @@ class RunConfig:
             raise ConfigError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        kind = self.initial.get("kind")
-        if kind not in _INITIAL_KINDS:
-            raise ConfigError(f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}")
-        self.model()  # metric-module constraints before any computation
+        _check_initial(self.initial)
+        self.model()  # metric-module constraints before any computation; the model is kept
 
     # -- derived objects ---------------------------------------------------
 
     def model(self) -> MetricModel:
-        """The configured metric.  Building one samples nothing, so every
-        error it raises is a setting: a ConfigError with the same text."""
+        """The configured metric, built once (by `validate`) and kept."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> MetricModel:
+        """Building a metric samples nothing, so every error it raises is a
+        setting: a ConfigError with the same text."""
         if self.family == "custom" and not (self.alpha and self.beta):
             raise ConfigError("custom metric needs both alpha and beta expressions")
         try:
@@ -184,8 +205,10 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def initial_state(self):
+        """The configured initial field; `initial` is checked again, as a flag may have set it."""
         from . import evolve
 
+        _check_initial(self.initial)
         opts = dict(self.initial)
         kind = opts.pop("kind")
         try:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 
 FAMILIES = ("flat", "rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal", "custom")
+BOUNDARY_CONDITIONS = ("open", "periodic")
+AXES = ("real", "imaginary", "both")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -23,7 +25,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=int)
     p.add_argument("--a", type=float)
     p.add_argument("--M", type=float)
-    p.add_argument("--bc", choices=("open", "periodic"))
+    p.add_argument("--bc", choices=BOUNDARY_CONDITIONS)
     p.add_argument("--tol", type=float)
     p.add_argument("--times", type=float, nargs="+")
     p.add_argument("--out-dir", dest="out_dir")
@@ -45,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "ldos":
-            p.add_argument("--axis", choices=("real", "imaginary", "both"))
+            p.add_argument("--axis", choices=AXES)
             p.add_argument("--gamma", type=float)
             p.add_argument("--e-min", dest="e_min", type=float)
             p.add_argument("--e-max", dest="e_max", type=float)

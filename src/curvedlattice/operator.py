@@ -25,9 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CurvedLatticeError
+from .front import BOUNDARY_CONDITIONS
 from .metric import SampledMetric
 
-BOUNDARY_CONDITIONS = ("open", "periodic")
 _TINY = np.finfo(float).tiny  # the smallest normal float
 # every entry of a sum of squares below _TINY is under 2^-511: lifted by
 # 2^600 its square is normal, and a sum of squares cannot overflow

@@ -2,10 +2,17 @@
 
 Every case exits 0, 2 or 3 and prints no warning.  A failure prints exactly
 one stderr line; a success prints nothing there and writes no ``nan`` or
-``inf`` into its data files.
+``inf`` into its data files, but for the two declared ones: a
+``quasi_hermitian_residual`` of ``Infinity`` where the η similarity
+overflows, and ``metric.csv``'s ``beta`` and ``distance`` of ``inf`` at a
+horizon site (α = 0).
 """
 
+import csv
+import itertools
 import json
+import math
+import os
 import re
 import warnings
 
@@ -51,6 +58,65 @@ def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys
         with open(path) as fh:
             text = fh.read()
         assert not _NON_FINITE.search(text), f"{path}: {text}"
+
+
+def _non_finite(path) -> list[str]:
+    """The non-finite values of an output file that the format does not declare."""
+    name = os.path.basename(path)
+    if name.startswith("symmetry"):
+        with open(path) as fh:
+            report = json.load(fh)
+        return [f"{key}={value}" for key, value in report.items()
+                if isinstance(value, float) and not math.isfinite(value)
+                and not (key == "quasi_hermitian_residual" and value == math.inf)]
+    with open(path) as fh:
+        if not name.startswith("metric"):
+            return _NON_FINITE.findall(fh.read())
+        return [f"{key}={value}" for row in csv.DictReader(fh) for key, value in row.items()
+                if not math.isfinite(float(value))
+                and not (key in ("beta", "distance") and value == "inf" and float(row["alpha"]) == 0)]
+
+
+_FAMILIES = {
+    "flat": ["--family", "flat"],
+    "de_sitter": ["--family", "de_sitter", "--M", "1"],
+    "linear_conformal": ["--family", "linear_conformal", "--q", "0.1", "--r", "0.5", "--M", "1",
+                         "--times", "0.5"],
+    "custom": ["--family", "custom", "--alpha", "1+0.1*x*t", "--beta", "exp(-0.5*t)*log(2+x)^2",
+               "--times", "0.5"],
+}
+_EDGE_VALUES = ("0", "5e-324", "1e-300", "1e300")
+
+
+@pytest.mark.parametrize("command,family,flag", itertools.product(
+    ("spectrum", "ldos", "classify", "dump"), _FAMILIES, ("--a", "--M", "--q", "--r", "--tol")))
+def test_edge_value_sweep_keeps_the_cli_contract(command, family, flag, tmp_path, capsys):
+    # the flag's edge value comes last, so it replaces a family setting
+    for value in _EDGE_VALUES:
+        argv = [command, *_FAMILIES[family], "--L", "5", f"{flag}={value}"]
+        got, out, err, caught = _run(argv, tmp_path / value, capsys)
+        assert got in (0, 2, 3), argv
+        assert [str(w.message) for w in caught] == [], argv
+        if got:
+            assert len(err.splitlines()) == 1 and err.startswith(("config error:", "numerical failure:")), argv
+            continue
+        assert err == "", argv
+        for path in out.splitlines():
+            assert _non_finite(path) == [], (argv, path)
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum"])
+def test_an_overflowing_eta_similarity_reports_an_infinite_residual(command, tmp_path, capsys):
+    # the one non-finite residual of the format: η = diag β cannot be formed
+    argv = [command, "--family", "linear_conformal", "--L", "5", "--q", "0.1", "--times", "0.5",
+            "--r", "1e-320"]
+    code, _, err, caught = _run(argv, tmp_path, capsys)
+    assert (code, err, caught) == (0, "", [])
+    text = (tmp_path / "symmetry.json").read_text()
+    assert '"quasi_hermitian_residual": Infinity,' in text
+    report = json.loads(text)
+    assert report["quasi_hermitian_residual"] == math.inf
+    assert math.isfinite(report["hermitian_residual"]) and math.isfinite(report["pt_residual"])
 
 
 def test_a_scaled_weyl_metric_classifies_as_at_unit_scale(tmp_path, capsys):

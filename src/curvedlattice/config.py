@@ -15,7 +15,6 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 from .errors import CurvedLatticeError
 from .front import AXES, BOUNDARY_CONDITIONS
@@ -47,13 +46,19 @@ class ConfigError(CurvedLatticeError):
     """Invalid run configuration."""
 
 
+def _check_initial_values(initial) -> None:
+    """An initial state is an object of finite numbers and a kind."""
+    if not (isinstance(initial, dict) and all(_is_real(v) for k, v in initial.items() if k != "kind")):
+        raise ConfigError(f"initial must be an object of finite numbers and a kind, got {initial!r}")
+
+
 def _check_initial(initial) -> None:
     """An initial state is an object of a known kind and the finite numbers
     of that kind's fields, a whole number where the field counts."""
-    if not (isinstance(initial, dict) and all(_is_real(v) for k, v in initial.items() if k != "kind")):
-        raise ConfigError(f"initial must be an object of finite numbers and a kind, got {initial!r}")
+    _check_initial_values(initial)
     kind = initial.get("kind")
-    if kind not in _INITIAL_FIELDS:
+    # a JSON kind may be a list or an object, which no dict lookup takes
+    if not isinstance(kind, str) or kind not in _INITIAL_FIELDS:
         raise ConfigError(f"initial.kind must be one of {tuple(_INITIAL_FIELDS)}, got {kind!r}")
     foreign = [name for name in initial if name != "kind" and name not in _INITIAL_FIELDS[kind]]
     if foreign:
@@ -108,7 +113,7 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
         if "out_dir" not in data:
-            cfg.out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
+            cfg.out_dir = os.environ.get(OUTDIR_ENV) or cfg.out_dir  # empty is unset
         cfg.validate()
         return cfg
 
@@ -124,7 +129,7 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
         merged = dict(data)
-        if OUTDIR_ENV in os.environ:  # it overrides the file (from_dict reads it)
+        if os.environ.get(OUTDIR_ENV):  # it overrides the file (from_dict reads it)
             merged.pop("out_dir", None)
         merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         return cls.from_dict(merged)
@@ -154,6 +159,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an expression string, got {value!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
+        _check_initial_values(self.initial)
         if self.schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {self.schema} (expected {SCHEMA_VERSION})")
         if self.L < 2:
@@ -181,16 +187,17 @@ class RunConfig:
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         _check_initial(self.initial)
-        self.model()  # metric-module constraints before any computation; the model is kept
+        # metric-module constraints before any computation; each validation
+        # builds the model anew, as a field may have changed, and keeps it
+        self._model = self._build_model()
 
     # -- derived objects ---------------------------------------------------
 
     def model(self) -> MetricModel:
-        """The configured metric, built once (by `validate`) and kept."""
+        """The configured metric, as the last `validate` built and kept it."""
         return self._model
 
-    @cached_property
-    def _model(self) -> MetricModel:
+    def _build_model(self) -> MetricModel:
         """Building a metric samples nothing, so every error it raises is a
         setting: a ConfigError with the same text."""
         if self.family == "custom" and not (self.alpha and self.beta):

@@ -75,11 +75,11 @@ def test_a_flag_set_field_is_checked_when_the_state_is_built(tmp_path, capsys):
     assert (code, err) == (2, "config error: a kick initial state has no k or branch\n")
 
 
-def _classify(tmp_path, monkeypatch, *flags):
+def _classify(tmp_path, monkeypatch, *flags, env="B"):
     """The directory a classify run writes to, with the file setting ``A``
-    and the environment ``B``."""
+    and the environment ``env``."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(config.OUTDIR_ENV, "B")
+    monkeypatch.setenv(config.OUTDIR_ENV, env)
     (tmp_path / "run.json").write_text(json.dumps({"family": "flat", "L": 6, "out_dir": "A"}))
     assert main(["classify", "--config", "run.json", *flags]) == 0
     return {path.parent.name for path in tmp_path.glob("*/symmetry.json")}
@@ -91,3 +91,35 @@ def test_outdir_environment_overrides_the_config_file(tmp_path, monkeypatch):
 
 def test_outdir_flag_overrides_the_environment_and_the_file(tmp_path, monkeypatch):
     assert _classify(tmp_path, monkeypatch, "--out-dir", "C") == {"C"}
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["kick"]])
+def test_an_unhashable_kind_is_a_config_error(kind, tmp_path, capsys):
+    message = f"initial.kind must be one of ('plane_wave', 'gaussian', 'kick'), got {kind!r}"
+    assert _evolve({"kind": kind}, tmp_path, capsys) == (2, f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"L": 1, "initial": "kick"}, "initial must be an object of finite numbers and a kind, got 'kick'"),
+    ({"L": 1, "initial": {"kind": "laser"}}, "L must be at least 2, got 1"),
+])
+def test_initial_state_errors_keep_their_precedence(data, message):
+    # the value check comes before the other settings, the kind check after
+    with pytest.raises(config.ConfigError, match=f"^{re.escape(message)}$"):
+        config.RunConfig.from_dict(data)
+
+
+def test_validate_rebuilds_the_model_after_a_field_changes():
+    cfg = config.RunConfig.from_dict({"family": "flat", "L": 6})
+    cfg.L = 9
+    cfg.validate()
+    assert cfg.model().L == 9
+    cfg.family = "bogus"
+    with pytest.raises(config.ConfigError):
+        cfg.validate()
+
+
+def test_an_empty_outdir_environment_counts_as_unset(tmp_path, monkeypatch):
+    assert _classify(tmp_path, monkeypatch, env="") == {"A"}
+    assert main(["classify", "--family", "flat", "--L", "6"]) == 0
+    assert (tmp_path / "symmetry.json").is_file()

@@ -184,6 +184,9 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t1 <= self.t0:
             raise ConfigError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        for t in self.snapshot_times:
+            if not self.t0 <= t <= self.t1:
+                raise ConfigError(f"snapshot time {t} outside [{self.t0}, {self.t1}]")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         _check_initial(self.initial)
@@ -212,7 +215,8 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def initial_state(self):
-        """The configured initial field; `initial` is checked again, as a flag may have set it."""
+        """The configured initial field; `initial` is checked again, as a flag may have set it.
+        A whole-number field is passed as given, so an error names it as the config wrote it."""
         from . import evolve
 
         _check_initial(self.initial)
@@ -222,7 +226,7 @@ class RunConfig:
             if kind == "plane_wave":
                 return evolve.plane_wave(
                     k=float(opts.get("k", 0.0)),
-                    branch=int(opts.get("branch", 1)),
+                    branch=opts.get("branch", 1),
                     L=self.L,
                     a=self.a,
                 )
@@ -233,12 +237,12 @@ class RunConfig:
                     k=float(opts.get("k", 0.0)),
                     L=self.L,
                     a=self.a,
-                    branch=int(opts.get("branch", 1)),
+                    branch=opts.get("branch", 1),
                 )
             return evolve.single_site(
-                site=int(opts.get("site", self.L // 2)),
+                site=opts.get("site", self.L // 2),
                 L=self.L,
-                component=int(opts.get("component", 0)),
+                component=opts.get("component", 0),
             )
         except evolve.EvolveError as err:
             raise ConfigError(f"invalid initial state: {err}") from err

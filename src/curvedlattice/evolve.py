@@ -381,5 +381,5 @@ def single_site(site: int, L: int, component: int = 0) -> SpinorField:
     if component not in (0, 1):
         raise EvolveError(f"spinor component must be 0 or 1, got {component}")
     values = np.zeros(2 * L, dtype=complex)
-    values[2 * site + component] = 1.0
+    values[2 * int(site) + int(component)] = 1.0
     return SpinorField(values, 0.0)

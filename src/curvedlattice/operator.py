@@ -35,7 +35,10 @@ _LIFT = 2.0**600
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# γ₀⁻¹γ¹ = σ_x·(iσ_y) = −σ_z with the signed zeros of that product (+0 above
+# the diagonal, −0 below; −σ_z has −0 in both): no build forms the product
+_HOP_KERNEL = np.array([[-1.0, 0.0], [-0.0, 1.0]], dtype=complex)
+_SIGMA_X.flags.writeable = _HOP_KERNEL.flags.writeable = False  # the kernels build reads
 
 
 class OperatorError(CurvedLatticeError):
@@ -61,16 +64,14 @@ class GammaAlgebra:
 
 
 def gamma_algebra() -> GammaAlgebra:
-    """The fixed Weyl-representation algebra: γ⁰ = σ_x, γ¹ = iσ_y."""
-    gamma0 = _SIGMA_X.copy()
-    gamma1 = 1.0j * _SIGMA_Y
-    gamma0_inv = _SIGMA_X.copy()  # σ_x is its own inverse
+    """The fixed Weyl-representation algebra: γ⁰ = σ_x, γ¹ = iσ_y, as fresh
+    writable copies of the constants that `build` reads."""
     return GammaAlgebra(
-        gamma0=gamma0,
-        gamma1=gamma1,
-        gamma0_inv=gamma0_inv,
-        hop_kernel=gamma0_inv @ gamma1,  # = -σ_z
-        mass_kernel=gamma0_inv,
+        gamma0=_SIGMA_X.copy(),
+        gamma1=1.0j * _SIGMA_Y,
+        gamma0_inv=_SIGMA_X.copy(),  # σ_x is its own inverse
+        hop_kernel=_HOP_KERNEL.copy(),
+        mass_kernel=_SIGMA_X.copy(),
     )
 
 
@@ -253,7 +254,7 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
         raise OperatorError(f"lattice spacing a={a} must be positive and leave 1/(2a) finite")
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
-    K = gamma_algebra().hop_kernel
+    K = _HOP_KERNEL
     fwd, bwd = -1.0j / (2.0 * a) * K, +1.0j / (2.0 * a) * K
     periodic = bc == "periodic"
     n = np.arange(L)
@@ -284,7 +285,7 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
         raise OperatorError(f"lattice spacing a={a} must be positive and leave 1/(2a) finite")
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
-    K = gamma_algebra().hop_kernel
+    K = _HOP_KERNEL
     dalpha = np.gradient(alpha, a)
     ratio = alpha / beta
     diagonals = _assemble(L, [

@@ -17,7 +17,8 @@ All three residuals are computed on the operator's nonzero diagonals in
 O(L), without a dense matrix: the hermiticity residual compares diagonal k
 with the conjugate of diagonal −k, the η-similarity scales each diagonal,
 and the PT image of the 2×2 block on block offset m is σ·conj(block)·σ
-taken from block offset −m in reverse site order.
+taken from block offset −m in reverse site order, formed by index and sign
+with no matrix product.
 """
 
 from __future__ import annotations
@@ -36,11 +37,20 @@ from .spectral import SpectralDecomposition, eig_general
 
 CLASSIFICATIONS = ("Hermitian", "QuasiHermitian", "PTPseudoHermitian", "NonHermitian")
 
+
+def _off_negated(x: np.ndarray) -> np.ndarray:
+    """σ_z·x·σ_z of each 2×2 block of the stack x: the off-diagonal entries negated."""
+    image = x.copy()
+    image[:, (0, 1), (1, 0)] = -image[:, (0, 1), (1, 0)]
+    return image
+
+
+# σ·x·σ of each block of a stack x, by index and sign; in the order that breaks ties
 _PT_SPINORS = {
-    "I": np.eye(2, dtype=complex),
-    "sigma_x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "sigma_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "sigma_z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": lambda x: x,
+    "sigma_x": lambda x: x[:, ::-1, ::-1],
+    "sigma_y": lambda x: _off_negated(x[:, ::-1, ::-1]),
+    "sigma_z": _off_negated,
 }
 
 
@@ -124,8 +134,8 @@ def classify(
     X = band_blocks(H.diagonals, H.L)
     reversed_conj = {-m: x[::-1].conj() for m, x in X.items()}
     pt_best, pt_name = np.inf, "I"
-    for name, sigma in _PT_SPINORS.items():
-        image = {m: sigma @ x @ sigma for m, x in reversed_conj.items()}
+    for name, sandwich in _PT_SPINORS.items():
+        image = {m: sandwich(x) for m, x in reversed_conj.items()}
         res = _relative_residual(band_distance(X, image), scale)
         if res < pt_best:
             pt_best, pt_name = res, name

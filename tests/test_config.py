@@ -70,6 +70,38 @@ def test_whole_floats_are_valid_initial_fields(initial, tmp_path, capsys):
     assert _evolve(initial, tmp_path, capsys) == (0, "")
 
 
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "kick", "site": 1e300}, "site 1e+300 outside 0..7"),
+    ({"kind": "kick", "site": 2, "component": 1e300}, "spinor component must be 0 or 1, got 1e+300"),
+    ({"kind": "plane_wave", "branch": 1e300}, "branch must be +1 or -1, got 1e+300"),
+    ({"kind": "kick", "site": 8.0}, "site 8.0 outside 0..7"),  # a float as given
+    ({"kind": "kick", "site": 8}, "site 8 outside 0..7"),
+])
+def test_an_out_of_range_whole_field_is_named_as_given(initial, message, tmp_path, capsys):
+    code, err = _evolve(initial, tmp_path, capsys)
+    assert (code, err) == (2, f"config error: invalid initial state: {message}\n")
+    assert len(err) < 120
+
+
+@pytest.mark.parametrize("time", [5.0, -1.0, 0.0100001])
+def test_a_snapshot_time_outside_the_run_is_a_config_error(time, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["evolve", "--family", "flat", "--L", "4", "--t1", "0.01", "--dt", "0.01",
+            "--snapshot-times", "0.005", str(time), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: snapshot time {time} outside [0.0, 0.01]\n"
+    assert not out.exists()
+
+
+def test_the_ends_of_the_run_are_snapshot_times(tmp_path, capsys):
+    argv = ["evolve", "--family", "flat", "--L", "4", "--t1", "0.01", "--dt", "0.01",
+            "--snapshot-times", "0", "0.01", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert sorted(path.name for path in tmp_path.glob("snapshot*")) == [
+        "snapshot_t0.01.csv", "snapshot_t0.csv",
+    ]
+
+
 def test_a_flag_set_field_is_checked_when_the_state_is_built(tmp_path, capsys):
     code, err = _evolve({"kind": "kick", "site": 2}, tmp_path, capsys, "--k", "0.3", "--branch", "-1")
     assert (code, err) == (2, "config error: a kick initial state has no k or branch\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedlattice import operator
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.operator import (
     GammaAlgebra,
@@ -158,6 +159,54 @@ def test_gamma_algebra_relations():
     assert np.array_equal(g.mass_kernel, SX)
     ik = 1.0j * g.hop_kernel
     assert np.array_equal(ik.conj().T, -ik)  # i·γ₀γ¹ is anti-hermitian
+
+
+def test_hop_kernel_is_the_read_only_product():
+    SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    K = operator._HOP_KERNEL
+    assert not K.flags.writeable and not operator._SIGMA_X.flags.writeable
+    assert K.tobytes() == (SX @ (1.0j * SY)).tobytes()  # the signs of zeros too
+    with pytest.raises(ValueError, match="read-only"):
+        K[0, 0] = 1.0
+
+
+_CATALOG = [
+    MetricModel.rindler(q=0.01, L=13).sample(),
+    MetricModel.de_sitter(q=1.0 / 12, L=13).sample(),
+    MetricModel.linear_conformal(q=0.1, r=0.5, L=9).sample(0.4),
+    MetricModel.weyl(q=0.1, r=0.5, L=2).sample(0.3),
+]
+
+
+def test_build_needs_no_gamma_algebra(monkeypatch):
+    expected = [
+        (reference_build(s, 0.7, 0.5, bc), reference_naive_build(s, 0.7, 0.5))
+        for s in _CATALOG for bc in ("open", "periodic")
+    ]
+
+    def refuse():
+        raise AssertionError("build called gamma_algebra")
+
+    monkeypatch.setattr(operator, "gamma_algebra", refuse)
+    got = [
+        (build(s, M=0.7, a=0.5, bc=bc).matrix, naive_build(s, M=0.7, a=0.5).matrix)
+        for s in _CATALOG for bc in ("open", "periodic")
+    ]
+    for (H, naive), (ref, ref_naive) in zip(got, expected):
+        _assert_byte_identical(H, ref)
+        _assert_byte_identical(naive, ref_naive)
+
+
+def test_gamma_algebra_returns_writable_copies():
+    before = [build(s, M=0.7, a=1.0).matrix for s in _CATALOG]
+    g = gamma_algebra()
+    for name in ("gamma0", "gamma1", "gamma0_inv", "hop_kernel", "mass_kernel"):
+        array = getattr(g, name)
+        assert array.flags.writeable
+        array[...] = 7.0
+    for s, H in zip(_CATALOG, before):
+        _assert_byte_identical(build(s, M=0.7, a=1.0).matrix, H)
+    assert np.array_equal(gamma_algebra().hop_kernel, -SZ)
 
 
 def _block(H, n, m):

@@ -134,3 +134,43 @@ def test_dir_lists_every_export_and_unknown_names_raise():
     from curvedlattice import cli, spectral
 
     assert cli is curvedlattice.cli and spectral is curvedlattice.spectral
+
+
+# The resident pages that one 2×2 complex product adds: OpenBLAS touches its
+# GEMM buffer on a process's first level-3 call, so a process that has made
+# one already grows by (almost) nothing.
+_GEMM_GROWTH = """
+import os, sys
+import numpy as np
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+if len(sys.argv) > 1:
+    from curvedlattice import front
+    for argv in sys.argv[1:]:
+        assert front.main(argv.split()) == 0
+x = np.ones((2, 2), dtype=complex)
+before = resident()
+x @ x
+print((resident() - before) / 2**20)
+"""
+
+
+def test_band_commands_take_no_matrix_product(tmp_path):
+    # dump and a band-route evolve build operators and classify nothing, so
+    # neither touches the GEMM buffer: the first product afterwards still does
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm")
+    bare = float(_python(_GEMM_GROWTH)[0])
+    if bare < 0.1:
+        pytest.skip(f"a first 2x2 product adds only {bare:.3f} MB: not OpenBLAS's GEMM buffer")
+    out = f"--out-dir {tmp_path}"
+    after = float(_python(
+        _GEMM_GROWTH,
+        f"dump --family de_sitter --L 50 --M 1 {out}",
+        "evolve --family linear_conformal --r 0.5 --q 0.01 --L 50 --t0 0.3 --t1 0.31"
+        f" --dt 0.001 --check-duality {out}",
+    )[0])
+    assert after >= bare / 2

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedlattice.metric import MetricModel, SampledMetric
-from curvedlattice.operator import build, hermitian_residual
+from curvedlattice.operator import band_distance, build, hermitian_residual
 from curvedlattice.spectral import eig_general, eig_hermitian, spectral_mismatch
-from curvedlattice.symmetry import SymmetryError, classify, imaginary_gauge, unbroken_pt
+from curvedlattice.symmetry import (
+    _PT_SPINORS, SymmetryError, classify, imaginary_gauge, unbroken_pt,
+)
 
 
 def _rel_herm(A):
@@ -193,6 +195,34 @@ def test_classify_on_band_matches_dense_reference(sample, M, bc):
         assert np.isinf(rep.quasi_hermitian_residual)
     else:
         assert abs(rep.quasi_hermitian_residual - quasi) <= 1e-15
+
+
+# complex entries from ±0, subnormals, ordinary values and 1e150-scale ones,
+# whose squares overflow a plain sum of squares
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e149, max_value=1e151),
+    st.floats(min_value=-1e151, max_value=-1e149),
+)
+# a stack of L blocks and a second stack of L blocks, side by side
+_STACKS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda L: st.lists(st.lists(_ENTRY, min_size=16, max_size=16), min_size=L, max_size=L)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=_STACKS)
+def test_pt_image_by_index_is_the_sandwich(rows):
+    # the same residual to the bit as σ·x·σ by matrix products, for each spinor
+    x, y = np.array(rows).view(complex).reshape(-1, 2, 2, 2).transpose(1, 0, 2, 3)
+    x = x[::-1].conj()  # as classify takes it from the band
+    assert list(_PT_SPINORS) == list(_SPINORS)  # ties resolve in this order
+    for name, sigma in _SPINORS.items():
+        sigma = sigma.astype(complex)
+        by_index = band_distance({0: y, 1: x}, {0: _PT_SPINORS[name](x)})
+        by_product = band_distance({0: y, 1: x}, {0: sigma @ x @ sigma})
+        assert by_index.hex() == by_product.hex()
 
 
 def test_classify_rindler_hermitian_exact_zero():

@@ -29,8 +29,9 @@ _INITIAL_FIELDS = {
     "gaussian": ("center", "width", "k", "branch"),
     "kick": ("site", "component"),
 }
-# fields that must hold a finite number (None where the field is optional) or a list of them
+# fields that must hold a finite number or a list of them; the optional ones may be None
 _REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol")
+_OPTIONAL = ("q", "gamma", "e_min", "e_max")
 _INTEGERS = ("L", "n_e")
 _REAL_LISTS = ("times", "snapshot_times")
 
@@ -141,7 +142,7 @@ class RunConfig:
         # belongs would end in a TypeError inside a command
         for name in _REALS:
             value = getattr(self, name)
-            if value is not None and not _is_real(value):
+            if not (_is_real(value) or value is None and name in _OPTIONAL):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in _INTEGERS:
             value = getattr(self, name)

@@ -148,6 +148,38 @@ def band_blocks(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarra
     return out
 
 
+def band_chains(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarray] | None:
+    """Chain A's diagonals (0, ±1, and ±(L−1) when periodic), or None when
+    the 2L×2L band does not split into two L-site chains.
+
+    Rotated to u, v = (ψ₀ ± ψ₁)/√2 per site, an onsite block in span{I, σ_x}
+    is diagonal and a hop block in span{σ_z, σ_y} links u with v only, so
+    A = (u₀, v₁, u₂, …) and B = (v₀, u₁, v₂, …) never meet (the staggered
+    split of Kogut & Susskind, PRD 11 (1975) 395; Kawamoto & Smit, NPB 192
+    (1981) 100), and the symmetry (I⊗σ_z)H̄(I⊗σ_z) = −H makes B = −Ā.  Each
+    rule is checked exactly: onsite blocks [[a, b], [b, a]] and hop blocks
+    [[a, b], [−b, −a]] on block offsets ±1 (and ±(L−1) for even L), a
+    imaginary and b real, every other block zero.  A's entry from the block
+    at row site p is then a ± (−1)^p b, with no rounding.  A periodic ring of
+    odd L, and the naive scheme's onsite σ_z for a nonuniform α, give None.
+    """
+    hops = {1, -1} | ({L - 1, 1 - L} if L % 2 == 0 else set())
+    chain = {}
+    for m, x in band_blocks(diagonals, L).items():
+        if m != 0 and m not in hops:
+            if x.any():
+                return None
+            continue
+        a, b = x[:, 0, 0], x[:, 0, 1]
+        sign = 1.0 if m == 0 else -1.0
+        if (a.real.any() or b.imag.any() or not np.array_equal(x[:, 1, 1], sign * a)
+                or not np.array_equal(x[:, 1, 0], sign * b)):
+            return None
+        rows = np.arange(L - abs(m)) + max(-m, 0)
+        chain[m] = a + np.where(rows % 2, -sign, sign) * b
+    return chain
+
+
 def column_norms(A: np.ndarray) -> np.ndarray:
     """The 2-norm of each column of A.  A column of finite entries whose
     plain sum of squares overflows is summed again scaled by its largest

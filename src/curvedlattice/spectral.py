@@ -1,27 +1,29 @@
 """Dense eigensolvers and the matrix-exponential propagator kernel.
 
-A lattice operator A has a real form: with P = diag(1, i, 1, i, …), R =
-−i·P A P† is real, the particle–hole-type symmetry (I⊗σ_z)Ā(I⊗σ_z) = −A of
-Kawabata, Shiozaki, Ueda & Sato, PRX 9 (2019) 041015, and E = iλ(R).  One
-exact pass over the band finds R, and the structure picks the solver:
+A lattice operator splits exactly into two L-site chains, A and B = −Ā
+(:func:`band_chains`; the symmetry (I⊗σ_z)H̄(I⊗σ_z) = −H of Kawabata,
+Shiozaki, Ueda & Sato, PRX 9 (2019) 041015, maps one onto the other), so
+spec(H) = spec(A) ∪ −conj spec(A): only chain A is decomposed, B's half is
+−Ē with vectors conj(x), and both are rotated back to site order.  Every
+split spectrum pairs E and −Ē exactly.  A matrix that does not split (a
+periodic ring of odd L, the naive scheme, a plain matrix) is decomposed
+whole.  Either way the structure picks the solver:
 
-* ``chiral-svd`` — A = D⁻¹BD + icI with B hermitian, D = diag(d) > 0 and c
-  uniform (every static diagonal metric, and the Weyl family's −ir/2) is
-  found from the band without a metric (:func:`_symmetrizer`).  The real
-  form of B, rotated per site by (1, ±1)/√2, is [[0, Y], [−Yᵀ, 0]] with Y
-  real L×L, so E = ±σ(Y) + ic by a real SVD: exactly real up to ic (η = D²,
-  Mostafazadeh, J. Math. Phys. 43 (2002) 205).
-* ``real-geev`` — any other real form: ``eig`` of R in real arithmetic
-  (LAPACK ``dgeev``), so E and −Ē pair exactly.
-* ``complex-eigh`` — a quasi-hermitian matrix without a chiral real form:
-  ``eigh`` of ½(B + B†), eigenvectors mapped back as D⁻¹W.
-* ``complex-geev`` — any other matrix: ``numpy.linalg.eig``.
+* ``chain-eigh``/``complex-eigh`` — A = S⁻¹BS + icI with B hermitian, S =
+  diag(s) and c uniform (every hermitian and static diagonal metric, and
+  the Weyl family's −ir/2) is found from the band without a metric
+  (:func:`_symmetrizer`).  s = d·u carries the metric scale d > 0 (η = D²,
+  Mostafazadeh, J. Math. Phys. 43 (2002) 205) and a phase u that makes B
+  real symmetric wherever the coupling graph allows (on every chain), and
+  ``eigh`` of B gives E exactly real up to ic, with vectors S⁻¹W.
+* ``chain-geev``/``complex-geev`` — any other matrix: LAPACK ``geev``.
 
-:func:`eig_hermitian` takes the first or third with d ≡ 1 and c = 0.  A
-route whose residuals exceed n·ε·‖A‖_F, the backward-error level of
-``eig``, gives way to the next, and ``route`` records the failed check.
-Results are sorted by (Re, Im), with residuals measured on the band, and a
-LAPACK failure raises :class:`SpectralError`.
+:func:`eig_hermitian` takes ``eigh`` only, of ½(A + A†).  A chain route
+whose residuals exceed n·ε·‖A‖_F, the backward-error level of ``eig``,
+gives way to the whole matrix, whose ``complex-eigh`` gives way to
+``complex-geev`` in turn; ``route`` records the failed check.  Results are
+sorted by (Re, Im), with residuals measured on the whole band, and a LAPACK
+failure raises :class:`SpectralError`.
 
 Every exponential reads the operator once, as the shifted band B = c·A −
 μI, μ = tr(c·A)/n, with ‖B‖₁ (:func:`_band_shifted`), and truncates one
@@ -47,8 +49,8 @@ import numpy as np
 
 from .errors import CurvedLatticeError
 from .operator import (
-    band_adjoint, band_blocks, band_distance, band_matrix, band_norm, band_positions,
-    band_similarity, column_norms, hermitian_residual,
+    band_adjoint, band_chains, band_distance, band_matrix, band_norm, band_similarity,
+    column_norms, hermitian_residual,
 )
 
 _EPS = np.finfo(float).eps
@@ -112,57 +114,25 @@ def _accepted(dec: SpectralDecomposition) -> bool:
     )
 
 
-def _fallback(dec: SpectralDecomposition, check: str | None) -> SpectralDecomposition:
-    if check is not None:
-        dec.route = f"fallback:{check}:{dec.route}"
-    return dec
-
-
 def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix.
 
-    The structure picks the route (see the module docstring): a
-    quasi-hermitian matrix keeps eigenvalues that are exactly real up to a
-    uniform imaginary shift, a real form is decomposed in real arithmetic,
-    and any other matrix goes to ``eig``/``eigvals``.
+    The structure picks the route (see the module docstring): a lattice
+    operator is decomposed on one of its two chains, a quasi-hermitian
+    matrix keeps eigenvalues that are exactly real up to a uniform
+    imaginary shift, and any other matrix goes to ``eig``/``eigvals``.
     """
     diagonals, n = _band(H)
-    lattice = _is_lattice(H)
-    found = _symmetrizer(diagonals, n)
-    check = None
-    if found is not None:
-        dec = _eig_partner(diagonals, n, *found, compute_vectors, lattice)
-        if _accepted(dec):
-            return dec
-        check = "eigh-residual"
-    real = _real_form(diagonals, n) if lattice else None
-    if real is not None:
-        lam, X = _geev(band_matrix(real, n, float), compute_vectors)
-        if X is not None:
-            X = X.astype(complex)
-            X[1::2] *= -1j  # P†
-        dec = _decomposition(1j * lam, X, diagonals, "real-geev")
-        if _accepted(dec):
-            return _fallback(dec, check)
-        check = "geev-residual"
-    lam, V = _geev(band_matrix(diagonals, n), compute_vectors)
-    return _fallback(_decomposition(lam, V, diagonals, "complex-geev"), check)
-
-
-def _geev(A: np.ndarray, compute_vectors: bool):
-    """Eigenvalues, and eigenvectors or None, by LAPACK ``geev``."""
-    if compute_vectors:
-        return _lapack(np.linalg.eig, A)
-    return _lapack(np.linalg.eigvals, A), None
+    return _decompose(diagonals, n, diagonals, _is_lattice(H), compute_vectors, hermitian=False)
 
 
 def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     """Spectrum of a (numerically) hermitian matrix; eigenvalues exactly real.
 
     Precondition: relative hermiticity residual at most ``herm_tol``.  The
-    symmetrized matrix ½(A + A†) is decomposed as a quasi-hermitian partner
-    with d ≡ 1 and c = 0 (:func:`_eig_partner`), so the output imaginary
-    parts are identically zero.
+    symmetrized matrix ½(A + A†) is decomposed by ``eigh`` only, on chain A
+    when it splits (:func:`_decompose`), so the output imaginary parts are
+    identically zero.
     """
     diagonals, n = _band(H)
     res = hermitian_residual(H)
@@ -173,52 +143,107 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     adjoint = band_adjoint(diagonals)
     B = {k: 0.5 * (diagonals.get(k, 0.0) + adjoint.get(k, 0.0))
          for k in diagonals.keys() | adjoint.keys()}
-    return _eig_partner(diagonals, n, np.ones(n), 0.0, B, True, _is_lattice(H))
+    return _decompose(diagonals, n, B, _is_lattice(H), True, hermitian=True)
 
 
 def _is_lattice(H) -> bool:
     """A lattice operator, whose index 2n + s carries the spinor component s
-    that P acts on; a plain matrix has no such layout and no real form."""
+    that the chain split reads; a plain matrix has no such layout."""
     return getattr(H, "diagonals", None) is not None
 
 
-def _real_form(diagonals: dict[int, np.ndarray], n: int):
-    """The diagonals of R = −i·P A P†, P = diag(1, i, 1, i, …), or None when
-    an entry of R is not real.
+def _decompose(diagonals, n, A, lattice, compute_vectors, hermitian) -> SpectralDecomposition:
+    """The spectrum of the n×n band A, with residuals against ``diagonals``.
 
-    The product only swaps real and imaginary parts and flips signs, so R is
-    exact: an even diagonal (rows and columns of one parity) maps to its
-    imaginary part, an odd one to −Re on even rows and +Re on odd rows.
+    A lattice operator that splits (:func:`band_chains`) is decomposed on
+    chain A, and B's half is its mirror (:func:`_unfold`); a chain route
+    whose residuals fail, or a matrix that does not split, is decomposed
+    whole.  Each takes ``eigh`` of the partner that :func:`_symmetrizer`
+    finds, else ``geev``; a hermitian A takes ``eigh`` only, and a failed
+    whole ``complex-eigh`` of a general A gives way to ``complex-geev``.
     """
-    R = {}
-    for k, d in diagonals.items():
-        if k % 2 == 0:
-            if d.real.any():
-                return None
-            R[k] = d.imag
-        else:
-            if d.imag.any():
-                return None
-            R[k] = np.where(band_positions(n, k)[0] % 2 == 1, d.real, -d.real)
-    return R
+    check = None
+    chain = band_chains(A, n // 2) if lattice else None
+    if chain is not None:
+        L = n // 2
+        identity = (np.ones(L), 0.0, chain) if hermitian else None
+        kind, lam, x = _eig(chain, L, compute_vectors, _symmetrizer(chain, L) or identity)
+        dec = _decomposition(*_unfold(lam, x), diagonals, f"chain-{kind}")
+        if _accepted(dec):
+            return dec
+        check = f"{kind}-residual"
+    found = (np.ones(n), 0.0, A) if hermitian else _symmetrizer(A, n)
+    kind, lam, X = _eig(A, n, compute_vectors, found)
+    dec = _decomposition(lam, X, diagonals, f"complex-{kind}")
+    if kind == "eigh" and not hermitian and not _accepted(dec):
+        check = "eigh-residual"
+        _, lam, X = _eig(A, n, compute_vectors, None)
+        dec = _decomposition(lam, X, diagonals, "complex-geev")
+    if check is not None:
+        dec.route = f"fallback:{check}:{dec.route}"
+    return dec
+
+
+def _eig(A, n, compute_vectors, found):
+    """(kind, eigenvalues, unit-norm eigenvectors or None) of the n×n band A.
+
+    With ``found`` = (s, c, B) from :func:`_symmetrizer`, A = S⁻¹BS + icI:
+    ``eigh``/``eigvalsh`` of ½(B + B†), in real arithmetic when B is real,
+    gives E = w + ic and the vectors S⁻¹W scaled to unit norm (kind
+    ``eigh``).  With ``found`` None, ``geev`` of A (kind ``geev``).
+    """
+    if found is None:
+        A = band_matrix(A, n)
+        if compute_vectors:
+            return ("geev", *_lapack(np.linalg.eig, A))
+        return "geev", _lapack(np.linalg.eigvals, A), None
+    s, c, B = found
+    S = band_matrix(B, n, np.result_type(0.0, *B.values()))
+    S = 0.5 * (S + S.conj().T)
+    if not compute_vectors:
+        return "eigh", _lapack(np.linalg.eigvalsh, S) + 1j * c, None
+    w, W = _lapack(np.linalg.eigh, S)
+    X = W / s[:, None]
+    X /= np.linalg.norm(X, axis=0)
+    return "eigh", w + 1j * c, X
+
+
+def _unfold(lam, x):
+    """The spectrum and vectors of the lattice operator from chain A's
+    eigenpairs (E, x): chain B = −Ā adds (−Ē, x̄), and each chain's site p
+    is rotated back to the spinor pair (2p, 2p + 1), A's u_p or v_p
+    (ψ₀, ψ₁) = (1, ±1)·x_p/√2 by the parity of p, and B's the other."""
+    lam = np.concatenate([lam, -lam.conj()])
+    if x is None:
+        return lam, None
+    L = x.shape[0]
+    x = x * math.sqrt(0.5)
+    parity = np.where(np.arange(L) % 2, -1.0, 1.0)[:, None]
+    V = np.empty((2 * L, 2 * L), dtype=complex)
+    V[0::2, :L], V[1::2, :L] = x, parity * x
+    V[0::2, L:], V[1::2, L:] = x.conj(), -parity * x.conj()
+    return lam, V
 
 
 _SYM_TOL = 1e-12  # largest accepted ‖B − B†‖_F/‖B‖_F of the symmetrized matrix
 
 
 def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
-    """(d, c, B) with B = D(A − icI)D⁻¹ hermitian, D = diag(d), d ≥ 1, c
-    real, and B given by its diagonals; None when A has no such form.
+    """(s, c, B) with B = S(A − icI)S⁻¹ hermitian, S = diag(s), c real, and
+    B given by its diagonals; None when A has no such form.
 
     Cheap rejections first: the coupling pattern must be symmetric, every
     product A_ij·A_ji real and ≥ 0, and the imaginary part of the diagonal
-    uniform (it is c).  Then log(d_j/d_i) = ½·log(|A_ij|/|A_ji|) is summed
-    along a spanning tree of each connected component of the coupling
-    graph, and each component is scaled so that its smallest d is 1; a
+    uniform (it is c).  Then s = d·u is built along a spanning tree of each
+    connected component of the coupling graph, summing log(d_j/d_i) =
+    ½·log(|A_ij|/|A_ji|) and multiplying the phase u_j = u_i·A_ij/|A_ij|,
+    so B_ij > 0 on every tree edge (exactly, for the phases ±1, ±i of a
+    chain); each component is scaled so that its smallest d is 1, and a
     decoupled horizon site is a component of its own, so its β = ∞ never
     enters.  Cycles that disagree (a periodic Hatano–Nelson ring) show in
-    the hermiticity residual of B, which must be at most ``_SYM_TOL``, and
-    a range of d that overflows (a long skin-effect chain) fails too.
+    the hermiticity residual of B, which must be at most ``_SYM_TOL``, and a
+    range of d that overflows (a long skin-effect chain) fails too.  B is
+    made real when its imaginary part is at most ``_SYM_TOL`` relative.
     """
     if n == 0 or any(-k not in diagonals for k in diagonals):
         return None
@@ -241,104 +266,39 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
     for k, upper in diagonals.items():
         if k > 0:
             i = np.flatnonzero(upper)
-            step = 0.5 * (np.log(np.abs(upper[i])) - np.log(np.abs(diagonals[-k][i])))
-            for a, b, w in zip(i.tolist(), (i + k).tolist(), step.tolist()):
-                neighbours[a].append((b, w))
-                neighbours[b].append((a, -w))
-    logd, root = [0.0] * n, [-1] * n
+            magnitude = np.abs(upper[i])
+            step = 0.5 * (np.log(magnitude) - np.log(np.abs(diagonals[-k][i])))
+            phase = upper[i] / magnitude
+            for a, b, w, z in zip(i.tolist(), (i + k).tolist(), step.tolist(), phase.tolist()):
+                neighbours[a].append((b, w, z))
+                neighbours[b].append((a, -w, z.conjugate()))
+    logd, u, root = [0.0] * n, [1.0 + 0j] * n, [-1] * n
     for r in range(n):
         if root[r] < 0:
             root[r], stack = r, [r]
             while stack:
                 a = stack.pop()
-                for b, w in neighbours[a]:
+                for b, w, z in neighbours[a]:
                     if root[b] < 0:
-                        root[b], logd[b] = r, logd[a] + w
+                        root[b], logd[b], u[b] = r, logd[a] + w, u[a] * z
                         stack.append(b)
     logd, root = np.array(logd), np.array(root)
     low = np.full(n, np.inf)
     np.minimum.at(low, root, logd)
     with np.errstate(all="ignore"):  # an overflowing range is rejected
-        d = np.exp(logd - low[root])
-    if not np.all(np.isfinite(d)):
+        s = np.exp(logd - low[root]) * np.array(u)
+    if not np.all(np.isfinite(s)):
         return None
-    B = band_similarity(diagonals, n, d)
+    B = band_similarity(diagonals, n, s)
     if 0 in B:
         B[0] = B[0] - 1j * c
     with np.errstate(all="ignore"):
         residual = band_distance(B, band_adjoint(B))
     if not residual <= _SYM_TOL * band_norm(B):
         return None
-    return d, c, B
-
-
-def _eig_partner(diagonals, n, d, c, B, compute_vectors, lattice):
-    """Spectrum of A = D⁻¹BD + icI from its hermitian partner B: the real SVD
-    of :func:`_eig_chiral` when B has a chiral real form and the residuals
-    pass, else ``eigh``/``eigvalsh`` of ½(B + B†), with eigenvectors
-    V = D⁻¹W scaled to unit norm."""
-    real = _real_form(B, n) if lattice else None
-    Y = None if real is None else _chiral_block(real, n)
-    check = None if real is None else "chirality"
-    if Y is not None:
-        dec = _eig_chiral(diagonals, n, d, c, Y, compute_vectors)
-        if _accepted(dec):
-            return dec
-        check = "svd-residual"
-    S = band_matrix(B, n)
-    S = 0.5 * (S + S.conj().T)
-    if not compute_vectors:
-        dec = _decomposition(_lapack(np.linalg.eigvalsh, S) + 1j * c, None, diagonals, "complex-eigh")
-        return _fallback(dec, check)
-    w, W = _lapack(np.linalg.eigh, S)
-    V = W / d[:, None]
-    V /= np.linalg.norm(V, axis=0)
-    return _fallback(_decomposition(w + 1j * c, V, diagonals, "complex-eigh"), check)
-
-
-def _chiral_block(R: dict[int, np.ndarray], n: int):
-    """Y with [[0, Y], [−Yᵀ, 0]] = Q·X·Qᵀ, where X is the part of ½(R − Rᵀ)
-    that anticommutes with I⊗σ_x (each 2×2 block in span{σ_z, iσ_y}) and Q
-    rotates each site by (1, ±1)/√2 into the + sites, then the − sites.
-    None when the rest, the part that commutes, exceeds ``_SYM_TOL``
-    relative; a lattice operator's R has none, and the walk of
-    :func:`_symmetrizer` leaves rounding at most.  Works on the band, in
-    O(L) up to forming Y: diagonal k of Rᵀ is diagonal −k of R."""
-    if n % 2:
-        return None
-    keys = R.keys() | {-k for k in R}
-    X = band_blocks({k: 0.5 * (R.get(k, 0.0) - R.get(-k, 0.0)) for k in keys}, n // 2)
-    commuting = {m: np.hypot(x[:, 0, 0] + x[:, 1, 1], x[:, 0, 1] + x[:, 1, 0]) for m, x in X.items()}
-    if not band_norm(commuting) <= _SYM_TOL * band_norm(X):
-        return None
-    Y = {m: 0.5 * ((x[:, 0, 0] - x[:, 1, 1]) - (x[:, 0, 1] - x[:, 1, 0])) for m, x in X.items()}
-    return band_matrix(Y, n // 2, float)
-
-
-def _eig_chiral(diagonals, n, d, c, Y, compute_vectors):
-    """Spectrum of A = D⁻¹BD + icI whose partner B has the real chiral block
-    Y (:func:`_chiral_block`): E = ±σ_j + ic from the real SVD Y = UΣVᵀ.
-
-    The eigenvector of E = ∓σ_j + ic is (u_j, ±i·v_j) on the (+, −) sites.
-    A numerically zero σ_j (at most n·ε·σ_max) keeps (u_j, 0) and (0, v_j)
-    apart instead, so a kernel on decoupled sites stays on them.  The
-    vectors map back through Qᵀ, P† and D⁻¹ and are scaled to unit norm.
-    """
-    if not compute_vectors:
-        s = _lapack(np.linalg.svd, Y, compute_uv=False)
-        return _decomposition(np.concatenate([-s, s]) + 1j * c, None, diagonals, "chiral-svd")
-    U, s, Vt = _lapack(np.linalg.svd, Y)
-    zero = s <= n * _EPS * s[0]
-    # columns of E = −σ + ic, then E = +σ + ic: a·u on the + sites, κ·v on the − sites
-    a = np.concatenate([np.ones(s.size), np.where(zero, 0.0, 1.0)])
-    kappa = np.concatenate([np.where(zero, 0.0, 1j), np.where(zero, 1.0, -1j)])
-    plus, minus = np.tile(U, 2) * a, np.tile(Vt.T, 2) * kappa
-    V = np.empty((n, n), dtype=complex)
-    V[0::2] = plus + minus  # Qᵀ, up to the factor 1/√2
-    V[1::2] = -1j * (plus - minus)  # Qᵀ, then P†
-    V /= d[:, None]
-    V /= np.linalg.norm(V, axis=0)
-    return _decomposition(np.concatenate([-s, s]) + 1j * c, V, diagonals, "chiral-svd")
+    if band_norm({k: b.imag for k, b in B.items()}) <= _SYM_TOL * band_norm(B):
+        B = {k: b.real for k, b in B.items()}
+    return s, c, B
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,25 @@ def test_module_entry_point(tmp_path):
     assert report["classification"] == "QuasiHermitian"
 
 
+def test_nonhermitian_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # zgeev of chain A gives the same eigenvalues at one and at two OpenBLAS
+    # threads; the residual column, read from the vectors, may differ
+    columns = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvedlattice", "spectrum", "--family", "linear_conformal",
+             "--r", "0.5", "--M", "1", "--L", "200", "--times", "0.5", "--out-dir", str(tmp_path / threads)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, rows = _read_csv(tmp_path / threads / "spectrum.csv")
+        assert header[1:3] == ["re_E", "im_E"]
+        columns.append([row[1:3] for row in rows])
+    assert columns[0] == columns[1]
+
+
 _FUZZ_BASE = st.fixed_dictionaries({
     "family": st.sampled_from(
         ["flat", "rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal", "custom"]),
@@ -680,7 +699,7 @@ _FUZZ_BASE = st.fixed_dictionaries({
     "t1": st.sampled_from([0.1, 0.3]),
     "dt": st.sampled_from([0.05, 0.01, 0.3]),
     "check_duality": st.booleans(),
-    "snapshot_times": st.sampled_from([[], [0.1], [0.0, 5.0]]),
+    "snapshot_times": st.sampled_from([[], [0.1], [0.0, 0.1]]),  # inside [t0, t1]
     "initial": st.sampled_from([
         {"kind": "plane_wave", "k": 0.3, "branch": -1},
         {"kind": "gaussian", "width": 1.0},
@@ -736,6 +755,18 @@ def test_main_fuzz_exits_cleanly(command, base, bad):
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "ldos", "evolve", "classify", "dump"])
+def test_every_command_rejects_a_snapshot_time_outside_the_run(command, tmp_path, capsys):
+    # the out-of-range draw the fuzz base no longer makes: every command
+    # validates the whole config, so it stops at exit 2 before any output
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"L": 4, "t1": 0.3, "snapshot_times": [0.0, 5.0],
+                                "out_dir": str(tmp_path / "out")}))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: snapshot time 5.0 outside [0.0, 0.3]\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

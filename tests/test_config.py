@@ -131,6 +131,17 @@ def test_an_unhashable_kind_is_a_config_error(kind, tmp_path, capsys):
     assert _evolve({"kind": kind}, tmp_path, capsys) == (2, f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("name", ["r", "a", "M", "t0", "t1", "dt", "tol"])
+def test_a_required_number_may_not_be_null(name, tmp_path, capsys):
+    # null is the value of an optional number only (q, gamma, e_min, e_max);
+    # in a required one it would reach a comparison as None
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"L": 4, name: None, "out_dir": str(tmp_path / "out")}))
+    assert main(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {name} must be a finite number, got None\n"
+    assert config.RunConfig.from_dict({"L": 4, "q": None, "gamma": None}).q is None
+
+
 @pytest.mark.parametrize("data, message", [
     ({"L": 1, "initial": "kick"}, "initial must be an object of finite numbers and a kind, got 'kick'"),
     ({"L": 1, "initial": {"kind": "laser"}}, "L must be at least 2, got 1"),

@@ -11,7 +11,9 @@ from curvedlattice.config import RunConfig
 from curvedlattice.evolve import _eta_norm, gaussian_packet
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.observables import horizon_modes
-from curvedlattice.operator import LatticeOperator, band_matrix, build, flat_dispersion, hermitian_residual
+from curvedlattice.operator import (
+    LatticeOperator, band_chains, band_matrix, build, flat_dispersion, hermitian_residual, naive_build,
+)
 from curvedlattice.spectral import (
     SpectralError,
     eig_general,
@@ -257,7 +259,7 @@ def test_eig_general_falls_back_to_eig(A, monkeypatch):
         assert np.abs(ref.imag).max() > 0.1
 
 
-# -- the real form R = -i P H P^dagger: chiral SVD and real geev -------------
+# -- the two chains: band_chains and the chain routes -------------------------
 
 
 def test_benchmark_spectra_routes():
@@ -269,21 +271,27 @@ def test_benchmark_spectra_routes():
     de_sitter = build(MetricModel.de_sitter(q=q, L=L).sample(), 1.0, 1.0)
     anti_de_sitter = build(MetricModel.anti_de_sitter(q=q, L=L).sample(), 1.0, 1.0)
     conformal = build(MetricModel.linear_conformal(q=q, r=0.5, L=L).sample(0.5), 1.0, 1.0)
-    assert cli._decompose(rindler, tol).route == "chiral-svd"
-    assert cli._decompose(de_sitter, tol).route == "chiral-svd"
-    assert eig_general(anti_de_sitter, compute_vectors=False).route == "chiral-svd"
-    assert cli._decompose(conformal, tol).route == "real-geev"
+    assert cli._decompose(rindler, tol).route == "chain-eigh"
+    assert cli._decompose(de_sitter, tol).route == "chain-eigh"
+    assert eig_general(anti_de_sitter, compute_vectors=False).route == "chain-eigh"
+    assert cli._decompose(conformal, tol).route == "chain-geev"
 
 
-def _dense_chiral_block(R, n):
-    """The chiral block as formed from the dense n×n real form: the
-    reference for the band reading of `spectral._chiral_block`."""
-    S = band_matrix(R, n, float)
-    X = (0.5 * (S - S.T)).reshape(n // 2, 2, n // 2, 2)
-    commuting = np.hypot(X[:, 0, :, 0] + X[:, 1, :, 1], X[:, 0, :, 1] + X[:, 1, :, 0])
-    if not np.linalg.norm(commuting) <= spectral._SYM_TOL * np.linalg.norm(X):
-        return None
-    return 0.5 * ((X[:, 0, :, 0] - X[:, 1, :, 1]) - (X[:, 0, :, 1] - X[:, 1, :, 0]))
+def _dense_chains(H):
+    """Chain A, chain B and the entries between them, from the dense rotation
+    ½·Q H Q, Q = I⊗[[1, 1], [1, −1]]: A = (u₀, v₁, u₂, …), B = (v₀, u₁, v₂, …).
+    Each entry sums ± the four entries of one block, which is exact for a band
+    that follows the chain rules (imaginary and real parts add apart)."""
+    L = H.shape[0] // 2
+    Q = np.kron(np.eye(L), [[1.0, 1.0], [1.0, -1.0]])
+    R = 0.5 * (Q @ H @ Q)
+    p = np.arange(L)
+    a, b = 2 * p + p % 2, 2 * p + 1 - p % 2
+    return R[np.ix_(a, a)], R[np.ix_(b, b)], np.concatenate([R[np.ix_(a, b)], R[np.ix_(b, a)]])
+
+
+def _diagonals(H):
+    return {k: np.diagonal(H, k).copy() for k in range(1 - H.shape[0], H.shape[0]) if np.diagonal(H, k).any()}
 
 
 _CHIRAL_CATALOG = {
@@ -299,37 +307,112 @@ _CHIRAL_CATALOG = {
 @pytest.mark.parametrize("L", [2, 3, 7, 40])
 @pytest.mark.parametrize("family", list(_CHIRAL_CATALOG))
 def test_chiral_block_matches_dense_reference(family, L, bc):
-    # the real forms of the operator and of its hermitian partner, read on
-    # the band, give the dense construction's Y bit for bit
+    # band_chains reads chain A of the dense rotation from the band, entry
+    # for entry, and splits exactly when nothing couples the chains: always,
+    # except a periodic ring of odd L whose wrap hop does not vanish at a
+    # horizon; chain B is exactly −Ā, and spec(A) ∪ −conj spec(A) is the
+    # operator's spectrum
     model, M = _CHIRAL_CATALOG[family](L)
     H = build(model.sample(0.4), M, 1.0, bc)
-    forms = [spectral._real_form(H.diagonals, H.dim)]
-    found = spectral._symmetrizer(H.diagonals, H.dim)
-    if found is not None:
-        forms.append(spectral._real_form(found[2], H.dim))
-    for R in forms:
-        Y, ref = spectral._chiral_block(R, H.dim), _dense_chiral_block(R, H.dim)
-        assert (Y is None) == (ref is None)
-        if ref is not None:
-            assert Y.dtype == ref.dtype and Y.tobytes() == ref.tobytes()
-    assert found is None or Y is not None
+    A, B, cross = _dense_chains(H.matrix)
+    assert np.array_equal(B, -A.conj())
+    chain = band_chains(H.diagonals, L)
+    assert (chain is None) == cross.any()
+    if chain is not None:
+        assert np.array_equal(band_matrix(chain, L), A)
+        E = np.linalg.eigvals(band_matrix(chain, L))
+        assert spectral_mismatch(np.concatenate([E, -E.conj()]), np.linalg.eigvals(H.matrix)) <= 1e-10
 
 
-def test_chiral_svd_forms_no_matrix_larger_than_the_block(monkeypatch):
-    # the chiral route reads its block from the band: the only dense matrix
-    # it requests is the L×L Y
+@st.composite
+def _chain_band(draw):
+    """A random 2L×2L band that follows the chain rules: onsite blocks
+    [[a, b], [b, a]] and hop blocks [[a, b], [−b, −a]], a imaginary and b
+    real, on block offsets ±1, and ±(L − 1) when the ring is periodic and L
+    even; each block is dropped with probability 0.2 (a horizon)."""
+    L = draw(st.integers(min_value=2, max_value=8))
+    periodic = draw(st.booleans()) and L % 2 == 0
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    H = np.zeros((L, 2, L, 2), dtype=complex)
+    pairs = [(p, p, 1.0) for p in range(L)] + [(p, p + 1, -1.0) for p in range(L - 1)]
+    pairs += [(p + 1, p, -1.0) for p in range(L - 1)]
+    if periodic:
+        pairs += [(L - 1, 0, -1.0), (0, L - 1, -1.0)]
+    for p, q, sign in pairs:
+        if rng.random() >= 0.2:
+            a, b = 1j * rng.normal(), rng.normal()
+            H[p, :, q, :] += [[a, b], [sign * b, sign * a]]
+    return H.reshape(2 * L, 2 * L)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(H=_chain_band(), data=st.data())
+def test_band_chains_split_exactly_the_bands_that_follow_the_rules(H, data):
+    L = H.shape[0] // 2
+    A, B, cross = _dense_chains(H)
+    assert not cross.any() and np.array_equal(B, -A.conj())
+    chain = band_chains(_diagonals(H), L)
+    assert chain is not None and np.array_equal(band_matrix(chain, L), A)
+    # one entry off the rules, in or out of the band, gives None, and so does
+    # an onsite block that keeps the spinor rules but breaks the symmetry: a
+    # real part of a, or an imaginary part of b
+    i, j = (data.draw(st.integers(min_value=0, max_value=2 * L - 1)) for _ in range(2))
+    off = H.copy()
+    off[i, j] += data.draw(st.sampled_from([0.5, 0.5j, 0.5 + 0.5j]))
+    assert band_chains(_diagonals(off), L) is None
+    p = 2 * data.draw(st.integers(min_value=0, max_value=L - 1))
+    for kernel in ([[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5j], [0.5j, 0.0]]):
+        off = H.copy()
+        off[p : p + 2, p : p + 2] += kernel
+        assert band_chains(_diagonals(off), L) is None
+
+
+def test_naive_scheme_splits_only_for_uniform_alpha():
+    # the naive scheme's ∂₁α term is an onsite σ_z, which couples the chains
+    # for a nonuniform α; for flat it vanishes
     L = 40
-    H = build(MetricModel.de_sitter(q=1 / (L - 1), L=L).sample(), 1.0, 1.0)
+    naive = naive_build(MetricModel.rindler(q=1 / (L - 1), L=L).sample(), 0.5, 1.0)
+    assert band_chains(naive.diagonals, L) is None
+    assert eig_general(naive).route == "complex-geev"
+    assert band_chains(naive_build(MetricModel.flat(L=L).sample(), 0.5, 1.0).diagonals, L) is not None
+
+
+def test_chain_routes_form_no_matrix_larger_than_a_chain(monkeypatch):
+    # on an operator that splits, both solvers read chain A from the band:
+    # every dense matrix they form, and every matrix LAPACK decomposes, is
+    # L×L, and the operator's dense view is never built
+    L, q = 40, 1 / 39
+    operators = [
+        (eig_hermitian, build(MetricModel.rindler(q=q, L=L).sample(), 0.0, 1.0, "periodic")),
+        (eig_general, build(MetricModel.de_sitter(q=q, L=L).sample(), 1.0, 1.0)),
+        (lambda H: eig_general(H, compute_vectors=False),
+         build(MetricModel.anti_de_sitter(q=q, L=L).sample(), 1.0, 1.0)),
+        (eig_general, build(MetricModel.linear_conformal(q=q, r=0.5, L=L).sample(0.5), 1.0, 1.0)),
+        (lambda H: eig_general(H, compute_vectors=False),
+         build(MetricModel.linear_conformal(q=q, r=0.5, L=L).sample(0.5), 1.0, 1.0, "periodic")),
+    ]
     sizes = []
 
-    def recording(diagonals, n, *args, **kwargs):
+    def recording(solver):
+        def call(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return solver(A, *args, **kwargs)
+        return call
+
+    def forming(diagonals, n, *args, **kwargs):
         sizes.append(n)
         return band_matrix(diagonals, n, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "band_matrix", recording)
-    for dec in (eig_general(H), eig_general(H, compute_vectors=False)):
-        assert dec.route == "chiral-svd"
-    assert sizes and max(sizes) <= L
+    def no_dense(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(spectral, "band_matrix", forming)
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    for solve, H in operators:
+        assert solve(H).route.startswith("chain-")
+    assert sizes and max(sizes) == L
 
 
 def _two_horizons(L, beta):
@@ -342,29 +425,28 @@ def _two_horizons(L, beta):
 
 @pytest.mark.parametrize("M", [0.0, 1.0])
 def test_two_decoupled_horizon_sites(M):
-    # a zero singular value of multiplicity two keeps its left and right
-    # vectors apart, so each horizon mode stays on its own site
+    # each decoupled site is a zero mode of each chain, kept on its own site
+    # even where the chain holds a second zero eigenvalue
     L = 16
     hermitian = build(_two_horizons(L, np.ones(L)), M, 1.0)
     quasi = build(_two_horizons(L, 1.0 + 0.05 * np.arange(L)), M, 1.0)
     for dec in (eig_hermitian(hermitian), eig_general(quasi)):
-        assert dec.route == "chiral-svd"
+        assert dec.route == "chain-eigh"
         modes = horizon_modes(dec)
         assert sorted(site for _, site in modes) == [3, 3, L - 4, L - 4]
 
 
 def test_zero_singular_vectors_stay_apart():
-    # a hermitian two-site operator whose chiral block is Y = [[0, 1], [0, 0]]:
-    # the kernel's left vector sits on site 1 and its right vector on site 0,
-    # so each of the two zero modes stays on one site only when they are kept
-    # apart rather than mixed as (u, ±i·v)/√2
+    # a hermitian two-site operator whose zero modes sit on one site each: the
+    # kernel's left vector on site 1 and its right vector on site 0 of the
+    # block Y = [[0, 1], [0, 0]]; its hop block has a σ_x part, which couples
+    # the chains, so it is decomposed whole, and the modes stay apart
     H = np.zeros((4, 4), dtype=complex)
     H[0, 2], H[0, 3], H[1, 2], H[1, 3] = 0.5j, 0.5, 0.5, -0.5j
     H = H + H.conj().T
-    op = LatticeOperator({k: np.diagonal(H, k).copy() for k in range(-3, 4) if np.diagonal(H, k).any()},
-                         dim=4)
+    op = LatticeOperator(_diagonals(H), dim=4)
     for dec in (eig_hermitian(op), eig_general(op)):
-        assert dec.route == "chiral-svd"
+        assert dec.route == "complex-eigh"
         np.testing.assert_allclose(dec.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-15)
         assert sorted(site for _, site in horizon_modes(dec)) == [0, 1]
 
@@ -373,12 +455,19 @@ def test_zero_singular_vectors_stay_apart():
 @pytest.mark.parametrize("L", [10, 25, 50])
 @pytest.mark.parametrize("M", [0.0, 1.0])
 def test_real_geev_pairs_and_agrees_with_complex_eig(L, M, bc):
+    # the nonhermitian slice goes to zgeev of chain A, and its spectrum pairs
+    # E and −Ē exactly, by construction; a periodic ring of odd L does not
+    # split and takes complex-geev, which pairs them to rounding
     H = build(MetricModel.linear_conformal(q=1.0 / (L - 1), r=0.5, L=L).sample(0.5), M, 1.0, bc)
     dec = eig_general(H)
     E = dec.eigenvalues
-    assert dec.route == "real-geev"
-    # E = i·λ(R) with R real: E and −Ē pair exactly
-    assert np.array_equal(np.sort_complex(E), np.sort_complex(-E.conj()))
+    split = bc == "open" or L % 2 == 0
+    assert dec.route == ("chain-geev" if split else "complex-geev")
+    mirror = np.sort_complex(-E.conj())
+    if split:
+        assert np.array_equal(np.sort_complex(E), mirror)
+    else:
+        assert spectral_mismatch(E, mirror) <= 1e-12
     assert dec.max_residual <= H.dim * np.finfo(float).eps * dec.h_norm
     R = np.linalg.norm(H.matrix @ dec.right_eigenvectors - dec.right_eigenvectors * E, axis=0)
     np.testing.assert_allclose(dec.residuals, R, rtol=1e-6, atol=1e-15 * dec.h_norm)
@@ -387,7 +476,7 @@ def test_real_geev_pairs_and_agrees_with_complex_eig(L, M, bc):
 
 
 def test_plain_matrices_keep_the_complex_routes():
-    # the real form needs the lattice's spinor layout: an open Hatano-Nelson
+    # the chains need the lattice's spinor layout: an open Hatano-Nelson
     # chain and criterion 11's random matrices stay on the complex solvers
     assert eig_general(_ring(40, 0.3, periodic=False)).route == "complex-eigh"
     assert eig_general(_ring(130, 0.5 * np.log(1e6), periodic=False)).route == "complex-geev"
@@ -397,17 +486,20 @@ def test_plain_matrices_keep_the_complex_routes():
         assert eig_general(A).route == "complex-geev"
 
 
-def test_svd_failure_is_spectral_error(monkeypatch):
+def test_chain_lapack_failure_is_spectral_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
     rindler = build(MetricModel.rindler(q=1 / 9, L=10).sample(), 1.0, 1.0)
     de_sitter = build(MetricModel.de_sitter(q=1 / 9, L=10).sample(), 1.0, 1.0)
+    conformal = build(MetricModel.linear_conformal(q=1 / 9, r=0.5, L=10).sample(0.5), 1.0, 1.0)
     for call, H in [
         (eig_hermitian, rindler),
         (eig_general, de_sitter),
         (lambda H: eig_general(H, compute_vectors=False), de_sitter),
+        (eig_general, conformal),
     ]:
         with pytest.raises(SpectralError, match="did not converge"):
             call(H)
@@ -416,21 +508,21 @@ def test_svd_failure_is_spectral_error(monkeypatch):
 @pytest.mark.parametrize(
     "solver, model, route",
     [
-        ("svd", MetricModel.de_sitter(q=1 / 11, L=12), "fallback:svd-residual:complex-eigh"),
+        ("eigh", MetricModel.de_sitter(q=1 / 11, L=12), "fallback:eigh-residual:complex-eigh"),
         ("eig", MetricModel.linear_conformal(q=1 / 11, r=0.5, L=12), "fallback:geev-residual:complex-geev"),
     ],
-    ids=["chiral_svd", "real_geev"],
+    ids=["chain_eigh", "chain_geev"],
 )
 def test_failed_residual_check_falls_back(solver, model, route, monkeypatch):
-    # vectors that fail the n·ε·‖A‖_F residual check send the decomposition
-    # to the next solver, and the route says which check failed
+    # chain vectors that fail the n·ε·‖A‖_F residual check send the
+    # decomposition to the whole band, and the route says which check failed
     H = build(model.sample(0.5), 1.0, 1.0)
     ref = eig_general(H)
     real_solver = getattr(np.linalg, solver)
 
     def spoiled(A, *args, **kwargs):
         out = list(real_solver(A, *args, **kwargs))
-        if np.isrealobj(A):
+        if A.shape[0] == H.L:
             out[-1] = out[-1] + 1e-6  # the last factor holds vectors
         return tuple(out)
 
@@ -452,24 +544,36 @@ _STATIC_SITE = st.tuples(st.floats(min_value=1e-3, max_value=5.0), st.floats(min
     bc=st.sampled_from(["open", "periodic"]),
 )
 def test_static_metric_has_exact_chiral_real_form(sites, M, bc):
-    # random static alpha, beta > 0: R = −i P H P† is exactly real, and each
-    # 2×2 block lies exactly in span{σ_z, iσ_y}, so the rotated chiral blocks
-    # (+, +) and (−, −) are exactly 0 and the SVD route decomposes H; at a
-    # few sites its vectors may miss the n·ε·‖A‖_F residual bound, and eigh
-    # takes over
+    # random static alpha, beta > 0: the operator splits exactly into chain A
+    # and chain B = −Ā, unless a periodic ring of odd L closes them into one,
+    # and the symmetrizer turns chain A into a real symmetric partner, so
+    # real eigh decomposes it with no fallback; the ring goes whole to eigh
     alpha, beta = (np.array(col) for col in zip(*sites))
     sample = SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=np.zeros(alpha.size))
     H = build(sample, M, 1.0, bc)
-    R = spectral._real_form(H.diagonals, H.dim)
-    assert R is not None
-    X = band_matrix(R, H.dim, float).reshape(H.L, 2, H.L, 2)
-    assert np.all(X[:, 0, :, 0] + X[:, 1, :, 1] == 0.0)
-    assert np.all(X[:, 0, :, 1] + X[:, 1, :, 0] == 0.0)
-    assert eig_general(H, compute_vectors=False).route == "chiral-svd"
+    chain = band_chains(H.diagonals, H.L)
+    route = "chain-eigh" if bc == "open" or H.L % 2 == 0 else "complex-eigh"
+    assert (chain is not None) == (route == "chain-eigh")
+    if chain is not None:
+        _, c, B = spectral._symmetrizer(chain, H.L)
+        assert c == 0.0 and all(np.isrealobj(b) for b in B.values())
+    assert eig_general(H, compute_vectors=False).route == route
     dec = eig_general(H)
-    assert dec.route in ("chiral-svd", "fallback:svd-residual:complex-eigh")
+    assert dec.route == route
     assert np.all(dec.eigenvalues.imag == 0.0)
     assert spectral_mismatch(dec.eigenvalues, np.linalg.eigvals(H.matrix)) <= 1e-10
+
+
+def test_tiny_static_chain_stays_on_eigh():
+    # the three-site profile whose chiral SVD vectors missed the residual
+    # bound by 5×: its chain decomposes on real eigh with no fallback
+    sample = SampledMetric(t=0.0, alpha=np.array([2.0, 0.5, 3.0]), beta=np.array([2.0, 4.0, 1.0]),
+                           dlog_beta_dt=np.zeros(3))
+    H = build(sample, 1.0, 1.0)
+    dec = eig_general(H)
+    assert dec.route == "chain-eigh"
+    assert dec.max_residual <= H.dim * np.finfo(float).eps * dec.h_norm
+    assert spectral_mismatch(dec.eigenvalues, np.linalg.eigvals(H.matrix)) <= 1e-14
 
 
 # -- matrix exponential ------------------------------------------------------
@@ -594,7 +698,7 @@ def test_lattice_operator_is_read_only_through_its_band(monkeypatch):
 
     def spoiled(X):
         lam, V = eig(X)
-        return lam, (V + 1e-6 if np.isrealobj(X) else V)
+        return lam, (V + 1e-6 if X.shape[0] == H.L else V)
 
     monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
     monkeypatch.setattr(np.linalg, "eig", spoiled)

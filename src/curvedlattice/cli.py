@@ -277,14 +277,8 @@ _COMMANDS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    state = {key: flags.pop(key) for key in ("k", "branch") if key in flags}
-    overrides = {key: value for key, value in flags.items() if key not in ("command", "config")}
-    cfg = RunConfig.from_file(args.config, overrides) if args.config else RunConfig.from_dict(overrides)
-    # --k and --branch set one field each of the configured initial state,
-    # which `initial_state` checks when `evolve` builds it
-    cfg.initial.update(state)
-    return cfg
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    return RunConfig.from_file(args.config, flags)
 
 
 _FAILURES = {2: "config error", 3: "numerical failure"}
@@ -293,11 +287,10 @@ _FAILURES = {2: "config error", 3: "numerical failure"}
 def run(args: argparse.Namespace) -> int:
     """Run the command of the parsed ``args``; its exit code."""
     try:
-        cfg = _config_from_args(args)
-        written = _COMMANDS[args.command](cfg)
-    except (CurvedLatticeError, OSError) as err:
+        written = _COMMANDS[args.command](_config_from_args(args))
+    except (CurvedLatticeError, OSError, MemoryError) as err:
         # a package error carries its exit code; an unwritable output path
-        # is a setting
+        # and an array too large to allocate are settings
         code = getattr(err, "exit_code", 2)
         print(f"{_FAILURES[code]}: {err}", file=sys.stderr)
         return code

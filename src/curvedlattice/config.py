@@ -1,11 +1,12 @@
 """Run configuration: JSON schema, validation, and model construction.
 
-A config file is a single JSON document with a ``schema`` version field.
-Every CLI flag has a file equivalent; flags override file values, and the
-``CURVEDLATTICE_OUTDIR`` environment variable overrides the file's output
-directory (but not an explicit flag).  Configs are fully deterministic —
-no seeds anywhere.  :class:`RunConfig` alone resolves and checks a run: it
-validates once and keeps the metric it built.
+A config file is a single JSON document with a ``schema`` version field;
+every flag but ``--k`` and ``--branch`` (fields of ``initial``) has a file
+equivalent.  :meth:`RunConfig.from_file` resolves a CLI run: the file (or
+the defaults), then a non-empty ``CURVEDLATTICE_OUTDIR`` for its output
+directory, then each flag that is set.  Only then is the run validated,
+once, and it keeps the metric that validation built.  Configs are fully
+deterministic — no seeds anywhere.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol"
 _OPTIONAL = ("q", "gamma", "e_min", "e_max")
 _INTEGERS = ("L", "n_e")
 _REAL_LISTS = ("times", "snapshot_times")
+_DEFAULT_INITIAL = {"kind": "plane_wave", "k": 0.0, "branch": 1}
 
 
 def _is_real(value) -> bool:
@@ -53,10 +55,9 @@ def _check_initial_values(initial) -> None:
         raise ConfigError(f"initial must be an object of finite numbers and a kind, got {initial!r}")
 
 
-def _check_initial(initial) -> None:
-    """An initial state is an object of a known kind and the finite numbers
-    of that kind's fields, a whole number where the field counts."""
-    _check_initial_values(initial)
+def _check_initial(initial: dict) -> None:
+    """An initial state whose values passed `_check_initial_values` names a
+    known kind and only that kind's fields, a whole number where it counts."""
     kind = initial.get("kind")
     # a JSON kind may be a list or an object, which no dict lookup takes
     if not isinstance(kind, str) or kind not in _INITIAL_FIELDS:
@@ -91,7 +92,7 @@ class RunConfig:
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
-    initial: dict = field(default_factory=lambda: {"kind": "plane_wave", "k": 0.0, "branch": 1})
+    initial: dict = field(default_factory=lambda: dict(_DEFAULT_INITIAL))
     out_dir: str = "."
     tol: float = 1e-12
     heatmap: bool = False
@@ -108,32 +109,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The validated run of exactly the fields in ``data``."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
-        if "out_dir" not in data:
-            cfg.out_dir = os.environ.get(OUTDIR_ENV) or cfg.out_dir  # empty is unset
         cfg.validate()
         return cfg
 
     @classmethod
-    def from_file(cls, path: str, overrides: dict | None = None) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read config {path!r}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"malformed JSON in {path!r}: {err}") from err
-        if not isinstance(data, dict):
-            raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        merged = dict(data)
-        if os.environ.get(OUTDIR_ENV):  # it overrides the file (from_dict reads it)
-            merged.pop("out_dir", None)
-        merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-        return cls.from_dict(merged)
+    def from_file(cls, path: str | None = None, overrides: dict | None = None) -> "RunConfig":
+        """The validated run of config file ``path`` (None: the defaults),
+        a non-empty ``CURVEDLATTICE_OUTDIR`` and the flags of ``overrides``
+        that are set, in this order (see the module docstring)."""
+        data = {}
+        if path is not None:
+            try:
+                with open(path) as fh:
+                    data = json.load(fh)
+            except OSError as err:
+                raise ConfigError(f"cannot read config {path!r}: {err}") from err
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"malformed JSON in {path!r}: {err}") from err
+            if not isinstance(data, dict):
+                raise ConfigError(f"config root must be an object, got {type(data).__name__}")
+        if os.environ.get(OUTDIR_ENV):  # empty is unset
+            data["out_dir"] = os.environ[OUTDIR_ENV]
+        flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+        state = {key: flags.pop(key) for key in ("k", "branch") if key in flags}
+        data.update(flags)
+        initial = data.get("initial", _DEFAULT_INITIAL)
+        if isinstance(initial, dict):  # validate names any other value
+            data["initial"] = {**initial, **state}
+        return cls.from_dict(data)
 
     # -- validation ------------------------------------------------------
 
@@ -216,22 +224,20 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def initial_state(self):
-        """The configured initial field; `initial` is checked again, as a flag may have set it.
-        A whole-number field is passed as given, so an error names it as the config wrote it."""
+        """The configured initial field.  A whole-number field is passed as
+        given, so an error names it as the config wrote it."""
         from . import evolve
 
-        _check_initial(self.initial)
-        opts = dict(self.initial)
-        kind = opts.pop("kind")
+        opts = self.initial
         try:
-            if kind == "plane_wave":
+            if opts["kind"] == "plane_wave":
                 return evolve.plane_wave(
                     k=float(opts.get("k", 0.0)),
                     branch=opts.get("branch", 1),
                     L=self.L,
                     a=self.a,
                 )
-            if kind == "gaussian":
+            if opts["kind"] == "gaussian":
                 return evolve.gaussian_packet(
                     center=float(opts.get("center", (self.L - 1) * self.a / 2)),
                     width=float(opts.get("width", self.L * self.a / 20)),

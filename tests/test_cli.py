@@ -456,6 +456,31 @@ def test_exit_code_2_on_unwritable_out_dir(tmp_path, capsys):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["ldos", "--L", "4", "--n-e", str(10**15)],
+    *([command, "--L", str(10**15)] for command in ("spectrum", "ldos", "evolve", "classify", "dump")),
+], ids=["ldos-n-e", "spectrum-L", "ldos-L", "evolve-L", "classify-L", "dump-L"])
+def test_a_request_too_large_to_allocate_is_a_config_error(argv, tmp_path, capsys):
+    # 10**15 entries of eight bytes lie beyond a 47-bit (128 TiB) address
+    # space, so numpy refuses the first such array without allocating it
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_ldos_grids_span_the_given_energy_bounds(tmp_path):
+    argv = ["ldos", "--family", "weyl", "--q", "0.05", "--r", "0.3", "--L", "6", "--times", "0.25",
+            "--axis", "both", "--e-min", "-1.5", "--e-max", "2", "--n-e", "7", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "ldos_meta.json").read_text())
+    for tag in ("real", "imag"):
+        _, rows = _read_csv(tmp_path / f"ldos_{tag}.csv")
+        energies = [float(row[1]) for row in rows if row[0] == "0"]
+        assert energies == np.linspace(-1.5, 2.0, 7).tolist()
+        assert (meta[f"ldos_{tag}.csv"]["e_min"], meta[f"ldos_{tag}.csv"]["e_max"]) == (-1.5, 2.0)
+
+
 def test_evolve_check_duality_writes_snapshots(tmp_path):
     # the duality route writes the same snapshot files as the plain route
     args = [

@@ -166,3 +166,52 @@ def test_an_empty_outdir_environment_counts_as_unset(tmp_path, monkeypatch):
     assert _classify(tmp_path, monkeypatch, env="") == {"A"}
     assert main(["classify", "--family", "flat", "--L", "6"]) == 0
     assert (tmp_path / "symmetry.json").is_file()
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (None, ["classify", "--config", "run.json"],
+     "cannot read config 'run.json': [Errno 2] No such file or directory: 'run.json'"),
+    ("{bad", ["classify", "--config", "run.json"],
+     "malformed JSON in 'run.json': Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("[1]", ["classify", "--config", "run.json"], "config root must be an object, got list"),
+    ('{"family": "custom", "alpha": 3, "beta": "1"}', ["classify", "--config", "run.json"],
+     "alpha must be an expression string, got 3"),
+    (None, ["ldos", "--L", "4", "--gamma", "0"], "gamma must be positive, got 0.0"),
+    (None, ["ldos", "--L", "4", "--gamma", "-1"], "gamma must be positive, got -1.0"),
+    (None, ["ldos", "--L", "4", "--e-min", "1", "--e-max", "1"], "need e_max > e_min, got [1.0, 1.0]"),
+    (None, ["ldos", "--L", "4", "--e-min", "1", "--e-max", "0"], "need e_max > e_min, got [1.0, 0.0]"),
+    (None, ["evolve", "--L", "4", "--dt", "0"], "dt must be positive, got 0.0"),
+    (None, ["evolve", "--L", "4", "--dt", "-0.1"], "dt must be positive, got -0.1"),
+    (None, ["classify", "--family", "custom", "--alpha", "1+x", "--L", "4"],
+     "custom metric needs both alpha and beta expressions"),
+], ids=["missing-file", "malformed-json", "list-root", "number-alpha", "zero-gamma", "negative-gamma",
+        "empty-energy-range", "reversed-energy-range", "zero-dt", "negative-dt", "custom-alpha-only"])
+def test_a_file_or_setting_error_is_one_line_and_writes_nothing(text, argv, message, tmp_path,
+                                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "run.json").write_text(text)
+    assert main([*argv, "--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_from_file_resolves_the_environment_and_flags_before_the_one_validation(monkeypatch):
+    monkeypatch.setenv(config.OUTDIR_ENV, "B")
+    cfg = config.RunConfig.from_file(None, {"L": 6, "k": 0.3, "branch": None, "out_dir": None})
+    assert (cfg.L, cfg.out_dir, cfg.initial) == (6, "B", {"kind": "plane_wave", "k": 0.3, "branch": 1})
+    # a flag-set field is checked with the rest of the run, before any command
+    with pytest.raises(config.ConfigError, match="^initial must be an object of finite numbers"):
+        config.RunConfig.from_file(None, {"k": float("inf")})
+    # from_dict builds exactly the fields it is given
+    assert config.RunConfig.from_dict({}).out_dir == "."
+
+
+def test_evolve_checks_its_flag_set_initial_state_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    check = config._check_initial
+    monkeypatch.setattr(config, "_check_initial", lambda initial: calls.append(dict(initial)) or check(initial))
+    argv = ["evolve", "--L", "8", "--t1", "0.01", "--dt", "0.005", "--k", "0.3", "--branch", "-1"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert calls == [{"kind": "plane_wave", "k": 0.3, "branch": -1}]

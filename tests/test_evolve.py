@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -410,3 +412,15 @@ def test_de_sitter_horizon_eta_norm_finite_and_conserved():
     assert np.all(np.isfinite(trace.eta_norms))
     drift = np.abs(trace.eta_norms - trace.eta_norms[0]).max()
     assert drift <= 1e-8 * trace.eta_norms[0]
+
+
+@pytest.mark.parametrize("t0, t1, dt, message", [
+    (0.0, 1.0, 0.0, "time step must be positive, got dt=0.0"),
+    (0.0, 1.0, -0.1, "time step must be positive, got dt=-0.1"),
+    (1.0, 1.0, 0.1, "need t1 > t0, got [1.0, 1.0]"),
+    (1.0, 0.5, 0.1, "need t1 > t0, got [1.0, 0.5]"),
+])
+def test_propagate_rejects_a_run_without_steps(t0, t1, dt, message):
+    model = MetricModel.flat(L=4)
+    with pytest.raises(EvolveError, match=f"^{re.escape(message)}$"):
+        propagate(model, 0.0, single_site(1, 4), t0, t1, dt)

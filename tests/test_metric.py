@@ -158,3 +158,10 @@ def test_distance_profile():
     rindler = MetricModel.rindler(q=0.1, L=5).sample()
     d = distance_profile(rindler)
     assert np.isinf(d[0]) and d[0] > 0
+
+
+@pytest.mark.parametrize("expressions", [{}, {"alpha_expr": parse("1")}, {"beta_expr": parse("1")}],
+                         ids=["neither", "alpha-only", "beta-only"])
+def test_a_custom_model_needs_both_expressions(expressions):
+    with pytest.raises(MetricError, match="^custom metric requires alpha and beta expressions$"):
+        MetricModel("custom", 4, **expressions)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,3 +148,18 @@ def test_default_gamma_scales_with_span():
     span = np.ptp(dec.eigenvalues.real)
     assert g == pytest.approx(20 * span / (np.pi * 2 * L))
     assert default_gamma(dec, "imaginary") > 0  # falls back to the real span
+
+
+_GUARD_H = build(MetricModel.flat(L=3).sample(), M=0.5, a=1.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (ldos_real, (eig_general(_GUARD_H, compute_vectors=False), np.linspace(-1, 1, 5), 0.1),
+     "decomposition has no eigenvectors"),
+    (ldos_real, (eig_hermitian(_GUARD_H), np.zeros(0), 0.1), "empty energy grid"),
+    (energy_grid, (1.0, 1.0, 5), "degenerate energy grid [1.0, 1.0] x 5"),
+    (energy_grid, (1.0, 0.0, 5), "degenerate energy grid [1.0, 0.0] x 5"),
+], ids=["ldos_real-no-vectors", "ldos_real-empty-grid", "energy_grid-empty", "energy_grid-reversed"])
+def test_library_guards_raise_observable_error(call, args, message):
+    with pytest.raises(ObservableError, match=f"^{re.escape(message)}$"):
+        call(*args)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -801,3 +802,19 @@ def test_match_eigenvalues():
     idx, dist = match_eigenvalues(a, b)
     assert list(idx) == [1, 2, 0]
     assert np.max(dist) <= 1e-12
+
+
+_GUARD_H = build(MetricModel.flat(L=3).sample(), M=0.5, a=1.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (expm_apply, (_GUARD_H, 0.1, np.ones(5)), "state length (5,) does not match matrix (6, 6)"),
+    (propagator, (_GUARD_H, float("nan")), "non-finite time step nan"),
+    (eig_general, (np.ones((2, 3)),), "expected a square matrix, got shape (2, 3)"),
+    (eig_general, (np.array([[1.0, np.inf], [0.0, 1.0]]),), "matrix has non-finite entries"),
+    (match_eigenvalues, (np.zeros(2), np.zeros(3)), "spectra have different sizes"),
+], ids=["expm_apply-state-length", "propagator-nan-step", "eig_general-non-square",
+        "eig_general-non-finite", "match_eigenvalues-sizes"])
+def test_library_guards_raise_spectral_error(call, args, message):
+    with pytest.raises(SpectralError, match=f"^{re.escape(message)}$"):
+        call(*args)

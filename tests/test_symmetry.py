@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -305,3 +306,15 @@ def test_uniform_imaginary_shift_property():
     shifted = H0.matrix + 1j * c * np.eye(50)
     ev = eig_general(shifted, compute_vectors=False).eigenvalues
     np.testing.assert_allclose(ev.imag, c, atol=1e-10)
+
+
+_GUARD_H = build(MetricModel.flat(L=3).sample(), M=0.5, a=1.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (imaginary_gauge, (_GUARD_H, np.ones(2)), "beta length 2 does not match operator (6, 6)"),
+    (unbroken_pt, (eig_general(np.zeros((0, 0)), compute_vectors=False),), "empty spectrum"),
+], ids=["imaginary_gauge-beta-length", "unbroken_pt-empty"])
+def test_library_guards_raise_symmetry_error(call, args, message):
+    with pytest.raises(SymmetryError, match=f"^{re.escape(message)}$"):
+        call(*args)

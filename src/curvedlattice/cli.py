@@ -173,11 +173,6 @@ def _write_snapshots(cfg, snapshots, written):
         )
 
 
-def _discrepancy(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    return np.linalg.norm(a - b) / na if na > 0 else 0.0
-
-
 # Each route advances through its own name here, one call per step, so that
 # a profiler wrapping `propagate` and `dual_propagate` in this module
 # (perfbench/tracer.py) times the two routes apart.
@@ -191,34 +186,16 @@ def dual_propagate(route: Route) -> None:
     route.advance()
 
 
-def _trace_rows(curved: Route, dual: Route | None):
-    """The ``trace.csv`` rows, each yielded once both routes reach its time.
-
-    The routes step in lockstep, so memory does not grow with the step
-    count, and a failed run has yielded the rows up to its last completed
-    step.
-    """
-    while True:
-        row = [curved.t, curved.norm, curved.eta_norm]
-        if dual is not None:
-            row.append(_discrepancy(curved.phys, dual.phys))
-        yield _floats(row)
-        if curved.done:
-            return
-        propagate(curved)
-        if dual is not None:
-            dual_propagate(dual)
-
-
 def cmd_evolve(cfg: RunConfig) -> list[str]:
-    from .evolve import curved_route, dual_route
+    from .evolve import curved_route, dual_route, trace_rows
 
     run = (cfg.model(), cfg.M, cfg.initial_state(), cfg.t0, cfg.t1, cfg.dt, cfg.bc)
     curved = curved_route(*run, snapshot_times=cfg.snapshot_times)
     dual = dual_route(*run) if cfg.check_duality else None
     header = "t,norm,eta_norm" + (",duality_discrepancy" if dual is not None else "")
     written = []
-    _write_rows(_out(cfg, "trace.csv", written), header, _trace_rows(curved, dual))
+    rows = trace_rows(curved, dual, propagate, dual_propagate)
+    _write_rows(_out(cfg, "trace.csv", written), header, rows)
     _write_snapshots(cfg, curved.snapshots, written)
     return written
 

@@ -17,9 +17,10 @@ estimated to cost less than the band products.
 A run is a :class:`Route`: it is advanced one step at a time on the exact
 grid t_i = t0 + i·dt and holds only the current state and the prepared
 static step, so its memory does not grow with the step count.
-:func:`propagate` and :func:`dual_propagate` run a route to its end and
-return its :class:`EvolutionTrace`; the CLI advances the two routes in
-lockstep and writes each ``trace.csv`` row as both reach it.
+:func:`trace_rows` advances a route, and optionally its flat dual in
+lockstep, and forms the norms of each grid time as both reach it;
+:func:`propagate` and :func:`dual_propagate` collect those rows into an
+:class:`EvolutionTrace`, and the CLI writes them as ``trace.csv``.
 
 :func:`dual_propagate` evolves the rescaled field ψ̃ = D(t)ψ (with
 D = diag(√α_n)⊗I₂) under the flat-kinetic Hamiltonian with site-dependent
@@ -116,9 +117,9 @@ class Route:
     long, a last, shorter step, if any, ends at t1, and the run takes
     ``count`` steps.  Nothing is stored per step.  The route holds the step
     index, the evolved state ``psi`` and the prepared static step, which
-    carries its own length.  ``t``, ``phys``, ``norm`` and
-    ``eta_norm`` describe the recorded (physical) field at the current grid
-    time, and ``snapshots`` the states kept: one per grid time that a
+    carries its own length.  ``t`` is the current grid time, ``metric`` the
+    metric sampled there and ``phys`` the recorded (physical) field, and
+    ``snapshots`` the states kept: one per grid time that a
     requested snapshot time reaches (the first within dt/2 of it), and the
     last state once the run is done.  Memory does not grow with the step
     count.
@@ -161,10 +162,11 @@ class Route:
         self._wanted = sorted(float(t) for t in wanted)
         self.snapshots: list[SpinorField] = []
         metric = self._sample(t0)
-        self.psi = psi0.values.astype(complex, copy=True)
+        self.psi = phys = psi0.values.astype(complex, copy=True)
         if scale is not None:
             self.psi *= scale(metric)
-        self._record(t0, *self._physical(self.psi, metric))
+            phys = self.psi / scale(metric)
+        self._record(t0, phys, metric)
 
     @property
     def done(self) -> bool:
@@ -173,14 +175,8 @@ class Route:
     def _sample(self, t: float) -> SampledMetric:
         return self._fixed if self._fixed is not None else self._model.sample(t)
 
-    def _physical(self, psi: np.ndarray, metric: SampledMetric):
-        """The recorded field of the evolved state ``psi``, and its η-norm."""
-        phys = psi if self._scale is None else psi / self._scale(metric)
-        return phys, _eta_norm(phys, metric.beta)
-
-    def _record(self, t: float, phys: np.ndarray, eta: float) -> None:
-        self.t, self.phys, self.eta_norm = t, phys, eta
-        self.norm = float(np.linalg.norm(phys))
+    def _record(self, t: float, phys: np.ndarray, metric: SampledMetric) -> None:
+        self.t, self.phys, self.metric = t, phys, metric
         reached = False
         while self._wanted and t >= self._wanted[0] - self.dt / 2:
             self._wanted.pop(0)
@@ -204,12 +200,41 @@ class Route:
                     U = propagator(self._step_operator(self._sample(t + step / 2)), step)
                     self._U = U.for_steps(self.whole - i if i < self.whole else 1)
                 psi = self._U @ self.psi
-            phys, eta = self._physical(psi, self._sample(t_next))
+            metric = self._sample(t_next)
+            phys = psi if self._scale is None else psi / self._scale(metric)
         except (MetricDomainError, SpectralError, EvolveError) as err:
             raise PropagationError(f"propagation stopped at t={t_next:g}: {err}") from err
         self.index += 1
         self.psi = psi
-        self._record(t_next, phys, eta)
+        self._record(t_next, phys, metric)
+
+
+def _discrepancy(a: np.ndarray, b: np.ndarray) -> float:
+    """‖a − b‖/‖a‖, or 0.0 where ``a`` vanishes."""
+    na = np.linalg.norm(a)
+    return float(np.linalg.norm(a - b) / na) if na > 0 else 0.0
+
+
+def trace_rows(curved: Route, dual: Route | None = None,
+               advance=Route.advance, dual_advance=Route.advance):
+    """Each grid time's row ``[t, ‖ψ‖, η-norm]`` of ``curved``, as Python
+    floats, plus ‖ψ − ψ̃‖/‖ψ‖ against the field of ``dual`` when it is given.
+
+    After each row both routes take their next step, through ``advance`` and
+    ``dual_advance``, so memory does not grow with the step count, and a
+    failed run has yielded its rows up to its last completed step.
+    """
+    while True:
+        phys = curved.phys
+        row = [float(curved.t), float(np.linalg.norm(phys)), _eta_norm(phys, curved.metric.beta)]
+        if dual is not None:
+            row.append(_discrepancy(phys, dual.phys))
+        yield row
+        if curved.done:
+            return
+        advance(curved)
+        if dual is not None:
+            dual_advance(dual)
 
 
 def _trace(route: Route) -> EvolutionTrace:
@@ -218,22 +243,18 @@ def _trace(route: Route) -> EvolutionTrace:
     A :class:`PropagationError` carries the trace up to the last completed
     step as its ``partial``.
     """
-    times, norms, eta_norms = [route.t], [route.norm], [route.eta_norm]
+    rows = []
 
     def trace():
-        return EvolutionTrace(
-            np.asarray(times), np.asarray(norms), np.asarray(eta_norms), route.snapshots
-        )
+        times, norms, eta_norms = map(np.asarray, zip(*rows))
+        return EvolutionTrace(times, norms, eta_norms, route.snapshots)
 
-    while not route.done:
-        try:
-            route.advance()
-        except PropagationError as err:
-            err.partial = trace()
-            raise
-        times.append(route.t)
-        norms.append(route.norm)
-        eta_norms.append(route.eta_norm)
+    try:
+        for row in trace_rows(route):
+            rows.append(row)
+    except PropagationError as err:
+        err.partial = trace()
+        raise
     return trace()
 
 

@@ -25,6 +25,9 @@ All profiles must be finite and nonnegative; any other sample is a hard
 error, save one: the de Sitter horizon makes ``beta`` diverge where
 ``alpha = 0`` (``q·n·a = 1``), the sample stores it as-is (``inf``), and
 downstream code evaluates the vanishing combinations with guarded products.
+A Weyl sample ``e^{rt+qna}`` never vanishes, so one below the normal float
+range is an error, as its overflow is: the field grows as β^{-1/2}, and its
+norm would leave the float range there.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ _HAS_R = ("weyl", "linear_conformal")
 # Samples within a few ulp of the de Sitter horizon are snapped onto it so a
 # horizon pinned to a lattice site decouples exactly (zero hopping, not 1e-8).
 _HORIZON_SNAP = 16 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _dsl():
@@ -224,6 +228,12 @@ class MetricModel:
                 dlog = np.zeros(L)
             elif self.family == "weyl":
                 alpha = np.exp(self.r * t + self.q * x)
+                if np.any(alpha < _TINY):
+                    n_bad = int(np.argmax(alpha < _TINY))
+                    raise MetricDomainError(
+                        f"weyl sample e^(rt+qx) = {alpha[n_bad]:g} below the normal float range "
+                        f"at site {n_bad}, t={t:g}"
+                    )
                 beta = alpha
                 dlog = np.full(L, self.r)
             elif self.family == "linear_conformal":

@@ -229,11 +229,17 @@ def _guarded_hop(
     """√(α_n α_m)/β_n elementwise, with the analytic limit 0 wherever an α vanishes.
 
     At a horizon site α → 0 while β may diverge (de Sitter has β = 1/α); the
-    operator only ever needs the product, which vanishes there.
+    operator only ever needs the product, which vanishes there.  Where both
+    α are nonzero but their product leaves the normal float range (it
+    underflows or overflows though the hop itself need not), the root is
+    taken as √α_n·√α_m instead; every other hop is √(α_n α_m)/β_n as written.
     """
     with np.errstate(all="ignore"):  # non-finite values are reported below
         prod = alpha_from * alpha_to
-        value = np.where(prod == 0.0, 0.0, np.sqrt(prod) / beta_from)
+        root = np.sqrt(prod)
+        apart = ~((prod >= _TINY) & (prod < math.inf)) & (alpha_from != 0.0) & (alpha_to != 0.0)
+        root[apart] = np.sqrt(alpha_from[apart]) * np.sqrt(alpha_to[apart])
+        value = np.where(root == 0.0, 0.0, root / beta_from)
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         k = bad[0]
@@ -255,12 +261,13 @@ def _assemble(L: int, terms) -> dict[int, np.ndarray]:
     """
     n = 2 * L
     band: dict[int, np.ndarray] = {}
-    for start, b, coef, kernel in terms:
-        for r, c in zip(*np.nonzero(kernel)):
-            k = int(2 * b + c - r)
-            first = 2 * start + r if k >= 0 else 2 * (start + b) + c  # np.diagonal order
-            d = band.setdefault(k, np.zeros(n - abs(k), dtype=complex))
-            d[first : first + 2 * coef.size : 2] += coef * kernel[r, c]
+    with np.errstate(all="ignore"):  # a non-finite entry is reported below
+        for start, b, coef, kernel in terms:
+            for r, c in zip(*np.nonzero(kernel)):
+                k = int(2 * b + c - r)
+                first = 2 * start + r if k >= 0 else 2 * (start + b) + c  # np.diagonal order
+                d = band.setdefault(k, np.zeros(n - abs(k), dtype=complex))
+                d[first : first + 2 * coef.size : 2] += coef * kernel[r, c]
     band = {k: d for k, d in sorted(band.items()) if d.any()}
     if not all(np.all(np.isfinite(d)) for d in band.values()):
         raise OperatorError("non-finite entries in assembled Hamiltonian")
@@ -295,7 +302,9 @@ def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> Lattic
     hop_b = _guarded_hop(alpha[bwd_from], alpha[(bwd_from - 1) % L], beta[bwd_from])
     # in the order of a dense accumulation: mass, ∂₀β/β, forward hops, backward
     # hops; a periodic wrap is its own run of one block, at block offset ∓(L−1)
-    terms = [(0, 0, M * alpha, _SIGMA_X), (0, 0, -0.5j * dlog, np.eye(2)), (0, 1, hop_f[: L - 1], fwd)]
+    with np.errstate(over="ignore"):  # an overflowing mass term is reported by _assemble
+        mass = M * alpha
+    terms = [(0, 0, mass, _SIGMA_X), (0, 0, -0.5j * dlog, np.eye(2)), (0, 1, hop_f[: L - 1], fwd)]
     if periodic:
         terms.append((L - 1, 1 - L, hop_f[L - 1 :], fwd))
     terms.append((1, -1, hop_b[-(L - 1) :], bwd))
@@ -318,15 +327,17 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
     K = _HOP_KERNEL
-    dalpha = np.gradient(alpha, a)
-    ratio = alpha / beta
-    diagonals = _assemble(L, [
-        (0, 0, M * alpha, _SIGMA_X),
-        (0, 0, -0.5j * dlog, np.eye(2)),
-        (0, 0, -0.5j * (dalpha / beta), K),
-        (0, 1, -1.0j / (2.0 * a) * ratio[:-1], K),
-        (1, -1, +1.0j / (2.0 * a) * ratio[1:], K),
-    ])
+    with np.errstate(all="ignore"):  # a non-finite coefficient is reported by _assemble
+        dalpha = np.gradient(alpha, a)
+        ratio = alpha / beta
+        terms = [
+            (0, 0, M * alpha, _SIGMA_X),
+            (0, 0, -0.5j * dlog, np.eye(2)),
+            (0, 0, -0.5j * (dalpha / beta), K),
+            (0, 1, -1.0j / (2.0 * a) * ratio[:-1], K),
+            (1, -1, +1.0j / (2.0 * a) * ratio[1:], K),
+        ]
+    diagonals = _assemble(L, terms)
     return LatticeOperator(diagonals, 2 * L)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import CurvedLatticeError
 from .operator import (
-    band_adjoint, band_chains, band_distance, band_matrix, band_norm, band_similarity,
+    _LIFT, _TINY, band_adjoint, band_chains, band_distance, band_matrix, band_norm, band_similarity,
     column_norms, hermitian_residual,
 )
 
@@ -268,7 +268,11 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
             i = np.flatnonzero(upper)
             magnitude = np.abs(upper[i])
             step = 0.5 * (np.log(magnitude) - np.log(np.abs(diagonals[-k][i])))
-            phase = upper[i] / magnitude
+            with np.errstate(all="ignore"):
+                phase = upper[i] / magnitude
+            # 1/|A_ij| overflows for a subnormal entry: lift it by an exact power of two
+            sub = magnitude < _TINY
+            phase[sub] = upper[i][sub] * _LIFT / (magnitude[sub] * _LIFT)
             for a, b, w, z in zip(i.tolist(), (i + k).tolist(), step.tolist(), phase.tolist()):
                 neighbours[a].append((b, w, z))
                 neighbours[b].append((a, -w, z.conjugate()))

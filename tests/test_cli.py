@@ -589,6 +589,29 @@ def test_streamed_discrepancy_matches_library_routes(tmp_path):
     assert [float(r[3]) for r in rows] == expected
 
 
+def test_check_duality_forms_one_eta_norm_per_row(tmp_path, monkeypatch):
+    # only the curved route's norms are written, so only they are formed; the
+    # rows are the ones the library trace of the same run records
+    from curvedlattice import evolve
+
+    calls = []
+    eta_norm = evolve._eta_norm
+    monkeypatch.setattr(evolve, "_eta_norm", lambda *args: calls.append(1) or eta_norm(*args))
+    cfg = RunConfig.from_dict({
+        "family": "weyl", "q": 0.01, "r": 0.5, "L": 20, "M": 0.5, "t0": 0.0, "t1": 0.0505,
+        "dt": 1e-3, "check_duality": True, "out_dir": str(tmp_path),
+    })
+    cli.cmd_evolve(cfg)
+    _, rows = _read_csv(tmp_path / "trace.csv")
+    assert len(rows) == len(calls) == 52
+    calls.clear()
+    run = (cfg.model(), cfg.M, cfg.initial_state(), cfg.t0, cfg.t1, cfg.dt, cfg.bc)
+    trace = evolve.propagate(*run)
+    assert len(calls) == 52
+    for j, column in enumerate((trace.times, trace.norms, trace.eta_norms)):
+        assert [float(r[j]) for r in rows] == column.tolist()
+
+
 def test_check_duality_memory_is_flat_in_step_count(tmp_path):
     # both routes stream their rows, so the traced peak does not grow with
     # the number of steps

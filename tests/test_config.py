@@ -102,7 +102,7 @@ def test_the_ends_of_the_run_are_snapshot_times(tmp_path, capsys):
     ]
 
 
-def test_a_flag_set_field_is_checked_when_the_state_is_built(tmp_path, capsys):
+def test_a_flag_set_field_is_checked_at_validation(tmp_path, capsys):
     code, err = _evolve({"kind": "kick", "site": 2}, tmp_path, capsys, "--k", "0.3", "--branch", "-1")
     assert (code, err) == (2, "config error: a kick initial state has no k or branch\n")
 

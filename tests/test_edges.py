@@ -1,7 +1,7 @@
 """Edge values of the CLI contract, run in-process through ``front.main``.
 
 Every case exits 0, 2 or 3 and prints no warning.  A failure prints exactly
-one stderr line; a success prints nothing there and writes no ``nan`` or
+one stderr line; a success prints nothing there.  Neither writes ``nan`` or
 ``inf`` into its data files, but for the two declared ones: a
 ``quasi_hermitian_residual`` of ``Infinity`` where the η similarity
 overflows, and ``metric.csv``'s ``beta`` and ``distance`` of ``inf`` at a
@@ -43,8 +43,20 @@ def _run(argv, out_dir, capsys):
      3, "numerical failure: lattice spacing a=1e-320 must be positive"),
     (["spectrum", "--family", "rindler", "--L", "5", "--M", "1e300"], 0, None),
     (["classify", "--family", "weyl", "--L", "5", "--q", "0.05", "--r", "1e300"], 0, None),
+    # β = e^{rt+qx} leaves the normal range at t = 0.71, where ‖ψ‖² ∝ 1/β overflows
+    (["evolve", "--family", "weyl", "--q", "0.01", "--r", "-1000", "--L", "8", "--t1", "0.8",
+      "--dt", "0.01"], 3, "numerical failure: propagation stopped at t=0.71"),
+    (["evolve", "--family", "weyl", "--q", "0.01", "--r", "-1000", "--L", "8", "--t1", "0.8",
+      "--dt", "0.01", "--check-duality"], 3, "numerical failure: propagation stopped at t=0.71"),
+    # hops of about 1e-323: each phase of the symmetrizer is read without 1/|hop|
+    (["classify", "--family", "rindler", "--L", "5", "--M", "1", "--q", "5e-324"], 0, None),
+    # the mass term M·α overflows
+    (["spectrum", "--family", "rindler", "--q", "1e300", "--M", "1e10", "--L", "2"],
+     3, "numerical failure: non-finite entries in assembled Hamiltonian"),
 ], ids=["classify-weyl-tiny", "ldos-flat-a1e300", "spectrum-flat-a1e-320",
-        "spectrum-rindler-M1e300", "classify-weyl-r1e300"])
+        "spectrum-rindler-M1e300", "classify-weyl-r1e300", "evolve-weyl-beta-underflow",
+        "evolve-weyl-beta-underflow-duality", "classify-rindler-subnormal-hops",
+        "spectrum-rindler-mass-overflow"])
 def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys):
     got, out, err, caught = _run(argv, tmp_path, capsys)
     assert got in (0, 2, 3)
@@ -52,6 +64,8 @@ def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys
     assert got == code
     if code:
         assert len(err.splitlines()) == 1 and err.startswith(message)
+        for path in tmp_path.iterdir():  # the rows a failed run wrote are finite
+            assert not _NON_FINITE.search(path.read_text()), path
         return
     assert err == ""
     for path in out.splitlines():
@@ -86,22 +100,25 @@ _FAMILIES = {
                "--times", "0.5"],
 }
 _EDGE_VALUES = ("0", "5e-324", "1e-300", "1e300")
+# a two-step span that starts after linear_conformal's w_0 = rt leaves 0
+_SPANS = {"evolve": ["--t0", "0.01", "--t1", "0.02", "--dt", "0.005"]}
 
 
 @pytest.mark.parametrize("command,family,flag", itertools.product(
-    ("spectrum", "ldos", "classify", "dump"), _FAMILIES, ("--a", "--M", "--q", "--r", "--tol")))
+    ("spectrum", "ldos", "classify", "dump", "evolve"), _FAMILIES,
+    ("--a", "--M", "--q", "--r", "--tol")))
 def test_edge_value_sweep_keeps_the_cli_contract(command, family, flag, tmp_path, capsys):
     # the flag's edge value comes last, so it replaces a family setting
     for value in _EDGE_VALUES:
-        argv = [command, *_FAMILIES[family], "--L", "5", f"{flag}={value}"]
+        argv = [command, *_FAMILIES[family], "--L", "5", *_SPANS.get(command, ()), f"{flag}={value}"]
         got, out, err, caught = _run(argv, tmp_path / value, capsys)
         assert got in (0, 2, 3), argv
         assert [str(w.message) for w in caught] == [], argv
         if got:
             assert len(err.splitlines()) == 1 and err.startswith(("config error:", "numerical failure:")), argv
-            continue
-        assert err == "", argv
-        for path in out.splitlines():
+        else:
+            assert err == "", argv
+        for path in (tmp_path / value).glob("*"):  # a failed run's rows included
             assert _non_finite(path) == [], (argv, path)
 
 

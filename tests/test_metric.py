@@ -50,6 +50,15 @@ def test_weyl_closed_form():
     assert np.all(s1.alpha == s1.beta)
 
 
+def test_weyl_sample_below_the_normal_range_is_a_domain_error():
+    # e^(rt+qx) never vanishes: a sample under the smallest normal float is
+    # reported like its overflow, not passed on as a horizon
+    m = MetricModel.weyl(q=0.01, r=-1000.0, L=8)
+    assert np.all(m.sample(0.7).alpha >= np.finfo(float).tiny)
+    with pytest.raises(MetricDomainError, match=r"below the normal float range at site 0, t=0\.71$"):
+        m.sample(0.71)
+
+
 def test_linear_conformal_domain():
     m = MetricModel.linear_conformal(q=0.1, r=0.5, L=5)
     s = m.sample(0.25)

@@ -285,6 +285,29 @@ def test_weyl_blocks():
         assert np.allclose(_block(H, n, n), -0.5j * r * np.eye(2))
 
 
+def test_static_weyl_spectrum_survives_an_underflowing_alpha_product():
+    # massless Weyl hops are e^{±qa/2}/(2a) at every t, though α_n α_{n+1}
+    # underflows at t = 0.5 (e^{-1000}); the spectrum must not move
+    model = MetricModel.weyl(q=0.01, r=-1000.0, L=8)
+
+    def levels(t):
+        return np.sort_complex(np.linalg.eigvals(build(model.sample(t), M=0.0, a=1.0).matrix))
+
+    np.testing.assert_allclose(levels(0.5), levels(0.0), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [1e-170, 1e160])
+def test_rindler_spectrum_scales_with_q_past_the_product_range(q):
+    # H(q) = q·H(1): every hop q·√(nm) and mass term q·M·n is an ordinary
+    # float, though the product α_n α_m leaves the float range
+    def levels(scale):
+        H = build(MetricModel.rindler(q=scale, L=4).sample(), M=0.5, a=1.0)
+        return np.linalg.eigvalsh(H.matrix)
+
+    unit = levels(1.0)
+    np.testing.assert_allclose(levels(q) / q, unit, rtol=0.0, atol=1e-12 * np.abs(unit).max())
+
+
 def test_linear_conformal_forward_coefficient():
     q, r, a, t = 0.1, 0.5, 1.0, 0.5
     model = MetricModel.linear_conformal(q=q, r=r, L=8)

@@ -28,7 +28,7 @@ _EXPORTS = {
         "lorentzian_delta", "site_weights",
     ),
     "operator": (
-        "GammaAlgebra", "LatticeOperator", "build", "flat_dispersion", "gamma_algebra",
+        "LatticeOperator", "build", "flat_dispersion",
         "hermitian_residual", "naive_build",
     ),
     "spectral": (

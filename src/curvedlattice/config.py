@@ -33,7 +33,8 @@ _INITIAL_FIELDS = {
 # fields that must hold a finite number or a list of them; the optional ones may be None
 _REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol")
 _OPTIONAL = ("q", "gamma", "e_min", "e_max")
-_INTEGERS = ("L", "n_e")
+_INTEGERS = ("schema", "L", "n_e")
+_BOOLEANS = ("heatmap", "check_duality")
 _REAL_LISTS = ("times", "snapshot_times")
 _DEFAULT_INITIAL = {"kind": "plane_wave", "k": 0.0, "branch": 1}
 
@@ -156,6 +157,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _BOOLEANS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         for name in _REAL_LISTS:
             value = getattr(self, name)
             if not (isinstance(value, list) and all(map(_is_real, value))):

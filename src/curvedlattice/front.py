@@ -15,7 +15,7 @@ BOUNDARY_CONDITIONS = ("open", "periodic")
 AXES = ("real", "imaginary", "both")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--q", type=float)
@@ -26,8 +26,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float)
     p.add_argument("--M", type=float)
     p.add_argument("--bc", choices=BOUNDARY_CONDITIONS)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--times", type=float, nargs="+")
+    if name in ("spectrum", "ldos", "classify"):  # the commands that read tol
+        p.add_argument("--tol", type=float)
+    if name != "evolve":  # evolve runs over [t0, t1], not on time slices
+        p.add_argument("--times", type=float, nargs="+")
     p.add_argument("--out-dir", dest="out_dir")
 
 
@@ -45,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("dump", "matrix and metric tables"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, name)
         if name == "ldos":
             p.add_argument("--axis", choices=AXES)
             p.add_argument("--gamma", type=float)

@@ -32,10 +32,7 @@ class ObservableError(CurvedLatticeError):
 class LdosGrid:
     """Max-normalized (site × energy) spectral-weight grid."""
 
-    axis: str  # "real" | "imaginary"
-    energies: np.ndarray
     values: np.ndarray  # shape (L, n_E), nonnegative
-    gamma: float
     normalized: bool
 
 
@@ -98,9 +95,8 @@ def _ldos(decomposition, energies, gamma, axis, normalize):
     values = W @ D
     peak = float(values.max()) if values.size else 0.0
     if normalize and peak > 0.0:
-        values = values / peak
-        return LdosGrid(axis, energies, values, gamma, normalized=True)
-    return LdosGrid(axis, energies, values, gamma, normalized=False)
+        return LdosGrid(values / peak, normalized=True)
+    return LdosGrid(values, normalized=False)
 
 
 def ldos_real(

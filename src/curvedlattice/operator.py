@@ -34,7 +34,6 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 _LIFT = 2.0**600
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 # γ₀⁻¹γ¹ = σ_x·(iσ_y) = −σ_z with the signed zeros of that product (+0 above
 # the diagonal, −0 below; −σ_z has −0 in both): no build forms the product
 _HOP_KERNEL = np.array([[-1.0, 0.0], [-0.0, 1.0]], dtype=complex)
@@ -45,34 +44,6 @@ class OperatorError(CurvedLatticeError):
     """Assembly failure (non-finite entries, divergent guarded products)."""
 
     exit_code = 3
-
-
-@dataclass(frozen=True)
-class GammaAlgebra:
-    """Weyl-representation gamma matrices and the derived kernels.
-
-    ``hop_kernel = γ₀γ¹ = −σ_z`` multiplies the hopping terms (i·hop_kernel
-    is anti-hermitian, which is what makes the regularized matrix hermitian
-    for β ≡ 1); ``mass_kernel = γ₀ = σ_x`` multiplies the onsite mass term.
-    """
-
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-    gamma0_inv: np.ndarray
-    hop_kernel: np.ndarray
-    mass_kernel: np.ndarray
-
-
-def gamma_algebra() -> GammaAlgebra:
-    """The fixed Weyl-representation algebra: γ⁰ = σ_x, γ¹ = iσ_y, as fresh
-    writable copies of the constants that `build` reads."""
-    return GammaAlgebra(
-        gamma0=_SIGMA_X.copy(),
-        gamma1=1.0j * _SIGMA_Y,
-        gamma0_inv=_SIGMA_X.copy(),  # σ_x is its own inverse
-        hop_kernel=_HOP_KERNEL.copy(),
-        mass_kernel=_SIGMA_X.copy(),
-    )
 
 
 @dataclass
@@ -244,7 +215,7 @@ def _guarded_hop(
     if bad.size:
         k = bad[0]
         raise OperatorError(
-            f"divergent hopping: sqrt({prod[k]:g})/{beta_from[k]:g} with nonvanishing alphas"
+            f"divergent hopping: {root[k]:g}/{beta_from[k]:g} with nonvanishing alphas"
         )
     return value
 
@@ -277,7 +248,7 @@ def _assemble(L: int, terms) -> dict[int, np.ndarray]:
 def build(metric: SampledMetric, M: float, a: float, bc: str = "open") -> LatticeOperator:
     """Assemble the regularized lattice Hamiltonian for one time slice.
 
-    Per site n (K = hop_kernel, blocks in site-major ordering):
+    Per site n (K = _HOP_KERNEL = −σ_z, blocks in site-major ordering):
 
     * forward   H[n,n+1] = -(i/2a) · √(α_n α_{n+1})/β_n · K
     * backward  H[n,n-1] = +(i/2a) · √(α_n α_{n-1})/β_n · K

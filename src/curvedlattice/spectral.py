@@ -5,9 +5,9 @@ A lattice operator splits exactly into two L-site chains, A and B = −Ā
 Shiozaki, Ueda & Sato, PRX 9 (2019) 041015, maps one onto the other), so
 spec(H) = spec(A) ∪ −conj spec(A): only chain A is decomposed, B's half is
 −Ē with vectors conj(x), and both are rotated back to site order.  Every
-split spectrum pairs E and −Ē exactly.  A matrix that does not split (a
-periodic ring of odd L, the naive scheme, a plain matrix) is decomposed
-whole.  Either way the structure picks the solver:
+split spectrum pairs E and −Ē exactly.  The band alone decides, whatever
+its type: one that does not split (a periodic ring of odd L, the naive
+scheme) is decomposed whole.  Either way the structure picks the solver:
 
 * ``chain-eigh``/``complex-eigh`` — A = S⁻¹BS + icI with B hermitian, S =
   diag(s) and c uniform (every hermitian and static diagonal metric, and
@@ -22,8 +22,8 @@ whole.  Either way the structure picks the solver:
 whose residuals exceed n·ε·‖A‖_F, the backward-error level of ``eig``,
 gives way to the whole matrix, whose ``complex-eigh`` gives way to
 ``complex-geev`` in turn; ``route`` records the failed check.  Results are
-sorted by (Re, Im), with residuals measured on the whole band, and a LAPACK
-failure raises :class:`SpectralError`.
+sorted by (Re, Im), with residuals measured on the whole band (chain B's
+mirrored from A's), and a LAPACK failure raises :class:`SpectralError`.
 
 Every exponential reads the operator once, as the shifted band B = c·A −
 μI, μ = tr(c·A)/n, with ‖B‖₁ (:func:`_band_shifted`), and truncates one
@@ -96,15 +96,19 @@ def _lapack(solver, *args, **kwargs):
         raise SpectralError(f"eigensolver failed: {err}") from err
 
 
-def _decomposition(lam, V, diagonals, route) -> SpectralDecomposition:
-    """Sorted by (Re, Im), with residuals against the band when V is given."""
+def _decomposition(lam, V, diagonals, route, mirrored=False) -> SpectralDecomposition:
+    """Sorted by (Re, Im), with residuals against the band when V is given.
+    A ``mirrored`` second half is chain B's (:func:`_unfold`), whose residual
+    norms equal the first half's bit for bit, so only the first is measured."""
     order = np.lexsort((lam.imag, lam.real))
-    lam, hnorm = lam[order], band_norm(diagonals)
+    hnorm = band_norm(diagonals)
     if V is None:
-        return SpectralDecomposition(lam, None, None, hnorm, route)
-    V = V[:, order]
-    R = _band_matvec(diagonals, V) - V * lam[None, :]
-    return SpectralDecomposition(lam, V, column_norms(R), hnorm, route)
+        return SpectralDecomposition(lam[order], None, None, hnorm, route)
+    m = lam.size // 2 if mirrored else lam.size
+    norms = column_norms(_band_matvec(diagonals, V[:, :m]) - V[:, :m] * lam[None, :m])
+    if mirrored:
+        norms = np.concatenate([norms, norms])
+    return SpectralDecomposition(lam[order], V[:, order], norms[order], hnorm, route)
 
 
 def _accepted(dec: SpectralDecomposition) -> bool:
@@ -117,13 +121,13 @@ def _accepted(dec: SpectralDecomposition) -> bool:
 def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix.
 
-    The structure picks the route (see the module docstring): a lattice
-    operator is decomposed on one of its two chains, a quasi-hermitian
+    The structure picks the route (see the module docstring): a band that
+    splits is decomposed on one of its two chains, a quasi-hermitian
     matrix keeps eigenvalues that are exactly real up to a uniform
     imaginary shift, and any other matrix goes to ``eig``/``eigvals``.
     """
     diagonals, n = _band(H)
-    return _decompose(diagonals, n, diagonals, _is_lattice(H), compute_vectors, hermitian=False)
+    return _decompose(diagonals, n, diagonals, compute_vectors, hermitian=False)
 
 
 def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
@@ -143,32 +147,26 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     adjoint = band_adjoint(diagonals)
     B = {k: 0.5 * (diagonals.get(k, 0.0) + adjoint.get(k, 0.0))
          for k in diagonals.keys() | adjoint.keys()}
-    return _decompose(diagonals, n, B, _is_lattice(H), True, hermitian=True)
+    return _decompose(diagonals, n, B, True, hermitian=True)
 
 
-def _is_lattice(H) -> bool:
-    """A lattice operator, whose index 2n + s carries the spinor component s
-    that the chain split reads; a plain matrix has no such layout."""
-    return getattr(H, "diagonals", None) is not None
-
-
-def _decompose(diagonals, n, A, lattice, compute_vectors, hermitian) -> SpectralDecomposition:
+def _decompose(diagonals, n, A, compute_vectors, hermitian) -> SpectralDecomposition:
     """The spectrum of the n×n band A, with residuals against ``diagonals``.
 
-    A lattice operator that splits (:func:`band_chains`) is decomposed on
-    chain A, and B's half is its mirror (:func:`_unfold`); a chain route
-    whose residuals fail, or a matrix that does not split, is decomposed
-    whole.  Each takes ``eigh`` of the partner that :func:`_symmetrizer`
-    finds, else ``geev``; a hermitian A takes ``eigh`` only, and a failed
-    whole ``complex-eigh`` of a general A gives way to ``complex-geev``.
+    A band of even n that splits (:func:`band_chains`), a lattice operator
+    or a plain matrix, is decomposed on chain A, and B's half is its mirror
+    (:func:`_unfold`); a chain route whose residuals fail, or a band that
+    does not split, is decomposed whole.  Each takes ``eigh`` of the partner
+    that :func:`_symmetrizer` finds (a hermitian chain always has one), else
+    ``geev``; a hermitian A takes ``eigh`` only, and a failed whole
+    ``complex-eigh`` of a general A gives way to ``complex-geev``.
     """
     check = None
-    chain = band_chains(A, n // 2) if lattice else None
+    chain = band_chains(A, n // 2) if n > 0 and n % 2 == 0 else None
     if chain is not None:
         L = n // 2
-        identity = (np.ones(L), 0.0, chain) if hermitian else None
-        kind, lam, x = _eig(chain, L, compute_vectors, _symmetrizer(chain, L) or identity)
-        dec = _decomposition(*_unfold(lam, x), diagonals, f"chain-{kind}")
+        kind, lam, x = _eig(chain, L, compute_vectors, _symmetrizer(chain, L))
+        dec = _decomposition(*_unfold(lam, x), diagonals, f"chain-{kind}", mirrored=True)
         if _accepted(dec):
             return dec
         check = f"{kind}-residual"

@@ -36,6 +36,7 @@ from .operator import (
 from .spectral import SpectralDecomposition, eig_general
 
 CLASSIFICATIONS = ("Hermitian", "QuasiHermitian", "PTPseudoHermitian", "NonHermitian")
+_REAL_TOL = 1e-8  # largest max|Im E|/max|E| of a spectrum that `unbroken_pt` calls real
 
 
 def _off_negated(x: np.ndarray) -> np.ndarray:
@@ -154,9 +155,9 @@ def classify(
     )
 
 
-def unbroken_pt(decomposition: SpectralDecomposition, tol: float = 1e-8) -> bool:
-    """True when the spectrum is real at tolerance: max|Im E| <= tol·max|E|."""
+def unbroken_pt(decomposition: SpectralDecomposition) -> bool:
+    """True when the spectrum is real at tolerance: max|Im E| <= _REAL_TOL·max|E|."""
     ev = decomposition.eigenvalues
     if ev.size == 0:
         raise SymmetryError("empty spectrum")
-    return bool(np.max(np.abs(ev.imag)) <= tol * np.max(np.abs(ev)))
+    return bool(np.max(np.abs(ev.imag)) <= _REAL_TOL * np.max(np.abs(ev)))

@@ -852,3 +852,19 @@ def test_every_package_error_has_one_base():
     for error, code in codes.items():
         assert issubclass(error, CurvedLatticeError)
         assert error.exit_code == code
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evolve", ["--times", "5", "7"]), ("evolve", ["--tol", "1e-6"]), ("dump", ["--tol", "1e-6"]),
+], ids=["evolve-times", "evolve-tol", "dump-tol"])
+def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsys):
+    # evolve runs over [t0, t1] (its snapshots take --snapshot-times), and
+    # neither evolve nor dump decomposes or classifies, so neither reads tol
+    argv = [command, "--family", "flat", "--L", "4", "--out-dir", str(tmp_path / "out")]
+    if command == "evolve":
+        argv += ["--t1", "0.02", "--dt", "0.01"]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

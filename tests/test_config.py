@@ -215,3 +215,47 @@ def test_evolve_checks_its_flag_set_initial_state_once(tmp_path, monkeypatch, ca
     argv = ["evolve", "--L", "8", "--t1", "0.01", "--dt", "0.005", "--k", "0.3", "--branch", "-1"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert calls == [{"kind": "plane_wave", "k": 0.3, "branch": -1}]
+
+
+_SWITCHES = {"heatmap": ["ldos", "--L", "4"],
+             "check_duality": ["evolve", "--family", "flat", "--L", "4", "--t1", "0.01", "--dt", "0.005"]}
+
+
+@pytest.mark.parametrize("name", list(_SWITCHES))
+@pytest.mark.parametrize("value", ["no", "false", 1, None, [1]])
+def test_a_switch_must_be_a_json_boolean(name, value, tmp_path, capsys):
+    # a truthy string or number would switch the output on
+    (tmp_path / "run.json").write_text(json.dumps({name: value}))
+    out = tmp_path / "out"
+    assert main([*_SWITCHES[name], "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {name} must be true or false, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, files", [
+    (True, {"ldos_meta.json", "ldos_real.csv", "ldos_real.ppm"}),
+    (False, {"ldos_meta.json", "ldos_real.csv"}),
+])
+def test_a_boolean_heatmap_switches_the_image(value, files, tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"heatmap": value}))
+    out = tmp_path / "out"
+    assert main(["ldos", "--L", "4", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+    assert {path.name for path in out.iterdir()} == files
+
+
+@pytest.mark.parametrize("value, columns", [(True, 4), (False, 3)])
+def test_a_boolean_check_duality_switches_the_discrepancy(value, columns, tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"check_duality": value}))
+    out = tmp_path / "out"
+    argv = [*_SWITCHES["check_duality"], "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert len((out / "trace.csv").read_text().splitlines()[0].split(",")) == columns
+
+
+def test_a_boolean_schema_is_a_config_error(tmp_path, capsys):
+    # True == 1 == SCHEMA_VERSION, yet a boolean is no version number
+    (tmp_path / "run.json").write_text(json.dumps({"schema": True}))
+    assert main(["classify", "--L", "4", "--config", str(tmp_path / "run.json"),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: schema must be an integer, got True\n"
+    assert not (tmp_path / "out").exists()

@@ -53,10 +53,16 @@ def _run(argv, out_dir, capsys):
     # the mass term M·α overflows
     (["spectrum", "--family", "rindler", "--q", "1e300", "--M", "1e10", "--L", "2"],
      3, "numerical failure: non-finite entries in assembled Hamiltonian"),
+    # the root √α_n·√α_m = 1e200 is finite: only its division by β overflows
+    (["classify", "--family", "custom", "--alpha", "1e200", "--beta", "1e-200", "--L", "3"],
+     3, "numerical failure: divergent hopping: 1e+200/1e-200 with nonvanishing alphas\n"),
+    (["classify", "--family", "custom", "--alpha", "1", "--beta", "0", "--L", "3"],
+     3, "numerical failure: divergent hopping: 1/0 with nonvanishing alphas\n"),
 ], ids=["classify-weyl-tiny", "ldos-flat-a1e300", "spectrum-flat-a1e-320",
         "spectrum-rindler-M1e300", "classify-weyl-r1e300", "evolve-weyl-beta-underflow",
         "evolve-weyl-beta-underflow-duality", "classify-rindler-subnormal-hops",
-        "spectrum-rindler-mass-overflow"])
+        "spectrum-rindler-mass-overflow", "classify-custom-divergent-hop",
+        "classify-custom-zero-beta"])
 def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys):
     got, out, err, caught = _run(argv, tmp_path, capsys)
     assert got in (0, 2, 3)
@@ -94,23 +100,29 @@ def _non_finite(path) -> list[str]:
 _FAMILIES = {
     "flat": ["--family", "flat"],
     "de_sitter": ["--family", "de_sitter", "--M", "1"],
-    "linear_conformal": ["--family", "linear_conformal", "--q", "0.1", "--r", "0.5", "--M", "1",
-                         "--times", "0.5"],
-    "custom": ["--family", "custom", "--alpha", "1+0.1*x*t", "--beta", "exp(-0.5*t)*log(2+x)^2",
-               "--times", "0.5"],
+    "linear_conformal": ["--family", "linear_conformal", "--q", "0.1", "--r", "0.5", "--M", "1"],
+    "custom": ["--family", "custom", "--alpha", "1+0.1*x*t", "--beta", "exp(-0.5*t)*log(2+x)^2"],
 }
 _EDGE_VALUES = ("0", "5e-324", "1e-300", "1e300")
-# a two-step span that starts after linear_conformal's w_0 = rt leaves 0
+# a two-step span that starts after linear_conformal's w_0 = rt leaves 0;
+# the commands that take --times slice the time-dependent families at t = 0.5
 _SPANS = {"evolve": ["--t0", "0.01", "--t1", "0.02", "--dt", "0.005"]}
+_SLICED = ("linear_conformal", "custom")
 
 
 @pytest.mark.parametrize("command,family,flag", itertools.product(
     ("spectrum", "ldos", "classify", "dump", "evolve"), _FAMILIES,
     ("--a", "--M", "--q", "--r", "--tol")))
 def test_edge_value_sweep_keeps_the_cli_contract(command, family, flag, tmp_path, capsys):
-    # the flag's edge value comes last, so it replaces a family setting
+    # the flag's edge value comes last, so it replaces a family setting;
+    # evolve and dump take no --tol flag, so their edge tol comes from a config file
+    times = ["--times", "0.5"] if family in _SLICED and command != "evolve" else []
     for value in _EDGE_VALUES:
-        argv = [command, *_FAMILIES[family], "--L", "5", *_SPANS.get(command, ()), f"{flag}={value}"]
+        setting = [f"{flag}={value}"]
+        if command in ("evolve", "dump") and flag == "--tol":
+            (tmp_path / "run.json").write_text(json.dumps({"tol": float(value)}))
+            setting = ["--config", str(tmp_path / "run.json")]
+        argv = [command, *_FAMILIES[family], *times, "--L", "5", *_SPANS.get(command, ()), *setting]
         got, out, err, caught = _run(argv, tmp_path / value, capsys)
         assert got in (0, 2, 3), argv
         assert [str(w.message) for w in caught] == [], argv

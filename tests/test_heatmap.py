@@ -30,7 +30,7 @@ def test_render_ppm_layout():
     L, nE = 4, 3
     values = np.zeros((L, nE))
     values[2, 2] = 1.0  # site 2, highest energy
-    grid = LdosGrid("real", np.array([-1.0, 0.0, 1.0]), values, 0.1, True)
+    grid = LdosGrid(values, True)
     data = render_ppm(grid)
     assert data.startswith(b"P6\n4 3\n255\n")
     pixels = np.frombuffer(data[len(b"P6\n4 3\n255\n"):], dtype=np.uint8).reshape(3, 4, 3)

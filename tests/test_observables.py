@@ -137,7 +137,7 @@ def test_normalization_idempotent_and_zero_grid_flag():
     renorm = ld.values / ld.values.max()
     np.testing.assert_array_equal(ld.values, renorm)
     # a grid holding exact zeros everywhere is flagged unnormalized
-    zero = LdosGrid("real", grid, np.zeros((L, grid.size)), 0.02, normalized=False)
+    zero = LdosGrid(np.zeros((L, grid.size)), normalized=False)
     assert not zero.normalized
 
 

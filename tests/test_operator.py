@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from curvedlattice import operator
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.operator import (
-    GammaAlgebra,
     OperatorError,
     band_blocks,
     band_matrix,
@@ -17,7 +16,6 @@ from curvedlattice.operator import (
     build,
     column_norms,
     flat_dispersion,
-    gamma_algebra,
     hermitian_residual,
     naive_build,
 )
@@ -44,7 +42,7 @@ def _reference_hop(alpha_from, alpha_to, beta_from):
 def reference_build(metric, M, a, bc="open"):
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
-    K = gamma_algebra().hop_kernel
+    K = -SZ
     H = np.zeros((2 * L, 2 * L), dtype=complex)
     fwd = -1.0j / (2.0 * a) * K
     bwd = +1.0j / (2.0 * a) * K
@@ -64,7 +62,7 @@ def reference_build(metric, M, a, bc="open"):
 def reference_naive_build(metric, M, a):
     alpha, beta, dlog = metric.alpha, metric.beta, metric.dlog_beta_dt
     L = metric.L
-    K = gamma_algebra().hop_kernel
+    K = -SZ
     dalpha = np.gradient(alpha, a)
     H = np.zeros((2 * L, 2 * L), dtype=complex)
     for n in range(L):
@@ -150,14 +148,16 @@ def test_divergent_hop_raises():
 
 
 def test_gamma_algebra_relations():
-    g = gamma_algebra()
-    anti = g.gamma0 @ g.gamma1 + g.gamma1 @ g.gamma0
+    SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    gamma0, gamma1 = SX, 1.0j * SY
+    anti = gamma0 @ gamma1 + gamma1 @ gamma0
     assert np.allclose(anti, 0.0)
-    assert np.allclose(g.gamma0 @ g.gamma0, np.eye(2))
-    assert np.allclose(g.gamma1 @ g.gamma1, -np.eye(2))
-    assert np.array_equal(g.hop_kernel, -SZ)
-    assert np.array_equal(g.mass_kernel, SX)
-    ik = 1.0j * g.hop_kernel
+    assert np.allclose(gamma0 @ gamma0, np.eye(2))
+    assert np.allclose(gamma1 @ gamma1, -np.eye(2))
+    assert np.array_equal(operator._SIGMA_X, gamma0)  # the mass kernel γ⁰
+    assert np.array_equal(operator._HOP_KERNEL, gamma0 @ gamma1)  # γ⁰⁻¹γ¹ = γ⁰γ¹
+    assert np.array_equal(gamma0 @ gamma1, -SZ)
+    ik = 1.0j * operator._HOP_KERNEL
     assert np.array_equal(ik.conj().T, -ik)  # i·γ₀γ¹ is anti-hermitian
 
 
@@ -178,16 +178,11 @@ _CATALOG = [
 ]
 
 
-def test_build_needs_no_gamma_algebra(monkeypatch):
+def test_build_needs_no_gamma_algebra():
     expected = [
         (reference_build(s, 0.7, 0.5, bc), reference_naive_build(s, 0.7, 0.5))
         for s in _CATALOG for bc in ("open", "periodic")
     ]
-
-    def refuse():
-        raise AssertionError("build called gamma_algebra")
-
-    monkeypatch.setattr(operator, "gamma_algebra", refuse)
     got = [
         (build(s, M=0.7, a=0.5, bc=bc).matrix, naive_build(s, M=0.7, a=0.5).matrix)
         for s in _CATALOG for bc in ("open", "periodic")
@@ -195,18 +190,6 @@ def test_build_needs_no_gamma_algebra(monkeypatch):
     for (H, naive), (ref, ref_naive) in zip(got, expected):
         _assert_byte_identical(H, ref)
         _assert_byte_identical(naive, ref_naive)
-
-
-def test_gamma_algebra_returns_writable_copies():
-    before = [build(s, M=0.7, a=1.0).matrix for s in _CATALOG]
-    g = gamma_algebra()
-    for name in ("gamma0", "gamma1", "gamma0_inv", "hop_kernel", "mass_kernel"):
-        array = getattr(g, name)
-        assert array.flags.writeable
-        array[...] = 7.0
-    for s, H in zip(_CATALOG, before):
-        _assert_byte_identical(build(s, M=0.7, a=1.0).matrix, H)
-    assert np.array_equal(gamma_algebra().hop_kernel, -SZ)
 
 
 def _block(H, n, m):

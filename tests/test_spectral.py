@@ -13,7 +13,8 @@ from curvedlattice.evolve import _eta_norm, gaussian_packet
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.observables import horizon_modes
 from curvedlattice.operator import (
-    LatticeOperator, band_chains, band_matrix, build, flat_dispersion, hermitian_residual, naive_build,
+    LatticeOperator, band_chains, band_matrix, build, column_norms, flat_dispersion, hermitian_residual,
+    naive_build,
 )
 from curvedlattice.spectral import (
     SpectralError,
@@ -818,3 +819,87 @@ _GUARD_H = build(MetricModel.flat(L=3).sample(), M=0.5, a=1.0)
 def test_library_guards_raise_spectral_error(call, args, message):
     with pytest.raises(SpectralError, match=f"^{re.escape(message)}$"):
         call(*args)
+
+
+# every catalog family at a slice t = 0.4, with a mass: (model, M) at L sites
+_FAMILIES = {
+    "flat": lambda L: (MetricModel.flat(L=L), 0.5),
+    "rindler": lambda L: (MetricModel.rindler(q=1 / (L - 1), L=L), 0.0),
+    "de_sitter": lambda L: (MetricModel.de_sitter(q=1 / (L - 1), L=L), 1.0),
+    "anti_de_sitter": lambda L: (MetricModel.anti_de_sitter(q=0.1, L=L), 1.0),
+    "weyl": lambda L: (MetricModel.weyl(q=0.05, r=0.3, L=L), 0.5),
+    "linear_conformal": lambda L: (MetricModel.linear_conformal(q=0.1, r=0.5, L=L), 1.0),
+    "custom": lambda L: (MetricModel.custom("exp(0.01*x)*(1+0.1*t)", "1+0.01*x", L=L), 0.7),
+}
+# open chains and periodic rings of even L: every one of them splits
+_SPLITTING = [(7, "open"), (40, "open"), (8, "periodic"), (40, "periodic")]
+
+
+def _split_operator(family, L, bc):
+    model, M = _FAMILIES[family](L)
+    return build(model.sample(0.4), M, 1.0, bc)
+
+
+def _same_decomposition(got, want):
+    assert got.route == want.route
+    for name in ("eigenvalues", "right_eigenvectors", "residuals"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("L, bc", _SPLITTING)
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_a_plain_copy_of_a_split_operator_takes_its_route(family, L, bc):
+    # the band alone picks the route: the dense copy splits as H does
+    H = _split_operator(family, L, bc)
+    dec = eig_general(H)
+    assert dec.route.startswith("chain-")
+    _same_decomposition(eig_general(H.matrix), dec)
+    if hermitian_residual(H) <= 1e-10:
+        _same_decomposition(eig_hermitian(H.matrix), eig_hermitian(H))
+
+
+@pytest.mark.parametrize("L, bc", _SPLITTING)
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_mirrored_residuals_are_the_measured_ones(family, L, bc):
+    # chain B's residual norms are copied from chain A's: they equal, bit for
+    # bit, the norms measured over all 2L columns on the whole band
+    H = _split_operator(family, L, bc)
+    solvers = [eig_general] + [eig_hermitian] * (hermitian_residual(H) <= 1e-10)
+    for solve in solvers:
+        dec = solve(H)
+        assert dec.route.startswith("chain-")
+        V, E = dec.right_eigenvectors, dec.eigenvalues
+        measured = column_norms(spectral._band_matvec(H.diagonals, V) - V * E[None, :])
+        assert dec.residuals.tobytes() == measured.tobytes()
+
+
+# metric samples over a dynamic range of 1e±150, with horizons (α = 0)
+_WIDE_SITE = st.tuples(
+    st.one_of(st.just(0.0), st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)),
+    st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    sites=st.integers(min_value=2, max_value=12).flatmap(
+        lambda L: st.lists(_WIDE_SITE, min_size=L, max_size=L)),
+    M=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+    a=st.sampled_from([1.0, 0.5, 0.3]),
+    periodic=st.booleans(),
+)
+def test_every_hermitian_chain_has_a_partner(sites, M, a, periodic):
+    # eig_hermitian decomposes the chain of ½(A + A†): its pattern is
+    # symmetric, its diagonal real and every log-ratio step exactly 0, so the
+    # symmetrizer always finds the hermitian partner it takes eigh of
+    alpha, beta, dlog = (np.array(col) for col in zip(*sites))
+    L = alpha.size
+    bc = "periodic" if periodic and L % 2 == 0 else "open"
+    sample = SampledMetric(t=0.0, alpha=alpha, beta=np.where(alpha == 0.0, np.inf, beta),
+                           dlog_beta_dt=dlog)
+    A = build(sample, M, a, bc).diagonals
+    B = {k: 0.5 * (A.get(k, 0.0) + A.get(-k, 0.0).conjugate()) for k in A.keys() | {-k for k in A}}
+    chain = band_chains(B, L)
+    assert chain is not None
+    assert spectral._symmetrizer(chain, L) is not None

@@ -109,8 +109,8 @@ _EXPORTED = {
     "metric": ["MetricModel", "SampledMetric", "distance_profile"],
     "observables": ["LdosGrid", "default_gamma", "energy_grid", "horizon_modes", "ldos_imag",
                     "ldos_real", "lorentzian_delta", "site_weights"],
-    "operator": ["GammaAlgebra", "LatticeOperator", "build", "flat_dispersion", "gamma_algebra",
-                 "hermitian_residual", "naive_build"],
+    "operator": ["LatticeOperator", "build", "flat_dispersion", "hermitian_residual",
+                 "naive_build"],
     "spectral": ["SpectralDecomposition", "StepOperator", "eig_general", "eig_hermitian", "expm",
                  "expm_apply", "match_eigenvalues", "propagator", "spectral_mismatch"],
     "symmetry": ["SymmetryReport", "classify", "imaginary_gauge", "unbroken_pt"],

@@ -192,6 +192,8 @@ class RunConfig:
             raise ConfigError("e_min and e_max must be given together")
         if self.e_min is not None and self.e_max <= self.e_min:
             raise ConfigError(f"need e_max > e_min, got [{self.e_min}, {self.e_max}]")
+        if self.e_min is not None and self.e_max - self.e_min > sys.float_info.max:
+            raise ConfigError(f"energy range [{self.e_min}, {self.e_max}] spans beyond the float range")
         if not self.times:
             raise ConfigError("times must not be empty")
         if self.dt <= 0:

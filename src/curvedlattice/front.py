@@ -9,10 +9,13 @@ parse.
 from __future__ import annotations
 
 import argparse
+import re
 
 FAMILIES = ("flat", "rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal", "custom")
 BOUNDARY_CONDITIONS = ("open", "periodic")
 AXES = ("real", "imaginary", "both")
+# a value such as -3e-1 is a number, not an option (argparse's own test misses the exponent)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
 
 def _add_common(p: argparse.ArgumentParser, name: str) -> None:
@@ -47,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("dump", "matrix and metric tables"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         _add_common(p, name)
         if name == "ldos":
             p.add_argument("--axis", choices=AXES)

@@ -54,9 +54,11 @@ def lorentzian_delta(x, gamma: float):
 
 
 def energy_grid(e_min: float, e_max: float, count: int) -> np.ndarray:
-    """Uniform energy grid [e_min, e_max] with ``count`` points."""
+    """Uniform energy grid [e_min, e_max] with ``count`` points and a finite span."""
     if count < 2 or e_max <= e_min:
         raise ObservableError(f"degenerate energy grid [{e_min}, {e_max}] x {count}")
+    if not float(e_max) - float(e_min) <= np.finfo(float).max:
+        raise ObservableError(f"energy grid [{e_min}, {e_max}] spans beyond the float range")
     return np.linspace(e_min, e_max, count)
 
 

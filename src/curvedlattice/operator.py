@@ -120,8 +120,9 @@ def band_blocks(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarra
 
 
 def band_chains(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarray] | None:
-    """Chain A's diagonals (0, ±1, and ±(L−1) when periodic), or None when
-    the 2L×2L band does not split into two L-site chains.
+    """The one chain that decomposes the 2L×2L band: chain A's diagonals (0,
+    ±1, and ±(L−1) when periodic), or those of a ring of 2L sites (0, ±1,
+    ±(2L−1)); None when the band does not follow the chain rules.
 
     Rotated to u, v = (ψ₀ ± ψ₁)/√2 per site, an onsite block in span{I, σ_x}
     is diagonal and a hop block in span{σ_z, σ_y} links u with v only, so
@@ -129,15 +130,14 @@ def band_chains(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarra
     split of Kogut & Susskind, PRD 11 (1975) 395; Kawamoto & Smit, NPB 192
     (1981) 100), and the symmetry (I⊗σ_z)H̄(I⊗σ_z) = −H makes B = −Ā.  Each
     rule is checked exactly: onsite blocks [[a, b], [b, a]] and hop blocks
-    [[a, b], [−b, −a]] on block offsets ±1 (and ±(L−1) for even L), a
-    imaginary and b real, every other block zero.  A's entry from the block
-    at row site p is then a ± (−1)^p b, with no rounding.  A periodic ring of
-    odd L, and the naive scheme's onsite σ_z for a nonuniform α, give None.
+    [[a, b], [−b, −a]] on block offsets ±1 and ±(L−1), a imaginary and b
+    real, every other block zero.  A's entry from the block at row site p is
+    then a ± (−1)^p b, with no rounding.  A nonzero wrap of odd L joins
+    u_{L−1} to v₀ and v_{L−1} to u₀: the ring is A's sites, then B's.
     """
-    hops = {1, -1} | ({L - 1, 1 - L} if L % 2 == 0 else set())
     chain = {}
     for m, x in band_blocks(diagonals, L).items():
-        if m != 0 and m not in hops:
+        if m not in (0, 1, -1, L - 1, 1 - L):
             if x.any():
                 return None
             continue
@@ -148,7 +148,13 @@ def band_chains(diagonals: dict[int, np.ndarray], L: int) -> dict[int, np.ndarra
             return None
         rows = np.arange(L - abs(m)) + max(-m, 0)
         chain[m] = a + np.where(rows % 2, -sign, sign) * b
-    return chain
+    wrap = [chain.pop(m, np.zeros(1, complex)) for m in (1 - L, L - 1)] if L % 2 and L > 2 else []
+    if not any(w.any() for w in wrap):
+        return chain
+    (down, up), A = wrap, {k: chain.get(k, np.zeros(L - abs(k), complex)) for k in (0, 1, -1)}
+    joins = {0: [], 1: down, -1: -up.conj()}  # the ring's entries (L − 1, L) and (L, L − 1)
+    ring = {k: np.concatenate([A[k], joins[k], -A[k].conj()]) for k in A}
+    return {**ring, 2 * L - 1: up, 1 - 2 * L: -down.conj()}
 
 
 def column_norms(A: np.ndarray) -> np.ndarray:
@@ -184,8 +190,9 @@ def band_norm(pieces: dict) -> float:
 
 def band_distance(X: dict, Y: dict) -> float:
     """‖X − Y‖_F of two matrices given as pieces under the same keys; a
-    missing key stands for zeros."""
-    return band_norm({k: X.get(k, 0.0) - Y.get(k, 0.0) for k in sorted(X.keys() | Y.keys())})
+    missing key stands for zeros; a distance beyond the float range is inf."""
+    with np.errstate(over="ignore"):
+        return band_norm({k: X.get(k, 0.0) - Y.get(k, 0.0) for k in sorted(X.keys() | Y.keys())})
 
 
 def band_adjoint(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -308,8 +315,7 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
             (0, 1, -1.0j / (2.0 * a) * ratio[:-1], K),
             (1, -1, +1.0j / (2.0 * a) * ratio[1:], K),
         ]
-    diagonals = _assemble(L, terms)
-    return LatticeOperator(diagonals, 2 * L)
+    return LatticeOperator(_assemble(L, terms), 2 * L)
 
 
 def hermitian_residual(H: LatticeOperator | np.ndarray) -> float:

@@ -1,21 +1,20 @@
 """Dense eigensolvers and the matrix-exponential propagator kernel.
 
-A lattice operator splits exactly into two L-site chains, A and B = −Ā
-(:func:`band_chains`; the symmetry (I⊗σ_z)H̄(I⊗σ_z) = −H of Kawabata,
-Shiozaki, Ueda & Sato, PRX 9 (2019) 041015, maps one onto the other), so
-spec(H) = spec(A) ∪ −conj spec(A): only chain A is decomposed, B's half is
-−Ē with vectors conj(x), and both are rotated back to site order.  Every
-split spectrum pairs E and −Ē exactly.  The band alone decides, whatever
-its type: one that does not split (a periodic ring of odd L, the naive
-scheme) is decomposed whole.  Either way the structure picks the solver:
+Every lattice operator is decomposed on one chain (:func:`band_chains`),
+read from the band alone, whatever its type.  Mostly it splits into chain A
+and B = −Ā (the symmetry (I⊗σ_z)H̄(I⊗σ_z) = −H of Kawabata, Shiozaki, Ueda &
+Sato, PRX 9 (2019) 041015), so only A is decomposed and B's half is −Ē with
+vectors conj(x): E and −Ē pair exactly.  A periodic lattice of odd L closes
+the two into one ring of 2L sites, decomposed whole.  A band off the chain
+rules (the naive scheme) is decomposed whole.  The structure picks the solver:
 
 * ``chain-eigh``/``complex-eigh`` — A = S⁻¹BS + icI with B hermitian, S =
   diag(s) and c uniform (every hermitian and static diagonal metric, and
-  the Weyl family's −ir/2) is found from the band without a metric
-  (:func:`_symmetrizer`).  s = d·u carries the metric scale d > 0 (η = D²,
+  the Weyl family's −ir/2), found without a metric (:func:`_symmetrizer`):
+  on a path or a ring, s = d·u carries the metric scale d > 0 (η = D²,
   Mostafazadeh, J. Math. Phys. 43 (2002) 205) and a phase u that makes B
-  real symmetric wherever the coupling graph allows (on every chain), and
-  ``eigh`` of B gives E exactly real up to ic, with vectors S⁻¹W.
+  real symmetric; any other band tries s = 1.  ``eigh`` of B gives E
+  exactly real up to ic, with vectors S⁻¹W.
 * ``chain-geev``/``complex-geev`` — any other matrix: LAPACK ``geev``.
 
 :func:`eig_hermitian` takes ``eigh`` only, of ½(A + A†).  A chain route
@@ -31,13 +30,10 @@ Taylor series at a degree fixed in advance (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33 (2011) 488): applied to a state by products with the nonzero
 diagonals, O(L) each for a lattice step, or summed as the dense exp(B + μ)
 by scaling, Paterson–Stockmeyer and squaring (:func:`_dense_exp`).
-:func:`propagator` prepares the step exp(−iH·dt) once per step length as a
-:class:`StepOperator`, which a static operator reuses every step (``U @
-psi``); settled for the number of steps that reuse it, one for the step
-:func:`expm_apply` takes, the step forms its dense matrix only when forming
-it and that many dense products are estimated to cost less than as many
-band steps (:meth:`StepOperator.for_steps`, the one routing rule).
-:func:`expm` is the public dense exponential (c = 1).
+:func:`propagator` prepares the step exp(−iH·dt) as a :class:`StepOperator`
+(``U @ psi``), which forms its dense matrix only where that is estimated to
+cost less over the steps that reuse it (:meth:`StepOperator.for_steps`, the
+one routing rule).  :func:`expm` is the public dense exponential (c = 1).
 """
 
 from __future__ import annotations
@@ -83,9 +79,7 @@ class SpectralDecomposition:
 
     @property
     def max_residual(self) -> float:
-        if self.residuals is None or self.residuals.size == 0:
-            return 0.0
-        return float(np.max(self.residuals))
+        return 0.0 if self.residuals is None else float(np.max(self.residuals, initial=0.0))
 
 
 def _lapack(solver, *args, **kwargs):
@@ -105,9 +99,7 @@ def _decomposition(lam, V, diagonals, route, mirrored=False) -> SpectralDecompos
     if V is None:
         return SpectralDecomposition(lam[order], None, None, hnorm, route)
     m = lam.size // 2 if mirrored else lam.size
-    norms = column_norms(_band_matvec(diagonals, V[:, :m]) - V[:, :m] * lam[None, :m])
-    if mirrored:
-        norms = np.concatenate([norms, norms])
+    norms = np.tile(column_norms(_band_matvec(diagonals, V[:, :m]) - V[:, :m] * lam[None, :m]), 1 + mirrored)
     return SpectralDecomposition(lam[order], V[:, order], norms[order], hnorm, route)
 
 
@@ -121,10 +113,9 @@ def _accepted(dec: SpectralDecomposition) -> bool:
 def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     """Full complex spectrum (and unit-norm right eigenvectors) of a square matrix.
 
-    The structure picks the route (see the module docstring): a band that
-    splits is decomposed on one of its two chains, a quasi-hermitian
-    matrix keeps eigenvalues that are exactly real up to a uniform
-    imaginary shift, and any other matrix goes to ``eig``/``eigvals``.
+    The structure picks the route (see the module docstring): a quasi-
+    hermitian matrix keeps eigenvalues that are exactly real up to a
+    uniform imaginary shift, and any other goes to ``eig``/``eigvals``.
     """
     diagonals, n = _band(H)
     return _decompose(diagonals, n, diagonals, compute_vectors, hermitian=False)
@@ -134,29 +125,32 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     """Spectrum of a (numerically) hermitian matrix; eigenvalues exactly real.
 
     Precondition: relative hermiticity residual at most ``herm_tol``.  The
-    symmetrized matrix ½(A + A†) is decomposed by ``eigh`` only, on chain A
-    when it splits (:func:`_decompose`), so the output imaginary parts are
-    identically zero.
+    symmetrized matrix ½(A + A†) is decomposed by ``eigh`` only, on its
+    chain when it has one, so the output imaginary parts are exactly zero.
     """
     diagonals, n = _band(H)
     res = hermitian_residual(H)
     if res > herm_tol:
-        raise SpectralError(
-            f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})"
-        )
+        raise SpectralError(f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})")
     adjoint = band_adjoint(diagonals)
-    B = {k: 0.5 * (diagonals.get(k, 0.0) + adjoint.get(k, 0.0))
+    B = {k: _hermitian_part(diagonals.get(k, 0.0), adjoint.get(k, 0.0))
          for k in diagonals.keys() | adjoint.keys()}
     return _decompose(diagonals, n, B, True, hermitian=True)
 
 
-def _decompose(diagonals, n, A, compute_vectors, hermitian) -> SpectralDecomposition:
-    """The spectrum of the n×n band A, with residuals against ``diagonals``.
+def _hermitian_part(X, Y):
+    """½(X + Y) of X and its adjoint Y; a sum that overflows is a SpectralError."""
+    with np.errstate(all="ignore"):  # reported below
+        half = 0.5 * (X + Y)
+    if not np.all(np.isfinite(half)):
+        raise SpectralError("overflow in the hermitian part ½(A + A†) of the matrix")
+    return half
 
-    A band of even n that splits (:func:`band_chains`), a lattice operator
-    or a plain matrix, is decomposed on chain A, and B's half is its mirror
-    (:func:`_unfold`); a chain route whose residuals fail, or a band that
-    does not split, is decomposed whole.  Each takes ``eigh`` of the partner
+
+def _decompose(diagonals, n, A, compute_vectors, hermitian) -> SpectralDecomposition:
+    """The spectrum of the n×n band A, with residuals against ``diagonals``:
+    on its chain (:func:`band_chains`, :func:`_unfold`), or whole when it has
+    none or the chain's residuals fail.  Each takes ``eigh`` of the partner
     that :func:`_symmetrizer` finds (a hermitian chain always has one), else
     ``geev``; a hermitian A takes ``eigh`` only, and a failed whole
     ``complex-eigh`` of a general A gives way to ``complex-geev``.
@@ -164,9 +158,10 @@ def _decompose(diagonals, n, A, compute_vectors, hermitian) -> SpectralDecomposi
     check = None
     chain = band_chains(A, n // 2) if n > 0 and n % 2 == 0 else None
     if chain is not None:
-        L = n // 2
-        kind, lam, x = _eig(chain, L, compute_vectors, _symmetrizer(chain, L))
-        dec = _decomposition(*_unfold(lam, x), diagonals, f"chain-{kind}", mirrored=True)
+        # diagonal k of an m×m band holds m − |k| entries: m = n/2 on chain A, n on a ring
+        m = max((abs(k) + d.size for k, d in chain.items()), default=n // 2)
+        kind, lam, x = _eig(chain, m, compute_vectors, _symmetrizer(chain, m))
+        dec = _decomposition(*_unfold(lam, x, m < n), diagonals, f"chain-{kind}", m < n)
         if _accepted(dec):
             return dec
         check = f"{kind}-residual"
@@ -197,7 +192,7 @@ def _eig(A, n, compute_vectors, found):
         return "geev", _lapack(np.linalg.eigvals, A), None
     s, c, B = found
     S = band_matrix(B, n, np.result_type(0.0, *B.values()))
-    S = 0.5 * (S + S.conj().T)
+    S = _hermitian_part(S, S.conj().T)
     if not compute_vectors:
         return "eigh", _lapack(np.linalg.eigvalsh, S) + 1j * c, None
     w, W = _lapack(np.linalg.eigh, S)
@@ -206,18 +201,22 @@ def _eig(A, n, compute_vectors, found):
     return "eigh", w + 1j * c, X
 
 
-def _unfold(lam, x):
-    """The spectrum and vectors of the lattice operator from chain A's
-    eigenpairs (E, x): chain B = −Ā adds (−Ē, x̄), and each chain's site p
-    is rotated back to the spinor pair (2p, 2p + 1), A's u_p or v_p
-    (ψ₀, ψ₁) = (1, ±1)·x_p/√2 by the parity of p, and B's the other."""
-    lam = np.concatenate([lam, -lam.conj()])
+def _unfold(lam, x, mirrored):
+    """The operator's spectrum and vectors from its chain's eigenpairs (E, x).
+    A ``mirrored`` chain is A, and B = −Ā adds (−Ē, x̄); a ring holds A's
+    member of site p at p and B's at L + p.  A's member, u_p or v_p by the
+    parity of p, is (ψ₀, ψ₁) = (1, ±1)·x/√2 on site p, and B's the other."""
+    if mirrored:
+        lam = np.concatenate([lam, -lam.conj()])
     if x is None:
         return lam, None
-    L = x.shape[0]
+    L = x.shape[0] if mirrored else x.shape[0] // 2
     x = x * math.sqrt(0.5)
     parity = np.where(np.arange(L) % 2, -1.0, 1.0)[:, None]
     V = np.empty((2 * L, 2 * L), dtype=complex)
+    if not mirrored:
+        V[0::2], V[1::2] = x[:L] + x[L:], parity * (x[:L] - x[L:])
+        return lam, V
     V[0::2, :L], V[1::2, :L] = x, parity * x
     V[0::2, L:], V[1::2, L:] = x.conj(), -parity * x.conj()
     return lam, V
@@ -232,16 +231,17 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
 
     Cheap rejections first: the coupling pattern must be symmetric, every
     product A_ij·A_ji real and ≥ 0, and the imaginary part of the diagonal
-    uniform (it is c).  Then s = d·u is built along a spanning tree of each
-    connected component of the coupling graph, summing log(d_j/d_i) =
-    ½·log(|A_ij|/|A_ji|) and multiplying the phase u_j = u_i·A_ij/|A_ij|,
-    so B_ij > 0 on every tree edge (exactly, for the phases ±1, ±i of a
-    chain); each component is scaled so that its smallest d is 1, and a
-    decoupled horizon site is a component of its own, so its β = ∞ never
-    enters.  Cycles that disagree (a periodic Hatano–Nelson ring) show in
-    the hermiticity residual of B, which must be at most ``_SYM_TOL``, and a
-    range of d that overflows (a long skin-effect chain) fails too.  B is
-    made real when its imaginary part is at most ``_SYM_TOL`` relative.
+    uniform (it is c).  A path or a ring (offsets within 0, ±1, ±(n−1)) is
+    swept along its edges i → j = i + 1 (mod n), summing log(d_j/d_i) =
+    ½·log(|A_ij|/|A_ji|) and multiplying the phase u_j = u_i·A_ij/|A_ij|, so
+    B_ij > 0 (exactly, for the phases ±1, ±i of a chain); both restart at
+    each zero edge, so a decoupled horizon site is a run of its own and its
+    β = ∞ never enters, and each run is scaled so that its smallest d is 1.
+    Any other band gets s = 1 only.  The edge left unswept (a ring's corner)
+    shows in the hermiticity residual of B, which must be at most
+    ``_SYM_TOL`` (a periodic Hatano–Nelson ring fails), and a range of d
+    that overflows fails too.  B is made real when its imaginary part is at
+    most ``_SYM_TOL`` relative.
     """
     if n == 0 or any(-k not in diagonals for k in diagonals):
         return None
@@ -260,37 +260,27 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
                 or np.any(np.abs(np.sin(theta)) > _SYM_TOL)
             ):
                 return None
-    neighbours = [[] for _ in range(n)]
-    for k, upper in diagonals.items():
-        if k > 0:
-            i = np.flatnonzero(upper)
-            magnitude = np.abs(upper[i])
-            step = 0.5 * (np.log(magnitude) - np.log(np.abs(diagonals[-k][i])))
-            with np.errstate(all="ignore"):
-                phase = upper[i] / magnitude
+    s = np.ones(n, dtype=complex)
+    if diagonals.keys() <= {0, 1, -1, n - 1, 1 - n}:
+        # the n edges i → i + 1 (mod n); the last is a ring's corner, or zero
+        forward = np.append(diagonals.get(1, np.zeros(n - 1)), diagonals.get(1 - n, 0) if n > 2 else 0)
+        backward = np.append(diagonals.get(-1, np.zeros(n - 1)), diagonals.get(n - 1, 0) if n > 2 else 0)
+        # swept from the site after the last zero edge (from site 0 when none is zero)
+        order = np.roll(np.arange(n), np.argmax(forward[::-1] == 0) - n)
+        forward, backward = forward[order[:-1]], backward[order[:-1]]  # edge j: order[j] → order[j + 1]
+        with np.errstate(all="ignore"):  # a zero edge ends its run: its step and phase are not read
+            magnitude = np.abs(forward)
+            step = 0.5 * (np.log(magnitude) - np.log(np.abs(backward)))
             # 1/|A_ij| overflows for a subnormal entry: lift it by an exact power of two
-            sub = magnitude < _TINY
-            phase[sub] = upper[i][sub] * _LIFT / (magnitude[sub] * _LIFT)
-            for a, b, w, z in zip(i.tolist(), (i + k).tolist(), step.tolist(), phase.tolist()):
-                neighbours[a].append((b, w, z))
-                neighbours[b].append((a, -w, z.conjugate()))
-    logd, u, root = [0.0] * n, [1.0 + 0j] * n, [-1] * n
-    for r in range(n):
-        if root[r] < 0:
-            root[r], stack = r, [r]
-            while stack:
-                a = stack.pop()
-                for b, w, z in neighbours[a]:
-                    if root[b] < 0:
-                        root[b], logd[b], u[b] = r, logd[a] + w, u[a] * z
-                        stack.append(b)
-    logd, root = np.array(logd), np.array(root)
-    low = np.full(n, np.inf)
-    np.minimum.at(low, root, logd)
-    with np.errstate(all="ignore"):  # an overflowing range is rejected
-        s = np.exp(logd - low[root]) * np.array(u)
-    if not np.all(np.isfinite(s)):
-        return None
+            phase = np.where(magnitude < _TINY, forward * _LIFT / (magnitude * _LIFT), forward / magnitude)
+            logd, u = np.zeros(n), np.ones(n, dtype=complex)
+            cuts = [0, *(np.flatnonzero(forward == 0) + 1), n]
+            for a, b in zip(cuts, cuts[1:]):  # a run of sites joined by nonzero edges
+                logd[a + 1 : b], u[a + 1 : b] = np.cumsum(step[a : b - 1]), np.cumprod(phase[a : b - 1])
+                logd[a:b] -= logd[a:b].min()
+            s[order] = np.exp(logd) * u  # an overflowing range is rejected below
+        if not np.all(np.isfinite(s)):
+            return None
     B = band_similarity(diagonals, n, s)
     if 0 in B:
         B[0] = B[0] - 1j * c
@@ -533,17 +523,10 @@ def propagator(H, dt: float) -> StepOperator:
 
 
 def expm_apply(H, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i H dt) to a state vector by a truncated Taylor series.
-
-    All work runs on the nonzero diagonals of H (a :class:`LatticeOperator`'s
-    band, or those of a dense matrix), so a lattice step costs O(L) per
-    product.  The step is prepared by :func:`propagator` and applied once:
-    with B = -i·dt·H shifted by μ = tr(B)/n, s = max(1, ⌈‖B − μ‖₁⌉)
-    substeps, each the Taylor polynomial of degree :func:`_taylor_degree`
-    (‖B − μ‖₁/s) ≤ 18 applied by Horner's rule, or as its dense step
-    matrix where that is estimated to cost less.
-    Raises on nonhermitian growth beyond the representable range.
-    """
+    """Apply exp(−iH·dt) to a state vector: one step of :func:`propagator`,
+    on the nonzero diagonals of H (O(L) per product for a lattice step) or
+    as its dense step matrix where that is estimated to cost less.  Raises
+    on nonhermitian growth beyond the representable range."""
     U = propagator(H, dt)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (U.n,):

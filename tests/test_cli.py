@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -325,16 +326,42 @@ def test_lattice_spacing_whose_half_inverse_overflows_exits_3(tmp_path, capsys):
 
 
 def test_negative_exponent_value_is_joined_to_its_flag(tmp_path, capsys):
-    # argparse reads "-1e-3" after a space as an option; the README gives the "=" form
-    argv = ["evolve", "--family", "flat", "--L", "4", "--t1", "0.01", "--dt", "1e-3",
-            "--out-dir", str(tmp_path)]
-    assert main([*argv, "--t0=-1e-3"]) == 0
-    header, rows = _read_csv(tmp_path / "trace.csv")
+    # "-1e-3" after a space is the value of its flag, as in the "=" form
+    argv = ["evolve", "--family", "flat", "--L", "4", "--t1", "0.01", "--dt", "1e-3"]
+    assert main([*argv, "--t0=-1e-3", "--out-dir", str(tmp_path / "joined")]) == 0
+    assert main([*argv, "--t0", "-1e-3", "--out-dir", str(tmp_path / "spaced")]) == 0
+    header, rows = _read_csv(tmp_path / "spaced" / "trace.csv")
     assert float(rows[0][header.index("t")]) == -1e-3
+    for name in ("trace.csv", "snapshot_t0.01.csv"):
+        assert (tmp_path / "spaced" / name).read_bytes() == (tmp_path / "joined" / name).read_bytes()
+
+
+def _numeric_flags():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, a) for name, p in sub.choices.items() for a in p._actions if a.type in (float, int)]
+
+
+@pytest.mark.parametrize("command, action", _numeric_flags(),
+                         ids=[f"{name}{a.option_strings[0]}" for name, a in _numeric_flags()])
+def test_every_numeric_flag_takes_a_negative_value(command, action):
+    # a negative value after a space parses in exponent notation too, and each
+    # value of a list flag does (negative r is the gain case of the paper)
+    if action.type is int:
+        values, want = ["-1"], -1
+    else:
+        values, want = ["-3e-1", "-2E+0"] if action.nargs == "+" else ["-3e-1"], -0.3
+    args = cli._build_parser().parse_args([command, action.option_strings[0], *values])
+    got = getattr(args, action.dest)
+    assert got == ([-0.3, -2.0] if action.nargs == "+" else want)
+
+
+@pytest.mark.parametrize("value", ["-3e-1x", "-e1", "-3e"])
+def test_a_value_that_is_no_number_stays_an_option(value, capsys):
     with pytest.raises(SystemExit) as exit_:
-        main([*argv, "--t0", "-1e-3"])
+        main(["spectrum", "--family", "weyl", "--q", "0.05", "--r", value])
     assert exit_.value.code == 2
-    assert "argument --t0: expected one argument" in capsys.readouterr().err
+    assert "argument --r: expected one argument" in capsys.readouterr().err
 
 
 def test_spectrum_multiple_time_slices(tmp_path):

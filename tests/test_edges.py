@@ -58,11 +58,29 @@ def _run(argv, out_dir, capsys):
      3, "numerical failure: divergent hopping: 1e+200/1e-200 with nonvanishing alphas\n"),
     (["classify", "--family", "custom", "--alpha", "1", "--beta", "0", "--L", "3"],
      3, "numerical failure: divergent hopping: 1/0 with nonvanishing alphas\n"),
+    # an energy range whose span leaves the float range: padded by 10·gamma,
+    # or given as bounds
+    (["ldos", "--family", "flat", "--L", "4", "--gamma", "1e308"],
+     3, "numerical failure: energy grid [-inf, inf] spans beyond the float range\n"),
+    (["ldos", "--family", "flat", "--L", "4", "--gamma", "1e307", "--axis", "imaginary"],
+     3, "numerical failure: energy grid [-1e+308, 1e+308] spans beyond the float range\n"),
+    (["ldos", "--family", "flat", "--L", "4", "--e-min=-1e308", "--e-max=1e308"],
+     2, "config error: energy range [-1e+308, 1e+308] spans beyond the float range\n"),
+    # the mass term is finite, but the sum of the matrix and its adjoint overflows
+    (["spectrum", "--family", "flat", "--L", "4", "--M", "1e308"],
+     3, "numerical failure: overflow in the hermitian part ½(A + A†) of the matrix\n"),
+    (["classify", "--family", "flat", "--L", "4", "--M", "1e308"],
+     3, "numerical failure: overflow in the hermitian part ½(A + A†) of the matrix\n"),
+    (["ldos", "--family", "anti_de_sitter", "--L", "4", "--M", "1e308"],
+     3, "numerical failure: overflow in the hermitian part ½(A + A†) of the matrix\n"),
+    (["spectrum", "--family", "flat", "--L", "4", "--M", "1e307"], 0, None),
 ], ids=["classify-weyl-tiny", "ldos-flat-a1e300", "spectrum-flat-a1e-320",
         "spectrum-rindler-M1e300", "classify-weyl-r1e300", "evolve-weyl-beta-underflow",
         "evolve-weyl-beta-underflow-duality", "classify-rindler-subnormal-hops",
         "spectrum-rindler-mass-overflow", "classify-custom-divergent-hop",
-        "classify-custom-zero-beta"])
+        "classify-custom-zero-beta", "ldos-flat-gamma1e308", "ldos-flat-gamma1e307-imaginary",
+        "ldos-flat-range-overflow", "spectrum-flat-M1e308", "classify-flat-M1e308",
+        "ldos-anti-de-sitter-M1e308", "spectrum-flat-M1e307"])
 def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys):
     got, out, err, caught = _run(argv, tmp_path, capsys)
     assert got in (0, 2, 3)

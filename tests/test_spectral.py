@@ -196,31 +196,39 @@ def test_trace_identity_both_paths():
 
 @st.composite
 def _quasi_hermitian(draw):
-    """A = D⁻¹BD + icI with B hermitian on a random symmetric pattern, D > 0,
-    optionally a uniform imaginary diagonal c and a decoupled zero site."""
+    """A = D⁻¹BD + icI with B hermitian on a random symmetric pattern, a path
+    or a ring, D > 0, optionally a uniform imaginary diagonal c and a
+    decoupled zero site; and whether the pattern is a path or a ring."""
     n = draw(st.integers(min_value=2, max_value=12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     coupled = rng.random((n, n)) < draw(st.floats(min_value=0.2, max_value=1.0))
+    pattern = draw(st.sampled_from(["random", "path", "ring"]))
+    if pattern != "random":
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        coupled = (gap <= 1) | ((gap == n - 1) & (pattern == "ring"))
     B = np.where(coupled | coupled.T, X + X.conj().T, 0.0)
     if draw(st.booleans()):
         z = draw(st.integers(min_value=0, max_value=n - 1))
         B[z, :] = B[:, z] = 0.0
     d = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
     c = draw(st.sampled_from([0.0, -0.35, 1.5]))
-    return B * d[None, :] / d[:, None] + 1j * c * np.eye(n), c
+    return B * d[None, :] / d[:, None] + 1j * c * np.eye(n), c, pattern != "random"
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=_quasi_hermitian())
 def test_eig_general_quasi_hermitian_vs_numpy_eig(case):
-    A, c = case
+    # the symmetrizer sweeps a path or a ring; any other pattern may go to
+    # geev, whose eigenvalues are real up to ic only to rounding
+    A, c, swept = case
     lam, _ = np.linalg.eig(A)
     ev = eig_general(A, compute_vectors=False).eigenvalues
-    assert np.all(ev.imag == c)  # decomposed by eigvalsh of the partner
+    if swept:
+        assert np.all(ev.imag == c)  # decomposed by eigvalsh of the partner
     assert spectral_mismatch(ev, lam) < 1e-10
     dec = eig_general(A)
-    if A.shape[0] >= 4:  # residuals within n·ε·‖A‖_F keep the eigh path
+    if swept and A.shape[0] >= 4:  # residuals within n·ε·‖A‖_F keep the eigh path
         assert np.all(dec.eigenvalues.imag == c)
     assert spectral_mismatch(dec.eigenvalues, lam) < 1e-10
     V = dec.right_eigenvectors
@@ -228,6 +236,39 @@ def test_eig_general_quasi_hermitian_vs_numpy_eig(case):
     R = np.linalg.norm(A @ V - V * dec.eigenvalues, axis=0)
     np.testing.assert_allclose(dec.residuals, R, rtol=1e-6, atol=1e-15 * dec.h_norm)
     assert dec.max_residual <= 1e-12 * dec.h_norm
+
+
+def _sweep_reference(A):
+    """The symmetrizer's s of a path or a ring A, site by site: from the site
+    after the last zero edge i → i + 1 (mod n), each edge adds
+    ½·(log|A_ij| − log|A_ji|) to log d and multiplies u by A_ij/|A_ij|, a
+    zero edge starts a new run, and each run is scaled to a smallest d of 1."""
+    n = A.shape[0]
+    edge = [A[i, (i + 1) % n] if i < n - 1 or n > 2 else 0.0 for i in range(n)]
+    start = max((i + 1 for i in range(n) if edge[i] == 0), default=0) % n
+    logd, u, runs = np.zeros(n), np.ones(n, dtype=complex), []
+    for j in range(n):
+        i, prev = (start + j) % n, (start + j - 1) % n
+        if j == 0 or edge[prev] == 0:
+            runs.append([i])
+            continue
+        runs[-1].append(i)
+        logd[i] = logd[prev] + 0.5 * (np.log(np.abs(edge[prev])) - np.log(np.abs(A[i, prev])))
+        u[i] = u[prev] * (edge[prev] / np.abs(edge[prev]))
+    for run in runs:
+        logd[run] -= logd[run].min()
+    return np.exp(logd) * u
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_quasi_hermitian())
+def test_symmetrizer_sweep_matches_a_site_loop(case):
+    # the vectorized sweep takes the loop's steps in the loop's order; numpy's
+    # array product of complex phases may round apart from its scalar one
+    A, _, swept = case
+    if swept:
+        s, _, _ = spectral._symmetrizer(*spectral._band(A))
+        np.testing.assert_allclose(s, _sweep_reference(A), rtol=1e-14, atol=0)
 
 
 def _ring(n, g, periodic):
@@ -292,6 +333,15 @@ def _dense_chains(H):
     return R[np.ix_(a, a)], R[np.ix_(b, b)], np.concatenate([R[np.ix_(a, b)], R[np.ix_(b, a)]])
 
 
+def _dense_ring(H):
+    """The dense rotation ½·Q H Q on the sites of chain A, then chain B."""
+    L = H.shape[0] // 2
+    Q = np.kron(np.eye(L), [[1.0, 1.0], [1.0, -1.0]])
+    p = np.arange(L)
+    order = np.concatenate([2 * p + p % 2, 2 * p + 1 - p % 2])
+    return (0.5 * (Q @ H @ Q))[np.ix_(order, order)]
+
+
 def _diagonals(H):
     return {k: np.diagonal(H, k).copy() for k in range(1 - H.shape[0], H.shape[0]) if np.diagonal(H, k).any()}
 
@@ -310,17 +360,22 @@ _CHIRAL_CATALOG = {
 @pytest.mark.parametrize("family", list(_CHIRAL_CATALOG))
 def test_chiral_block_matches_dense_reference(family, L, bc):
     # band_chains reads chain A of the dense rotation from the band, entry
-    # for entry, and splits exactly when nothing couples the chains: always,
-    # except a periodic ring of odd L whose wrap hop does not vanish at a
-    # horizon; chain B is exactly −Ā, and spec(A) ∪ −conj spec(A) is the
-    # operator's spectrum
+    # for entry, when nothing couples the chains: always, except a periodic
+    # ring of odd L whose wrap hop does not vanish at a horizon, which it
+    # reads as the one ring of the rotation on A's sites, then B's; chain B
+    # is exactly −Ā, and spec(A) ∪ −conj spec(A), or the ring's spectrum, is
+    # the operator's
     model, M = _CHIRAL_CATALOG[family](L)
     H = build(model.sample(0.4), M, 1.0, bc)
     A, B, cross = _dense_chains(H.matrix)
     assert np.array_equal(B, -A.conj())
     chain = band_chains(H.diagonals, L)
-    assert (chain is None) == cross.any()
-    if chain is not None:
+    if cross.any():
+        assert bc == "periodic" and L % 2 == 1
+        ring = band_matrix(chain, 2 * L)
+        assert np.array_equal(ring, _dense_ring(H.matrix))
+        assert spectral_mismatch(np.linalg.eigvals(ring), np.linalg.eigvals(H.matrix)) <= 1e-10
+    else:
         assert np.array_equal(band_matrix(chain, L), A)
         E = np.linalg.eigvals(band_matrix(chain, L))
         assert spectral_mismatch(np.concatenate([E, -E.conj()]), np.linalg.eigvals(H.matrix)) <= 1e-10
@@ -459,12 +514,12 @@ def test_zero_singular_vectors_stay_apart():
 def test_real_geev_pairs_and_agrees_with_complex_eig(L, M, bc):
     # the nonhermitian slice goes to zgeev of chain A, and its spectrum pairs
     # E and −Ē exactly, by construction; a periodic ring of odd L does not
-    # split and takes complex-geev, which pairs them to rounding
+    # split and takes zgeev of the 2L-site ring, which pairs them to rounding
     H = build(MetricModel.linear_conformal(q=1.0 / (L - 1), r=0.5, L=L).sample(0.5), M, 1.0, bc)
     dec = eig_general(H)
     E = dec.eigenvalues
     split = bc == "open" or L % 2 == 0
-    assert dec.route == ("chain-geev" if split else "complex-geev")
+    assert dec.route == "chain-geev"
     mirror = np.sort_complex(-E.conj())
     if split:
         assert np.array_equal(np.sort_complex(E), mirror)
@@ -477,9 +532,10 @@ def test_real_geev_pairs_and_agrees_with_complex_eig(L, M, bc):
     assert np.array_equal(eig_general(H, compute_vectors=False).eigenvalues, E)
 
 
-def test_plain_matrices_keep_the_complex_routes():
-    # the chains need the lattice's spinor layout: an open Hatano-Nelson
-    # chain and criterion 11's random matrices stay on the complex solvers
+def test_matrices_that_do_not_split_keep_the_complex_routes():
+    # a matrix off the chain rules is decomposed whole, plain matrix or not:
+    # an open Hatano-Nelson chain (real hops, where the rules want imaginary
+    # ones) and criterion 11's random matrices stay on the complex solvers
     assert eig_general(_ring(40, 0.3, periodic=False)).route == "complex-eigh"
     assert eig_general(_ring(130, 0.5 * np.log(1e6), periodic=False)).route == "complex-geev"
     rng = np.random.default_rng(20240819)
@@ -510,14 +566,16 @@ def test_chain_lapack_failure_is_spectral_error(monkeypatch):
 @pytest.mark.parametrize(
     "solver, model, route",
     [
-        ("eigh", MetricModel.de_sitter(q=1 / 11, L=12), "fallback:eigh-residual:complex-eigh"),
+        ("eigh", MetricModel.de_sitter(q=1 / 11, L=12), "fallback:eigh-residual:complex-geev"),
         ("eig", MetricModel.linear_conformal(q=1 / 11, r=0.5, L=12), "fallback:geev-residual:complex-geev"),
     ],
     ids=["chain_eigh", "chain_geev"],
 )
 def test_failed_residual_check_falls_back(solver, model, route, monkeypatch):
     # chain vectors that fail the n·ε·‖A‖_F residual check send the
-    # decomposition to the whole band, and the route says which check failed
+    # decomposition to the whole band, and the route says which check failed;
+    # the whole band is no path or ring, so its symmetrizer tries s = 1 only,
+    # and a quasi-hermitian band goes to geev
     H = build(model.sample(0.5), 1.0, 1.0)
     ref = eig_general(H)
     real_solver = getattr(np.linalg, solver)
@@ -547,21 +605,19 @@ _STATIC_SITE = st.tuples(st.floats(min_value=1e-3, max_value=5.0), st.floats(min
 )
 def test_static_metric_has_exact_chiral_real_form(sites, M, bc):
     # random static alpha, beta > 0: the operator splits exactly into chain A
-    # and chain B = −Ā, unless a periodic ring of odd L closes them into one,
-    # and the symmetrizer turns chain A into a real symmetric partner, so
-    # real eigh decomposes it with no fallback; the ring goes whole to eigh
+    # and chain B = −Ā, unless a periodic ring of odd L closes them into one
+    # ring of 2L sites, and the symmetrizer turns the chain or the ring into a
+    # real symmetric partner, so real eigh decomposes it with no fallback
     alpha, beta = (np.array(col) for col in zip(*sites))
     sample = SampledMetric(t=0.0, alpha=alpha, beta=beta, dlog_beta_dt=np.zeros(alpha.size))
     H = build(sample, M, 1.0, bc)
     chain = band_chains(H.diagonals, H.L)
-    route = "chain-eigh" if bc == "open" or H.L % 2 == 0 else "complex-eigh"
-    assert (chain is not None) == (route == "chain-eigh")
-    if chain is not None:
-        _, c, B = spectral._symmetrizer(chain, H.L)
-        assert c == 0.0 and all(np.isrealobj(b) for b in B.values())
-    assert eig_general(H, compute_vectors=False).route == route
+    ring = bc == "periodic" and H.L % 2 == 1
+    _, c, B = spectral._symmetrizer(chain, H.dim if ring else H.L)
+    assert c == 0.0 and all(np.isrealobj(b) for b in B.values())
+    assert eig_general(H, compute_vectors=False).route == "chain-eigh"
     dec = eig_general(H)
-    assert dec.route == route
+    assert dec.route == "chain-eigh"
     assert np.all(dec.eigenvalues.imag == 0.0)
     assert spectral_mismatch(dec.eigenvalues, np.linalg.eigvals(H.matrix)) <= 1e-10
 
@@ -871,6 +927,28 @@ def test_mirrored_residuals_are_the_measured_ones(family, L, bc):
         V, E = dec.right_eigenvectors, dec.eigenvalues
         measured = column_norms(spectral._band_matvec(H.diagonals, V) - V * E[None, :])
         assert dec.residuals.tobytes() == measured.tobytes()
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 7, 40, 41])
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_every_lattice_operator_takes_a_chain_route(family, L, bc):
+    # chain A, or the ring that closes the two chains of an odd periodic
+    # lattice: never the whole band; a static ring of odd L keeps a real
+    # spectrum, exactly
+    H = _split_operator(family, L, bc)
+    decs = [eig_general(H), eig_general(H, compute_vectors=False)]
+    if hermitian_residual(H) <= 1e-10:
+        decs.append(eig_hermitian(H))
+    reference = np.linalg.eigvals(H.matrix)
+    for dec in decs:
+        assert dec.route in ("chain-eigh", "chain-geev")
+        assert dec.max_residual <= H.dim * np.finfo(float).eps * dec.h_norm
+        assert spectral_mismatch(dec.eigenvalues, reference) <= 1e-10
+    static = not _FAMILIES[family](L)[0].sample(0.4).dlog_beta_dt.any()
+    if static and bc == "periodic" and L % 2:
+        for dec in decs:
+            assert dec.route == "chain-eigh" and np.all(dec.eigenvalues.imag == 0.0)
 
 
 # metric samples over a dynamic range of 1e±150, with horizons (α = 0)

@@ -320,26 +320,23 @@ def test_benchmark_spectra_routes():
     assert cli._decompose(conformal, tol).route == "chain-geev"
 
 
-def _dense_chains(H):
-    """Chain A, chain B and the entries between them, from the dense rotation
-    ½·Q H Q, Q = I⊗[[1, 1], [1, −1]]: A = (u₀, v₁, u₂, …), B = (v₀, u₁, v₂, …).
-    Each entry sums ± the four entries of one block, which is exact for a band
-    that follows the chain rules (imaginary and real parts add apart)."""
-    L = H.shape[0] // 2
-    Q = np.kron(np.eye(L), [[1.0, 1.0], [1.0, -1.0]])
-    R = 0.5 * (Q @ H @ Q)
-    p = np.arange(L)
-    a, b = 2 * p + p % 2, 2 * p + 1 - p % 2
-    return R[np.ix_(a, a)], R[np.ix_(b, b)], np.concatenate([R[np.ix_(a, b)], R[np.ix_(b, a)]])
-
-
 def _dense_ring(H):
-    """The dense rotation ½·Q H Q on the sites of chain A, then chain B."""
+    """The dense rotation ½·Q H Q, Q = I⊗[[1, 1], [1, −1]], on the sites of
+    chain A = (u₀, v₁, u₂, …), then those of chain B = (v₀, u₁, v₂, …).  Each
+    entry sums ± the four entries of one block, which is exact for a band
+    that follows the chain rules (imaginary and real parts add apart)."""
     L = H.shape[0] // 2
     Q = np.kron(np.eye(L), [[1.0, 1.0], [1.0, -1.0]])
     p = np.arange(L)
     order = np.concatenate([2 * p + p % 2, 2 * p + 1 - p % 2])
     return (0.5 * (Q @ H @ Q))[np.ix_(order, order)]
+
+
+def _dense_chains(H):
+    """Chain A, chain B and the entries between them, from :func:`_dense_ring`."""
+    L = H.shape[0] // 2
+    R = _dense_ring(H)
+    return R[:L, :L], R[L:, L:], np.concatenate([R[:L, L:], R[L:, :L]])
 
 
 def _diagonals(H):

@@ -1,4 +1,4 @@
-"""The base of every package error, with the exit status the CLI gives it."""
+"""The base of every package error, with its exit status, and SpectralError."""
 
 
 class CurvedLatticeError(Exception):
@@ -9,3 +9,9 @@ class CurvedLatticeError(Exception):
     """
 
     exit_code = 2
+
+
+class SpectralError(CurvedLatticeError):
+    """Eigensolver precondition failure or numerical breakdown."""
+
+    exit_code = 3

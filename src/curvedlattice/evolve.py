@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurvedLatticeError
+from .errors import CurvedLatticeError, SpectralError
 from .metric import MetricDomainError, MetricModel, SampledMetric
 from .operator import LatticeOperator, build
-from .spectral import SpectralError, expm_apply, propagator
+from .spectral import expm_apply, propagator
 
 
 class EvolveError(CurvedLatticeError):
@@ -293,11 +293,6 @@ def propagate(
     return _trace(curved_route(model, M, psi0, t0, t1, dt, bc, snapshot_times))
 
 
-def _flat_kinetic(L: int, a: float, bc: str) -> dict[int, np.ndarray]:
-    flat = SampledMetric(t=0.0, alpha=np.ones(L), beta=np.ones(L), dlog_beta_dt=np.zeros(L))
-    return build(flat, M=0.0, a=a, bc=bc).diagonals
-
-
 def dual_route(
     model: MetricModel,
     M: float,
@@ -322,7 +317,8 @@ def dual_route(
     L, a = model.L, model.a
     # the flat kinetic band has no ±1 diagonals (its mass entries are exactly
     # 0), so each step shares it and adds a fresh mass diagonal M·α_n(t)
-    kinetic = _flat_kinetic(L, a, bc)
+    flat = SampledMetric(t=0.0, alpha=np.ones(L), beta=np.ones(L), dlog_beta_dt=np.zeros(L))
+    kinetic = build(flat, M=0.0, a=a, bc=bc).diagonals
 
     def sqrt_alpha(metric):
         if np.any(metric.alpha == 0.0):

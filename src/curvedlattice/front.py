@@ -3,17 +3,22 @@
 It imports no numpy and no numerical module: ``--help``, ``<command> -h``
 and argument errors (exit 2) return before numpy loads, and :func:`main`
 imports the commands of :mod:`curvedlattice.cli` only once the arguments
-parse.
+parse.  Unless numpy has loaded or a thread count is set, it first sets
+``OPENBLAS_NUM_THREADS=1``, so the bytes do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import sys
 
 FAMILIES = ("flat", "rindler", "de_sitter", "anti_de_sitter", "weyl", "linear_conformal", "custom")
 BOUNDARY_CONDITIONS = ("open", "periodic")
 AXES = ("real", "imaginary", "both")
+# OpenBLAS reads its thread count from the first of these that is set
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # a value such as -3e-1 is a number, not an option (argparse's own test misses the exponent)
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
@@ -73,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), then run its command."""
     args = _build_parser().parse_args(argv)
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from .cli import run
 
     return run(args)

@@ -41,6 +41,7 @@ def lorentzian_delta(x, gamma: float):
 
     Γ² must not fall below the normal float range: there the peak 1/(πΓ)
     is lost to underflow (Γ² = 0 divides by zero), so such a Γ is an error.
+    Where Γ² overflows, the same value is taken as ((1/π)/Γ)/((x/Γ)² + 1).
     """
     if gamma <= 0:
         raise ObservableError(f"broadening must be positive, got {gamma}")
@@ -49,7 +50,9 @@ def lorentzian_delta(x, gamma: float):
             f"broadening gamma={gamma:g} cannot be squared: gamma² underflows the float range"
         )
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # Γ² = inf gives the limit 0
+    with np.errstate(over="ignore"):  # x² = inf gives the limit 0
+        if np.isinf(gamma * gamma):
+            return (1.0 / np.pi / gamma) / ((x / gamma) ** 2 + 1.0)
         return gamma / (np.pi * (x * x + gamma * gamma))
 
 

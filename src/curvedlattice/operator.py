@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CurvedLatticeError
+from .errors import CurvedLatticeError, SpectralError
 from .front import BOUNDARY_CONDITIONS
 from .metric import SampledMetric
 
@@ -318,22 +318,33 @@ def naive_build(metric: SampledMetric, M: float, a: float) -> LatticeOperator:
     return LatticeOperator(_assemble(L, terms), 2 * L)
 
 
+def _band(H) -> tuple[dict[int, np.ndarray], int]:
+    """The one reader of a matrix: the diagonals {k: entries H[i, i+k]} of a
+    lattice operator, or the nonzero ones of a square array, and the
+    dimension n; all entries must be finite (else :class:`SpectralError`)."""
+    if isinstance(H, LatticeOperator):
+        diagonals, n = H.diagonals, H.dim
+    else:
+        A = np.asarray(H, dtype=complex)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise SpectralError(f"expected a square matrix, got shape {A.shape}")
+        n = A.shape[0]
+        diagonals = {k: d for k in range(1 - n, n) if (d := np.diagonal(A, k)).any()}
+    if not all(np.all(np.isfinite(d)) for d in diagonals.values()):
+        raise SpectralError("matrix has non-finite entries")
+    return diagonals, n
+
+
 def hermitian_residual(H: LatticeOperator | np.ndarray) -> float:
     """Relative Frobenius norm of H − H† (0.0 for the zero matrix).
 
-    Computed on the diagonals, O(L) for a lattice operator: diagonal k
-    against the conjugate of diagonal −k, so an entrywise hermitian operator
-    gives exactly 0.0.
+    Computed on the diagonals that :func:`_band` reads, O(L) for a lattice
+    operator: diagonal k against the conjugate of diagonal −k, so an
+    entrywise hermitian operator gives exactly 0.0.
     """
-    if isinstance(H, LatticeOperator):
-        diagonals = H.diagonals
-    else:
-        A = np.asarray(H)
-        diagonals = {k: np.diagonal(A, k) for k in range(1 - A.shape[0], A.shape[0])}
+    diagonals, _ = _band(H)
     scale = band_norm(diagonals)
-    if scale == 0.0:
-        return 0.0
-    return band_distance(diagonals, band_adjoint(diagonals)) / scale
+    return band_distance(diagonals, band_adjoint(diagonals)) / scale if scale else 0.0
 
 
 def flat_dispersion(L: int, M: float, a: float = 1.0) -> np.ndarray:

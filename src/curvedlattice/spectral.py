@@ -43,20 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvedLatticeError
+from .errors import SpectralError
 from .operator import (
-    _LIFT, _TINY, band_adjoint, band_chains, band_distance, band_matrix, band_norm, band_similarity,
-    column_norms, hermitian_residual,
+    _LIFT, _TINY, LatticeOperator, _band, band_adjoint, band_chains, band_distance, band_matrix,
+    band_norm, band_similarity, column_norms, hermitian_residual,
 )
 
 _EPS = np.finfo(float).eps
 _SMLNUM = np.finfo(float).tiny / _EPS
-
-
-class SpectralError(CurvedLatticeError):
-    """Eigensolver precondition failure or numerical breakdown."""
-
-    exit_code = 3
 
 
 @dataclass
@@ -129,7 +123,7 @@ def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
     chain when it has one, so the output imaginary parts are exactly zero.
     """
     diagonals, n = _band(H)
-    res = hermitian_residual(H)
+    res = hermitian_residual(LatticeOperator(diagonals, n))
     if res > herm_tol:
         raise SpectralError(f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})")
     adjoint = band_adjoint(diagonals)
@@ -351,25 +345,7 @@ def expm(A) -> np.ndarray:
     """Matrix exponential by a truncated Taylor series of A − μI, μ = tr(A)/n
     (:func:`_dense_exp`)."""
     diagonals, n = _band(A)
-    with np.errstate(all="ignore"):  # overflow checked in _band_shifted
-        return _dense_exp(*_band_shifted(diagonals, n, 1.0), n)
-
-
-def _band(H) -> tuple[dict[int, np.ndarray], int]:
-    """The nonzero diagonals {k: entries H[i, i+k]} of a lattice operator,
-    or of a square matrix, and the dimension n; all entries must be finite."""
-    diagonals = getattr(H, "diagonals", None)
-    if diagonals is None:
-        A = np.asarray(H, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise SpectralError(f"expected a square matrix, got shape {A.shape}")
-        n = A.shape[0]
-        diagonals = {k: d for k in range(1 - n, n) if (d := np.diagonal(A, k)).any()}
-    else:
-        n = H.dim
-    if not all(np.all(np.isfinite(d)) for d in diagonals.values()):
-        raise SpectralError("matrix has non-finite entries")
-    return diagonals, n
+    return _dense_exp(*_band_shifted(diagonals, n, 1.0), n)
 
 
 def _band_matvec(B: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -390,16 +366,17 @@ def _band_shifted(diagonals: dict[int, np.ndarray], n: int, c: complex):
     """B = c·H − μI, μ = tr(c·H)/n (exact: it removes a uniform onsite part
     such as the Weyl −(i/2)∂₀β/β), and ‖B‖₁, which must be finite, with
     each column summed from the top row down."""
-    B = {k: c * d for k, d in diagonals.items()}
-    mu = np.sum(B[0]) / max(n, 1) if 0 in B else 0j
-    if 0 in B:
-        B[0] = B[0] - mu
-    col = np.zeros(n)
-    for k in sorted(B, reverse=True):  # row i = j − k rises as k falls
-        if k >= 0:
-            col[k:] += np.abs(B[k])
-        else:
-            col[: n + k] += np.abs(B[k])
+    with np.errstate(all="ignore"):  # an overflow shows in ‖B‖₁, checked below
+        B = {k: c * d for k, d in diagonals.items()}
+        mu = np.sum(B[0]) / max(n, 1) if 0 in B else 0j
+        if 0 in B:
+            B[0] = B[0] - mu
+        col = np.zeros(n)
+        for k in sorted(B, reverse=True):  # row i = j − k rises as k falls
+            if k >= 0:
+                col[k:] += np.abs(B[k])
+            else:
+                col[: n + k] += np.abs(B[k])
     norm1 = float(np.max(col, initial=0.0))
     if not math.isfinite(norm1):
         raise SpectralError("overflow in nonunitary propagation")
@@ -409,13 +386,14 @@ def _band_shifted(diagonals: dict[int, np.ndarray], n: int, c: complex):
 def _taylor_action(B: dict, mu: complex, s: int, m: int, psi: np.ndarray) -> np.ndarray:
     """exp(B + μ)ψ as s substeps, each e^{μ/s} times the degree-m Taylor
     polynomial of B/s applied by Horner's rule, one band product per degree."""
-    shift, out = np.exp(mu / s), psi
-    for _ in range(s):
-        v = out
-        for k in range(m, 0, -1):
-            v = out + _band_matvec(B, v) / (s * k)
-        out = shift * v
-    return out
+    with np.errstate(all="ignore"):  # the caller checks finiteness
+        shift, out = np.exp(mu / s), psi
+        for _ in range(s):
+            v = out
+            for k in range(m, 0, -1):
+                v = out + _band_matvec(B, v) / (s * k)
+            out = shift * v
+        return out
 
 
 # Estimated costs, in nanoseconds, of the two ways to apply a step, fitted
@@ -488,24 +466,22 @@ class StepOperator:
         self.dense = _dense_exp(self.B, self.mu, self.norm1, self.n)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            out = self.dense @ psi
-        else:
-            with np.errstate(all="ignore"):  # overflow is checked below
-                out = _taylor_action(self.B, self.mu, self.s, self.m, psi)
+        U = self.dense
+        out = U @ psi if U is not None else _taylor_action(self.B, self.mu, self.s, self.m, psi)
         if not np.all(np.isfinite(out)):
             raise SpectralError("overflow in nonunitary propagation")
         return out
 
 
 def _taylor_step(diagonals: dict[int, np.ndarray], n: int, dt: float) -> StepOperator:
-    """The band step exp(−iH·dt) from the diagonals of H: the shift, ‖B‖₁,
-    s = max(1, ⌈‖B‖₁⌉) substeps and the degree :func:`_taylor_degree`
-    (‖B‖₁/s) ≤ 18."""
+    """The band step exp(−iH·dt) from the diagonals of H: the shift, ‖B‖₁ ≤
+    2^26 (beyond it the rounding ‖B‖₁·u would exceed √u), s = max(1, ⌈‖B‖₁⌉)
+    substeps and the degree :func:`_taylor_degree`(‖B‖₁/s) ≤ 18."""
     if not math.isfinite(dt):
         raise SpectralError(f"non-finite time step {dt!r}")
-    with np.errstate(all="ignore"):  # overflow checked in _band_shifted
-        B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
+    B, mu, norm1 = _band_shifted(diagonals, n, -1j * dt)
+    if norm1 > 2.0**26:
+        raise SpectralError(f"step beyond double precision: ‖B‖₁ = {norm1:.3e} > 2^26")
     s = max(1, math.ceil(norm1))
     return StepOperator(dt, n, B, mu, norm1, s, _taylor_degree(norm1 / s))
 

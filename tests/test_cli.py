@@ -225,7 +225,7 @@ def test_dump_hops_are_the_dense_entries(family, L, bc, tmp_path):
         "ldos_lorentzian"])
 def test_overflow_warns_nothing(argv, code, message, tmp_path, capsys):
     # an overflowing metric is reported as the metric's fault, and no numpy
-    # warning reaches stderr; an infinite broadening gives the zero grid
+    # warning reaches stderr; a broadening whose square overflows gives a normalized grid
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv, "--out-dir", str(tmp_path)]) == code
@@ -234,9 +234,35 @@ def test_overflow_warns_nothing(argv, code, message, tmp_path, capsys):
     if message is None:
         assert err == ""
         meta = json.loads((tmp_path / "ldos_meta.json").read_text())
-        assert meta["ldos_real.csv"]["normalized"] is False
+        assert meta["ldos_real.csv"]["normalized"] is True
+        values = [float(row[2]) for row in _read_csv(tmp_path / "ldos_real.csv")[1]]
+        assert 0.0 < min(values) and max(values) == 1.0
     else:
         assert err.startswith("numerical failure: ") and message in err
+
+
+@pytest.mark.parametrize("argv, within, beyond, message", [
+    # hermitian: the norm is kept to the step's rounding within the bound
+    (["--family", "flat", "--L", "4", "--t1", "0.01"], "1e10", "1e11",
+     "t=0.001: step beyond double precision: ‖B‖₁ = 1.000e+08 > 2^26"),
+    (["--family", "linear_conformal", "--q", "0.1", "--r", "0.5", "--L", "4", "--t0", "0.1",
+      "--t1", "0.11"], "1e11", "1e12",
+     "t=0.101: step beyond double precision: ‖B‖₁ = 3.503e+08 > 2^26"),
+], ids=["static", "time_dependent"])
+def test_a_step_beyond_double_precision_exits_3(argv, within, beyond, message, tmp_path, capsys):
+    # a step exponent ‖B‖₁ within 2^26 runs; past it the run stops with one
+    # line naming ‖B‖₁ and the bound, and no warning
+    assert main(["evolve", *argv, "--M", within, "--out-dir", str(tmp_path / "within")]) == 0
+    _, rows = _read_csv(tmp_path / "within" / "trace.csv")
+    assert float(rows[-1][0]) == float(argv[-1])
+    if argv[1] == "flat":
+        assert abs(float(rows[-1][1]) - 1.0) <= 1e-6
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve", *argv, "--M", beyond, "--out-dir", str(tmp_path / "beyond")]) == 3
+    assert not caught
+    assert capsys.readouterr().err == f"numerical failure: propagation stopped at {message}\n"
 
 
 @pytest.mark.parametrize("alpha, message", [

@@ -37,6 +37,16 @@ def test_lorentzian_trapezoid_integral():
     assert integral == pytest.approx(0.9936, abs=1e-4)
 
 
+@pytest.mark.parametrize("g", [1e155, 1e306, 1e308])
+def test_lorentzian_keeps_its_peak_where_gamma_squared_overflows(g):
+    # Γ² = inf, but the peak 1/(πΓ) and the half-width at x = Γ are representable
+    peak = lorentzian_delta(0.0, g)
+    assert peak == pytest.approx(1.0 / np.pi / g, rel=1e-13, abs=0.0)
+    assert lorentzian_delta(g, g) == pytest.approx(peak / 2, rel=1e-13, abs=0.0)
+    near = lorentzian_delta(np.array([1e-300, -g / 1e8]), g)
+    assert near == pytest.approx(peak, rel=1e-13, abs=0.0)
+
+
 def test_single_free_site():
     # one massless site: H = 0, LDOS(E) proportional to the Lorentzian itself
     dec = eig_hermitian(np.zeros((2, 2), dtype=complex))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedlattice import operator
+from curvedlattice import errors, operator, spectral
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.operator import (
     OperatorError,
@@ -406,3 +407,34 @@ def test_norms_rescale_a_sum_of_squares_that_overflows():
         assert norms[1] == 1.0 and norms[2] == np.inf  # a non-finite entry stays non-finite
         assert band_norm({0: A[:, 0], 1: A[:, 1]}) == pytest.approx(np.hypot(5e300, 1.0))
         assert band_norm({0: np.full(3, 1.5e308)}) == np.inf  # beyond the float range
+
+
+@pytest.mark.parametrize("H, message", [
+    (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (np.ones(4), "expected a square matrix, got shape (4,)"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "matrix has non-finite entries"),
+    (np.array([[1.0, 0.0], [np.nan, 1.0]]), "matrix has non-finite entries"),
+], ids=["non-square", "vector", "inf", "nan"])
+def test_hermitian_residual_reads_through_the_one_checked_reader(H, message):
+    # the residual reads a matrix as every solver does: square, finite entries
+    with pytest.raises(spectral.SpectralError, match=f"^{re.escape(message)}$"):
+        hermitian_residual(H)
+    assert spectral.SpectralError is errors.SpectralError
+    assert issubclass(errors.SpectralError, errors.CurvedLatticeError)
+
+
+def test_eig_hermitian_reads_its_input_once():
+    # a dense input is converted once; its residual is taken from that band
+    class Counted:
+        reads = 0
+
+        def __array__(self, dtype=None, copy=None):
+            Counted.reads += 1
+            return np.asarray(A, dtype=dtype)
+
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    A = X + X.conj().T
+    dec = spectral.eig_hermitian(Counted())
+    assert Counted.reads == 1
+    np.testing.assert_allclose(dec.eigenvalues.real, np.linalg.eigvalsh(A), atol=1e-12)

@@ -978,3 +978,29 @@ def test_every_hermitian_chain_has_a_partner(sites, M, a, periodic):
     chain = band_chains(B, L)
     assert chain is not None
     assert spectral._symmetrizer(chain, L) is not None
+
+
+def test_a_step_beyond_double_precision_is_refused():
+    # ‖B‖₁ ≤ 2^26 keeps a step's rounding ‖B‖₁·u within √u: the bound itself
+    # is prepared, anything past it is refused; the dense expm stays unbounded
+    H = np.diag([1.0, -1.0])  # μ = 0, so ‖B‖₁ = dt
+    assert propagator(H, 2.0**26).norm1 == 2.0**26
+    too_long = 2.0**26 * (1 + 2**-52)
+    message = f"step beyond double precision: ‖B‖₁ = {too_long:.3e} > 2^26"
+    for call, args in [(propagator, (H, too_long)), (expm_apply, (H, too_long, np.ones(2)))]:
+        with pytest.raises(SpectralError, match=f"^{re.escape(message)}$"):
+            call(*args)
+    np.testing.assert_allclose(np.abs(np.diag(expm(-1j * 2.0**30 * H))), 1.0, rtol=1e-6)
+
+
+def test_whole_band_eigh_residual_falls_back_to_geev():
+    # a hermitian matrix up to a uniform 0.3i, spoiled at 1e-14: its symmetrizer
+    # (s = 1) is accepted at 1e-12, but the eigh residuals fail n·ε·‖A‖_F
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    A = (X + X.conj().T) / 2 + 0.3j * np.eye(6)
+    A = A + 1e-14 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    dec = eig_general(A)
+    assert dec.route == "fallback:eigh-residual:complex-geev"
+    assert dec.max_residual <= A.shape[0] * np.finfo(float).eps * dec.h_norm
+    assert spectral_mismatch(dec.eigenvalues, np.linalg.eigvals(A)) <= 1e-14

@@ -174,3 +174,55 @@ def test_band_commands_take_no_matrix_product(tmp_path):
         f" --dt 0.001 --check-duality {out}",
     )[0])
     assert after >= bare / 2
+
+
+# OpenBLAS reads its thread count from the first of these that is set
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# ... then the OPENBLAS_NUM_THREADS the command ran with, on one more line
+_RUN_MODULE_THREADS = _RUN_MODULE + (
+    'import os\nprint(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))\n'
+)
+
+
+def _run_with_threads(threads: dict, *argv):
+    """Exit code and OPENBLAS_NUM_THREADS of a command run with only the
+    thread variables of ``threads`` set."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    env.update(threads, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MODULE_THREADS, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, status, seen = proc.stdout.splitlines()
+    return json.loads(status)[0], json.loads(seen)
+
+
+def test_a_command_runs_on_one_blas_thread_unless_a_count_is_set(tmp_path, monkeypatch):
+    # with none of the variables set the front end sets one thread before
+    # numpy loads; any variable the user set wins
+    argv = ["classify", *_CATALOG, "--out-dir", str(tmp_path)]
+    for threads, seen in [
+        ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"GOTO_NUM_THREADS": "2"}, None), ({"OMP_NUM_THREADS": "2"}, None),
+    ]:
+        assert _run_with_threads(threads, *argv) == (0, seen), threads
+    # in process, once numpy has loaded, the environment is left as it is
+    import numpy  # noqa: F401
+
+    from curvedlattice.front import main
+
+    for name in _THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert main(argv) == 0
+    assert not set(_THREAD_VARIABLES) & os.environ.keys()
+
+
+def test_the_default_thread_count_writes_the_one_thread_bytes(tmp_path):
+    # these LDOS grids differ in their last digits at one and two threads
+    argv = ["ldos", "--family", "de_sitter", "--M", "1", "--L", "200", "--axis", "both"]
+    files = []
+    for name, threads in [("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})]:
+        assert _run_with_threads(threads, *argv, "--out-dir", str(tmp_path / name))[0] == 0
+        files.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert sorted(files[0]) == ["ldos_imag.csv", "ldos_meta.json", "ldos_real.csv"]
+    assert files[0] == files[1]

@@ -77,9 +77,10 @@ def _time_tags(what: str, times) -> list[str]:
     return list(first)
 
 
-def _decompose(H, tol):
-    if hermitian_residual(H) <= tol:
-        return eig_hermitian(H, herm_tol=tol)
+def _decompose(H):
+    # kept as the layer perfbench/tracer.py times; eig_general gives the same bytes
+    if hermitian_residual(H) == 0.0:
+        return eig_hermitian(H)
     return eig_general(H)
 
 
@@ -107,7 +108,7 @@ def _slices(cfg: RunConfig):
 def cmd_spectrum(cfg: RunConfig) -> list[str]:
     written = []
     for _, suffix, sample, H in _slices(cfg):
-        dec = _decompose(H, cfg.tol)
+        dec = _decompose(H)
         ev = dec.eigenvalues
         _write_csv(
             _out(cfg, f"spectrum{suffix}.csv", written), "index,re_E,im_E,residual",
@@ -131,7 +132,7 @@ def cmd_ldos(cfg: RunConfig) -> list[str]:
     written = []
     meta = {}
     for t, suffix, _, H in _slices(cfg):
-        dec = _decompose(H, cfg.tol)
+        dec = _decompose(H)
         for axis in axes:
             gamma = cfg.gamma if cfg.gamma is not None else default_gamma(dec, axis)
             component = dec.eigenvalues.real if axis == "real" else dec.eigenvalues.imag
@@ -271,7 +272,13 @@ def run(args: argparse.Namespace) -> int:
         code = getattr(err, "exit_code", 2)
         print(f"{_FAILURES[code]}: {err}", file=sys.stderr)
         return code
-    for path in written:
-        print(path)
+    try:
+        for path in written:
+            print(path)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the files are written: a reader that closed stdout ends the listing,
+        # and stdout goes to the null device so that the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 

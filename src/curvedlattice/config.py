@@ -37,6 +37,7 @@ _INTEGERS = ("schema", "L", "n_e")
 _BOOLEANS = ("heatmap", "check_duality")
 _REAL_LISTS = ("times", "snapshot_times")
 _DEFAULT_INITIAL = {"kind": "plane_wave", "k": 0.0, "branch": 1}
+_MAX_LENGTH = sys.maxsize // 16  # the most entries whose complex array numpy can index
 
 
 def _is_real(value) -> bool:
@@ -126,10 +127,12 @@ class RunConfig:
         data = {}
         if path is not None:
             try:
-                with open(path) as fh:
+                with open(path, encoding="utf-8") as fh:  # JSON's encoding (RFC 8259)
                     data = json.load(fh)
             except OSError as err:
                 raise ConfigError(f"cannot read config {path!r}: {err}") from err
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"config {path!r} is not UTF-8: {err}") from err
             except json.JSONDecodeError as err:
                 raise ConfigError(f"malformed JSON in {path!r}: {err}") from err
             if not isinstance(data, dict):
@@ -178,6 +181,9 @@ class RunConfig:
             raise ConfigError(f"unsupported schema version {self.schema} (expected {SCHEMA_VERSION})")
         if self.L < 2:
             raise ConfigError(f"L must be at least 2, got {self.L}")
+        for name in ("L", "n_e"):  # numpy raises, unallocated, on an array beyond it
+            if getattr(self, name) > _MAX_LENGTH:
+                raise ConfigError(f"{name} must be at most {_MAX_LENGTH}, got {getattr(self, name)}")
         if self.a <= 0:
             raise ConfigError(f"a must be positive, got {self.a}")
         if self.bc not in BOUNDARY_CONDITIONS:

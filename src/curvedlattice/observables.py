@@ -43,6 +43,7 @@ def lorentzian_delta(x, gamma: float):
     is lost to underflow (Γ² = 0 divides by zero), so such a Γ is an error.
     Where Γ² overflows, the same value is taken as ((1/π)/Γ)/((x/Γ)² + 1).
     """
+    gamma = float(gamma)  # a numpy Γ² would warn where it overflows
     if gamma <= 0:
         raise ObservableError(f"broadening must be positive, got {gamma}")
     if gamma * gamma < np.finfo(float).tiny:

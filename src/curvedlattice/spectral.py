@@ -51,6 +51,7 @@ from .operator import (
 
 _EPS = np.finfo(float).eps
 _SMLNUM = np.finfo(float).tiny / _EPS
+_HERM_TOL = 1e-10  # largest relative hermiticity residual that eig_hermitian accepts
 
 
 @dataclass
@@ -115,28 +116,26 @@ def eig_general(H, compute_vectors: bool = True) -> SpectralDecomposition:
     return _decompose(diagonals, n, diagonals, compute_vectors, hermitian=False)
 
 
-def eig_hermitian(H, herm_tol: float = 1e-10) -> SpectralDecomposition:
+def eig_hermitian(H) -> SpectralDecomposition:
     """Spectrum of a (numerically) hermitian matrix; eigenvalues exactly real.
 
-    Precondition: relative hermiticity residual at most ``herm_tol``.  The
+    Precondition: relative hermiticity residual at most 1e-10.  The
     symmetrized matrix ½(A + A†) is decomposed by ``eigh`` only, on its
     chain when it has one, so the output imaginary parts are exactly zero.
     """
     diagonals, n = _band(H)
     res = hermitian_residual(LatticeOperator(diagonals, n))
-    if res > herm_tol:
-        raise SpectralError(f"matrix is not hermitian (relative residual {res:.3e} > {herm_tol:.1e})")
-    adjoint = band_adjoint(diagonals)
-    B = {k: _hermitian_part(diagonals.get(k, 0.0), adjoint.get(k, 0.0))
-         for k in diagonals.keys() | adjoint.keys()}
-    return _decompose(diagonals, n, B, True, hermitian=True)
+    if res > _HERM_TOL:
+        raise SpectralError(f"matrix is not hermitian (relative residual {res:.3e} > {_HERM_TOL:.1e})")
+    return _decompose(diagonals, n, _hermitian_part(diagonals), True, hermitian=True)
 
 
-def _hermitian_part(X, Y):
-    """½(X + Y) of X and its adjoint Y; a sum that overflows is a SpectralError."""
+def _hermitian_part(B: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """½(B + B†) on the band, ½(B[k] + conj B[−k]); a sum that overflows is a SpectralError."""
+    adjoint = band_adjoint(B)
     with np.errstate(all="ignore"):  # reported below
-        half = 0.5 * (X + Y)
-    if not np.all(np.isfinite(half)):
+        half = {k: 0.5 * (B.get(k, 0.0) + adjoint.get(k, 0.0)) for k in B.keys() | adjoint.keys()}
+    if not all(np.all(np.isfinite(d)) for d in half.values()):
         raise SpectralError("overflow in the hermitian part ½(A + A†) of the matrix")
     return half
 
@@ -175,8 +174,8 @@ def _eig(A, n, compute_vectors, found):
     """(kind, eigenvalues, unit-norm eigenvectors or None) of the n×n band A.
 
     With ``found`` = (s, c, B) from :func:`_symmetrizer`, A = S⁻¹BS + icI:
-    ``eigh``/``eigvalsh`` of ½(B + B†), in real arithmetic when B is real,
-    gives E = w + ic and the vectors S⁻¹W scaled to unit norm (kind
+    ``eigh``/``eigvalsh`` of the hermitian B, in real arithmetic when B is
+    real, gives E = w + ic and the vectors S⁻¹W scaled to unit norm (kind
     ``eigh``).  With ``found`` None, ``geev`` of A (kind ``geev``).
     """
     if found is None:
@@ -186,7 +185,6 @@ def _eig(A, n, compute_vectors, found):
         return "geev", _lapack(np.linalg.eigvals, A), None
     s, c, B = found
     S = band_matrix(B, n, np.result_type(0.0, *B.values()))
-    S = _hermitian_part(S, S.conj().T)
     if not compute_vectors:
         return "eigh", _lapack(np.linalg.eigvalsh, S) + 1j * c, None
     w, W = _lapack(np.linalg.eigh, S)
@@ -235,7 +233,7 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
     shows in the hermiticity residual of B, which must be at most
     ``_SYM_TOL`` (a periodic Hatano–Nelson ring fails), and a range of d
     that overflows fails too.  B is made real when its imaginary part is at
-    most ``_SYM_TOL`` relative.
+    most ``_SYM_TOL`` relative, then taken as its hermitian part ½(B + B†).
     """
     if n == 0 or any(-k not in diagonals for k in diagonals):
         return None
@@ -284,7 +282,7 @@ def _symmetrizer(diagonals: dict[int, np.ndarray], n: int):
         return None
     if band_norm({k: b.imag for k, b in B.items()}) <= _SYM_TOL * band_norm(B):
         B = {k: b.real for k, b in B.items()}
-    return s, c, B
+    return s, c, _hermitian_part(B)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +341,12 @@ def _dense_exp(B: dict[int, np.ndarray], mu: complex, norm1: float, n: int) -> n
 
 def expm(A) -> np.ndarray:
     """Matrix exponential by a truncated Taylor series of A − μI, μ = tr(A)/n
-    (:func:`_dense_exp`)."""
+    (:func:`_dense_exp`); a result beyond the float range is a SpectralError."""
     diagonals, n = _band(A)
-    return _dense_exp(*_band_shifted(diagonals, n, 1.0), n)
+    R = _dense_exp(*_band_shifted(diagonals, n, 1.0), n)
+    if not np.all(np.isfinite(R)):
+        raise SpectralError("overflow in the matrix exponential")
+    return R
 
 
 def _band_matvec(B: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:

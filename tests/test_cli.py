@@ -158,7 +158,8 @@ def test_evolve_snapshots_and_gain(tmp_path):
 @pytest.mark.parametrize("command", ["spectrum", "ldos"])
 def test_tol_sets_the_hermitian_threshold(command, tmp_path, monkeypatch):
     # a hermiticity residual of 1e-9 is within --tol 1e-6, so the operator
-    # is decomposed as hermitian: its eigenvalues are exactly real
+    # is classified hermitian; it is quasi-hermitian (η = diag β), so its
+    # chain-eigh route keeps the eigenvalues exactly real
     decompositions = []
     decompose = cli._decompose
     monkeypatch.setattr(
@@ -175,6 +176,26 @@ def test_tol_sets_the_hermitian_threshold(command, tmp_path, monkeypatch):
         assert header[2] == "im_E" and all(float(r[2]) == 0.0 for r in rows)
         report = json.loads((tmp_path / "symmetry.json").read_text())
         assert report["classification"] == "Hermitian"
+
+
+def test_tol_changes_no_data_file(tmp_path):
+    # --tol sets the classification only: the operator's own hermiticity
+    # picks its eigensolver, so a quasi-hermitian operator classified
+    # hermitian at a loose tol keeps the spectrum of the operator itself
+    for family in ("de_sitter", "anti_de_sitter"):
+        outs = []
+        for tol in ("1e-12", "0.5"):
+            out = tmp_path / family / tol
+            for command in (["spectrum"], ["ldos", "--axis", "both"]):
+                assert main([*command, "--family", family, "--M", "1", "--L", "40",
+                             "--tol", tol, "--out-dir", str(out)]) == 0
+            outs.append(out)
+        for name in ("spectrum.csv", "ldos_real.csv", "ldos_imag.csv", "ldos_meta.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        strict, loose = (json.loads((out / "symmetry.json").read_text()) for out in outs)
+        assert strict.keys() == loose.keys()
+        assert {key for key in strict if strict[key] != loose[key]} <= {"classification", "tol"}
+        assert loose["classification"] == "Hermitian" != strict["classification"]
 
 
 def test_dump_command(tmp_path):
@@ -759,6 +780,26 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(open(tmp_path / "symmetry.json").read())
     assert report["classification"] == "QuasiHermitian"
+
+
+def test_a_closed_stdout_ends_the_listing_without_an_error(tmp_path):
+    # a reader that closed the pipe (`| true`) takes no listing of the paths,
+    # but the files are written, so the run succeeds with a clean stderr
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvedlattice", "spectrum", "--family", "flat", "--L", "4",
+             "--times", "0", "1", "2", "--out-dir", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert sorted(os.listdir(tmp_path)) == [
+        f"{kind}_t{t}.{ext}" for kind, ext in (("spectrum", "csv"), ("symmetry", "json")) for t in range(3)
+    ]
 
 
 def test_nonhermitian_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):

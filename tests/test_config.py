@@ -3,6 +3,7 @@ check of the initial state, and one order for the output directory."""
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -194,6 +195,38 @@ def test_a_file_or_setting_error_is_one_line_and_writes_nothing(text, argv, mess
         (tmp_path / "run.json").write_text(text)
     assert main([*argv, "--out-dir", "out"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # JSON is UTF-8 (RFC 8259), so the file is read as UTF-8 under every locale
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_bytes(b"\xff\xfe{}")
+    assert main(["classify", "--config", "run.json", "--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config 'run.json' is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+# each size is refused before any array is made: none may ever be allocated
+@pytest.mark.parametrize("text, argv, name, value", [
+    (None, ["spectrum", "--L", str(2**60)], "L", 2**60),
+    (None, ["spectrum", "--L", str(2**63)], "L", 2**63),
+    (f'{{"L": {2**63 - 1}}}', ["spectrum", "--config", "run.json"], "L", 2**63 - 1),
+    (None, ["ldos", "--L", "4", "--n-e", str(2**60)], "n_e", 2**60),
+    (f'{{"n_e": {2**63 - 1}}}', ["ldos", "--L", "4", "--config", "run.json"], "n_e", 2**63 - 1),
+], ids=["L-2^60", "L-2^63", "L-config-2^63-1", "n_e-2^60", "n_e-config-2^63-1"])
+def test_a_size_beyond_numpy_indexing_is_a_config_error(text, argv, name, value, tmp_path,
+                                                        monkeypatch, capsys):
+    # a complex array of more than sys.maxsize // 16 entries has more bytes than numpy can index
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "run.json").write_text(text)
+    assert main([*argv, "--out-dir", "out"]) == 2
+    limit = sys.maxsize // 16
+    assert capsys.readouterr().err == f"config error: {name} must be at most {limit}, got {value}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -47,6 +47,13 @@ def test_lorentzian_keeps_its_peak_where_gamma_squared_overflows(g):
     assert near == pytest.approx(peak, rel=1e-13, abs=0.0)
 
 
+def test_lorentzian_takes_a_numpy_width_without_a_warning():
+    # Γ² of a numpy scalar Γ = 1e200 overflows with a RuntimeWarning, which
+    # this suite turns into an error; the value is that of a Python float Γ
+    peak = lorentzian_delta(0.0, np.float64(1e200))
+    assert peak == lorentzian_delta(0.0, 1e200) == pytest.approx(1.0 / np.pi / 1e200, rel=1e-13)
+
+
 def test_single_free_site():
     # one massless site: H = 0, LDOS(E) proportional to the Lorentzian itself
     dec = eig_hermitian(np.zeros((2, 2), dtype=complex))

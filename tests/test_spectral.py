@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedlattice import cli, spectral
-from curvedlattice.config import RunConfig
 from curvedlattice.evolve import _eta_norm, gaussian_packet
 from curvedlattice.metric import MetricModel, SampledMetric
 from curvedlattice.observables import horizon_modes
@@ -308,16 +307,16 @@ def test_eig_general_falls_back_to_eig(A, monkeypatch):
 def test_benchmark_spectra_routes():
     # the four decompositions of the spectra benchmark, as the CLI makes them;
     # a silent fallback to a slower solver fails here
-    L, tol = 20, RunConfig().tol
+    L = 20
     q = 1.0 / (L - 1)
     rindler = build(MetricModel.rindler(q=q, L=L).sample(), 0.0, 1.0)
     de_sitter = build(MetricModel.de_sitter(q=q, L=L).sample(), 1.0, 1.0)
     anti_de_sitter = build(MetricModel.anti_de_sitter(q=q, L=L).sample(), 1.0, 1.0)
     conformal = build(MetricModel.linear_conformal(q=q, r=0.5, L=L).sample(0.5), 1.0, 1.0)
-    assert cli._decompose(rindler, tol).route == "chain-eigh"
-    assert cli._decompose(de_sitter, tol).route == "chain-eigh"
+    assert cli._decompose(rindler).route == "chain-eigh"
+    assert cli._decompose(de_sitter).route == "chain-eigh"
     assert eig_general(anti_de_sitter, compute_vectors=False).route == "chain-eigh"
-    assert cli._decompose(conformal, tol).route == "chain-geev"
+    assert cli._decompose(conformal).route == "chain-geev"
 
 
 def _dense_ring(H):
@@ -688,6 +687,16 @@ def test_expm_apply_overflow_raises():
             expm_apply(gain, 1.0, np.ones(4, dtype=complex))
         with pytest.raises(SpectralError, match="overflow"):
             expm(np.full((2, 2), 1e308 + 0j))  # the trace and the 1-norm overflow
+
+
+@pytest.mark.parametrize("A", [[[1000.0]], [[0.0, 800.0], [800.0, 0.0]]], ids=["inf", "nan"])
+def test_expm_beyond_the_float_range_raises(A):
+    # exp(1000) is inf (with a nan imaginary part), and the squarings of the
+    # ±800 pair give nan: neither is returned as a matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectralError, match="^overflow in the matrix exponential$"):
+            expm(np.array(A))
 
 
 def _rel_err(got, ref):

@@ -181,7 +181,7 @@ class RunConfig:
             raise ConfigError(f"unsupported schema version {self.schema} (expected {SCHEMA_VERSION})")
         if self.L < 2:
             raise ConfigError(f"L must be at least 2, got {self.L}")
-        for name in ("L", "n_e"):  # numpy raises, unallocated, on an array beyond it
+        for name in ("L", "n_e"):  # numpy refuses a longer array with a ValueError
             if getattr(self, name) > _MAX_LENGTH:
                 raise ConfigError(f"{name} must be at most {_MAX_LENGTH}, got {getattr(self, name)}")
         if self.a <= 0:

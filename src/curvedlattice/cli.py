@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -115,7 +114,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[str]:
             range(ev.size), _floats(ev.real), _floats(ev.imag), _floats(dec.residuals),
         )
         report = classify(H, sample, tol=cfg.tol, decomposition=dec)
-        _write_json(_out(cfg, f"symmetry{suffix}.json", written), asdict(report))
+        _write_json(_out(cfg, f"symmetry{suffix}.json", written), report._asdict())
     return written
 
 
@@ -205,7 +204,7 @@ def cmd_classify(cfg: RunConfig) -> list[str]:
     written = []
     for _, suffix, sample, H in _slices(cfg):
         report = classify(H, sample, tol=cfg.tol)
-        _write_json(_out(cfg, f"symmetry{suffix}.json", written), asdict(report))
+        _write_json(_out(cfg, f"symmetry{suffix}.json", written), report._asdict())
     return written
 
 
@@ -238,7 +237,7 @@ def cmd_dump(cfg: RunConfig) -> list[str]:
         _write_csv(
             _out(cfg, f"metric{suffix}.csv", written),
             "n,x,alpha,beta,dlog_beta_dt,distance,hop_forward,hop_backward,onsite_mass,onsite_imag",
-            range(L), _floats(np.arange(L) * cfg.a), _floats(alpha), _floats(beta),
+            range(L), _floats(cfg.model().x), _floats(alpha), _floats(beta),
             _floats(dlog), _floats(distance_profile(sample)), _floats(hop_f), _floats(hop_b),
             _floats(cfg.M * alpha), _floats(-0.5 * dlog),
         )

@@ -15,7 +15,6 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields
 
 from .errors import CurvedLatticeError
 from .front import AXES, BOUNDARY_CONDITIONS
@@ -72,15 +71,17 @@ def _check_initial(initial: dict) -> None:
             raise ConfigError(f"initial.{name} must be a whole number, got {initial[name]!r}")
 
 
-@dataclass
 class RunConfig:
+    """One run's settings: each annotated name is a field, with its default.
+    Built by keyword only; a list or dict default is copied per instance."""
+
     schema: int = SCHEMA_VERSION
     family: str = "flat"
     q: float | None = None  # default pins the de Sitter horizon to the last site
     r: float = 0.0
     alpha: str | None = None
     beta: str | None = None
-    params: dict = field(default_factory=dict)
+    params: dict = {}
     L: int = 500
     a: float = 1.0
     M: float = 0.0
@@ -90,16 +91,26 @@ class RunConfig:
     e_max: float | None = None
     n_e: int = 400
     axis: str = "real"
-    times: list = field(default_factory=lambda: [0.0])
+    times: list = [0.0]
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
-    initial: dict = field(default_factory=lambda: dict(_DEFAULT_INITIAL))
+    initial: dict = _DEFAULT_INITIAL
     out_dir: str = "."
     tol: float = 1e-12
     heatmap: bool = False
     check_duality: bool = False
-    snapshot_times: list = field(default_factory=list)
+    snapshot_times: list = []
+
+    def __init__(self, **settings):
+        unknown = settings.keys() - RunConfig.__annotations__.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unknown fields {sorted(unknown)}")
+        for name in RunConfig.__annotations__:
+            default = getattr(RunConfig, name)
+            if isinstance(default, (list, dict)):
+                default = default.copy()
+            setattr(self, name, settings.get(name, default))
 
     @property
     def q_value(self) -> float:
@@ -112,7 +123,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """The validated run of exactly the fields in ``data``."""
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = data.keys() - cls.__annotations__.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)

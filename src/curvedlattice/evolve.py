@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class PropagationError(EvolveError):
         self.partial = partial
 
 
-@dataclass
-class SpinorField:
+class SpinorField(NamedTuple):
     """Site-major two-component field: values[2n+s] is component s at site n."""
 
     values: np.ndarray
@@ -69,14 +69,14 @@ class SpinorField:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass
-class EvolutionTrace:
-    """Recorded norms (and optional snapshots) of one propagation run."""
+class EvolutionTrace(NamedTuple):
+    """Recorded norms (and optional snapshots) of one propagation run; the
+    default holds no snapshots, as an empty tuple that no trace can grow."""
 
     times: np.ndarray
     norms: np.ndarray
     eta_norms: np.ndarray
-    snapshots: list[SpinorField] = field(default_factory=list)
+    snapshots: Sequence[SpinorField] = ()
 
 
 def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
@@ -381,9 +381,16 @@ def gaussian_packet(
     """Normalized Gaussian wave packet exp(−(x−c)²/4w²)·e^{ikx}·φ±."""
     if width <= 0:
         raise EvolveError(f"width must be positive, got {width}")
+    try:
+        spread = 4.0 * width**2
+    except OverflowError:  # a float's square beyond the float range
+        spread = math.inf
+    if not 0.0 < spread < math.inf:
+        raise EvolveError(f"width {width:g} leaves the float range: 4·width² = {spread:g}")
     wave = plane_wave(k, branch, L, a)
     x = np.repeat(np.arange(L) * a, 2)
-    envelope = np.exp(-((x - center) ** 2) / (4.0 * width**2))
+    with np.errstate(over="ignore"):  # (x − c)² = inf gives the limit 0
+        envelope = np.exp(-((x - center) ** 2) / spread)
     values = wave.values * envelope
     nrm = np.linalg.norm(values)
     if nrm == 0.0:

@@ -1,9 +1,10 @@
 """Scalar expression DSL for metric functions of ``(x, t)`` and named parameters.
 
 Expressions are parsed once into an immutable AST and evaluated many times
-(once per lattice site per time slice), so the AST is a plain tree of frozen
-dataclasses and evaluation is a recursive walk.  The grammar is ordinary
-infix notation::
+(once per lattice site per time slice), so the AST is a plain tree of
+immutable slotted nodes, each equal only to a node of its own type and
+fields (``Var("x") != Param("x")``), and evaluation is a recursive walk.
+The grammar is ordinary infix notation::
 
     expr   := ('-' expr | atom) (op expr)*   # precedence climbing over _PREC
     atom   := number | name | name '(' expr ')' | '(' expr ')'
@@ -20,7 +21,6 @@ float or raises: there is no silent NaN/inf propagation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CurvedLatticeError
 
@@ -71,37 +71,64 @@ class DerivativeError(ExpressionError):
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """A tree node with the fields named by ``__slots__``: immutable, and
+    equal to, and hashed like, only a node of its own type and fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self.__slots__, args), **kwargs)
+        if len(args) + len(kwargs) != len(self.__slots__) or values.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __reduce__(self):  # copy and pickle rebuild a node through its constructor
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "x" or "t"
+class Num(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
+class Var(_Node):
+    __slots__ = ("name",)  # "x" or "t"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Param(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    lhs: "Expr"
-    rhs: "Expr"
+class Neg(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class BinOp(_Node):
+    __slots__ = ("op", "lhs", "rhs")  # op is one of + - * / ^
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")
 
 
 Expr = Num | Var | Param | Neg | BinOp | Call

@@ -32,9 +32,9 @@ norm would leave the float range there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class MetricDomainError(MetricError):
     exit_code = 3
 
 
-@dataclass(frozen=True)
-class SampledMetric:
+class SampledMetric(NamedTuple):
     """Lattice profiles of a metric at a fixed time."""
 
     t: float
@@ -82,34 +81,51 @@ class SampledMetric:
         return self.alpha.shape[0]
 
 
-@dataclass(frozen=True)
 class MetricModel:
-    """A metric family plus its parameters and the lattice geometry."""
+    """A metric family plus its parameters and the lattice geometry.
 
-    family: str
-    L: int
-    a: float = 1.0
-    q: float = 0.0
-    r: float = 0.0
-    alpha_expr: _expr.Expr | None = None
-    beta_expr: _expr.Expr | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
+    Immutable: the constructor sets and checks every field, and assigning
+    to one raises AttributeError.  A lattice whose extent (L−1)·a leaves the
+    float range is an error, as its last site coordinate would be infinite.
+    """
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise MetricError(f"unknown metric family {self.family!r}; expected one of {FAMILIES}")
-        if self.L < 2:
-            raise MetricError(f"need at least 2 sites, got L={self.L}")
-        if self.a <= 0:
-            raise MetricError(f"lattice spacing must be positive, got a={self.a}")
-        if self.family in _NEEDS_Q and self.q <= 0:
-            raise MetricError(f"{self.family} requires q > 0, got q={self.q}")
-        if self.family == "custom":
-            if self.alpha_expr is None or self.beta_expr is None:
+    def __init__(
+        self,
+        family: str,
+        L: int,
+        a: float = 1.0,
+        q: float = 0.0,
+        r: float = 0.0,
+        alpha_expr: _expr.Expr | None = None,
+        beta_expr: _expr.Expr | None = None,
+        params: Mapping[str, float] | None = None,
+    ):
+        vars(self).update(
+            family=family, L=L, a=a, q=q, r=r, alpha_expr=alpha_expr, beta_expr=beta_expr,
+            params={} if params is None else params,
+        )
+        if family not in FAMILIES:
+            raise MetricError(f"unknown metric family {family!r}; expected one of {FAMILIES}")
+        if L < 2:
+            raise MetricError(f"need at least 2 sites, got L={L}")
+        if a <= 0:
+            raise MetricError(f"lattice spacing must be positive, got a={a}")
+        if not math.isfinite((L - 1) * a):
+            raise MetricError(f"lattice extent (L-1)·a leaves the float range: L={L}, a={a:g}")
+        if family in _NEEDS_Q and q <= 0:
+            raise MetricError(f"{family} requires q > 0, got q={q}")
+        if family == "custom":
+            if alpha_expr is None or beta_expr is None:
                 raise MetricError("custom metric requires alpha and beta expressions")
             unbound = self._custom.param_names - set(self.params)
             if unbound:
                 raise MetricError(f"unbound metric parameters: {sorted(unbound)}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MetricModel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MetricModel is immutable: cannot delete {name!r}")
 
     @cached_property
     def _custom(self) -> _expr.CustomProfiles:

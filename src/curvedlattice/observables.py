@@ -14,7 +14,7 @@ leaving an eigenpair at zero energy whose weight sits entirely on that site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class ObservableError(CurvedLatticeError):
     exit_code = 3
 
 
-@dataclass
-class LdosGrid:
+class LdosGrid(NamedTuple):
     """Max-normalized (site × energy) spectral-weight grid."""
 
     values: np.ndarray  # shape (L, n_E), nonnegative

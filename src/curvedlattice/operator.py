@@ -19,7 +19,6 @@ the hermiticity residual are computed on the diagonals as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +45,6 @@ class OperatorError(CurvedLatticeError):
     exit_code = 3
 
 
-@dataclass
 class LatticeOperator:
     """The 2L×2L complex Hamiltonian, stored as its nonzero diagonals.
 
@@ -56,8 +54,8 @@ class LatticeOperator:
     view, built on first use; nothing mutates the diagonals afterwards.
     """
 
-    diagonals: dict[int, np.ndarray]
-    dim: int
+    def __init__(self, diagonals: dict[int, np.ndarray], dim: int):
+        self.diagonals, self.dim = diagonals, dim
 
     @property
     def L(self) -> int:

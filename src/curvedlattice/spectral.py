@@ -39,7 +39,7 @@ one routing rule).  :func:`expm` is the public dense exponential (c = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _SMLNUM = np.finfo(float).tiny / _EPS
 _HERM_TOL = 1e-10  # largest relative hermiticity residual that eig_hermitian accepts
 
 
-@dataclass
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (sorted by Re, then Im) with right eigenvectors.
 
     ``right_eigenvectors`` holds unit-norm columns, ``residuals[j]`` is
@@ -166,7 +165,7 @@ def _decompose(diagonals, n, A, compute_vectors, hermitian) -> SpectralDecomposi
         _, lam, X = _eig(A, n, compute_vectors, None)
         dec = _decomposition(lam, X, diagonals, "complex-geev")
     if check is not None:
-        dec.route = f"fallback:{check}:{dec.route}"
+        dec = dec._replace(route=f"fallback:{check}:{dec.route}")
     return dec
 
 
@@ -425,7 +424,6 @@ def _dense_costs(n: int, norm1: float) -> tuple[float, float]:
     return _NS_FORMING + forming, _NS_MATVEC + n * n * _NS_MATVEC_ENTRY
 
 
-@dataclass
 class StepOperator:
     """exp(−iH·dt) prepared once for repeated application: ``U @ psi``.
 
@@ -437,14 +435,12 @@ class StepOperator:
     :class:`SpectralError`.
     """
 
-    dt: float
-    n: int
-    B: dict[int, np.ndarray]
-    mu: complex
-    norm1: float
-    s: int
-    m: int
-    dense: np.ndarray | None = None
+    def __init__(
+        self, dt: float, n: int, B: dict[int, np.ndarray], mu: complex, norm1: float, s: int, m: int,
+        dense: np.ndarray | None = None,
+    ):
+        self.dt, self.n, self.B, self.mu, self.norm1, self.s, self.m = dt, n, B, mu, norm1, s, m
+        self.dense = dense
 
     def band_cost(self) -> float:
         """Estimated ns of one step on the band: s·m Horner terms."""

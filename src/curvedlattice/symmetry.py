@@ -23,7 +23,7 @@ with no matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class SymmetryError(CurvedLatticeError):
     exit_code = 3
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Residuals of the three symmetry tests and the resulting class.
 
     The class is the first of :data:`CLASSIFICATIONS` whose residual is at

@@ -74,13 +74,26 @@ def _run(argv, out_dir, capsys):
     (["ldos", "--family", "anti_de_sitter", "--L", "4", "--M", "1e308"],
      3, "numerical failure: overflow in the hermitian part ½(A + A†) of the matrix\n"),
     (["spectrum", "--family", "flat", "--L", "4", "--M", "1e307"], 0, None),
+    # a lattice whose extent (L − 1)·a leaves the float range has no coordinates
+    *[([command, "--family", "flat", "--L", "3", "--a", "1e308"],
+       2, "config error: lattice extent (L-1)·a leaves the float range: L=3, a=1e+308\n")
+      for command in ("spectrum", "ldos", "classify", "evolve", "dump")],
+    (["dump", "--family", "weyl", "--q", "1e-308", "--L", "3", "--a", "1e308"],
+     2, "config error: lattice extent (L-1)·a leaves the float range: L=3, a=1e+308\n"),
+    *[([command, "--family", "flat", "--L", "2", "--a", "1e308"], 0, None)
+      for command in ("spectrum", "ldos", "classify", "evolve", "dump")],
 ], ids=["classify-weyl-tiny", "ldos-flat-a1e300", "spectrum-flat-a1e-320",
         "spectrum-rindler-M1e300", "classify-weyl-r1e300", "evolve-weyl-beta-underflow",
         "evolve-weyl-beta-underflow-duality", "classify-rindler-subnormal-hops",
         "spectrum-rindler-mass-overflow", "classify-custom-divergent-hop",
         "classify-custom-zero-beta", "ldos-flat-gamma1e308", "ldos-flat-gamma1e307-imaginary",
         "ldos-flat-range-overflow", "spectrum-flat-M1e308", "classify-flat-M1e308",
-        "ldos-anti-de-sitter-M1e308", "spectrum-flat-M1e307"])
+        "ldos-anti-de-sitter-M1e308", "spectrum-flat-M1e307",
+        *[f"{command}-flat-extent-overflow" for command in ("spectrum", "ldos", "classify", "evolve",
+                                                             "dump")],
+        "dump-weyl-extent-overflow",
+        *[f"{command}-flat-extent-1e308" for command in ("spectrum", "ldos", "classify", "evolve",
+                                                          "dump")]])
 def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys):
     got, out, err, caught = _run(argv, tmp_path, capsys)
     assert got in (0, 2, 3)
@@ -96,6 +109,30 @@ def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys
         with open(path) as fh:
             text = fh.read()
         assert not _NON_FINITE.search(text), f"{path}: {text}"
+
+
+@pytest.mark.parametrize("initial,code,message", [
+    ({"width": 1e300}, 2, "config error: invalid initial state: width 1e+300 leaves the float range"),
+    ({"width": 1e-200}, 2, "config error: invalid initial state: width 1e-200 leaves the float range"),
+    # (x − center)² overflows: the envelope takes its limit 0 on every site
+    ({"center": 1e308}, 2, "config error: invalid initial state: packet has no support on the lattice"),
+    # 4·width² = 4e-320 is a positive subnormal, and the envelope a kick at the center
+    ({"width": 1e-160}, 0, None),
+], ids=["width1e300", "width1e-200", "center1e308", "width1e-160"])
+def test_a_gaussian_at_the_float_range_edge_keeps_the_cli_contract(initial, code, message, tmp_path,
+                                                                     capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"initial": {"kind": "gaussian", **initial}}))
+    argv = ["evolve", "--config", str(tmp_path / "run.json"), "--family", "flat", "--L", "3",
+            "--t1", "0.01"]
+    got, out, err, caught = _run(argv, tmp_path / "out", capsys)
+    assert (got, [str(w.message) for w in caught]) == (code, [])
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+        return
+    assert err == ""
+    for path in out.splitlines():
+        with open(path) as fh:
+            assert not _NON_FINITE.search(fh.read()), path
 
 
 def _non_finite(path) -> list[str]:

@@ -78,6 +78,30 @@ def test_commands_load_only_the_modules_they_run(argv, loads, skips, tmp_path):
     assert not skips & loaded
 
 
+# Run each command line of argv in one process, then report the exit codes
+# and whether `dataclasses` was loaded
+_RUN_COMMANDS = """
+import json, sys
+from curvedlattice import front
+codes = [front.main(argv.split()) for argv in sys.argv[1:]]
+print(json.dumps([codes, "dataclasses" in sys.modules]))
+"""
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # the records are named tuples and plain classes, so no module generates
+    # their methods at import: not the catalog commands, evolve or a custom metric
+    out = f"--out-dir {tmp_path}"
+    commands = [f"{command} {' '.join(_CATALOG)} {out}"
+                for command in ("spectrum", "ldos", "classify", "dump")] + [
+        "evolve --family linear_conformal --q 0.1 --r 0.5 --L 8 --t0 0.1 --t1 0.102 --dt 1e-3"
+        f" --check-duality {out}",
+        f"classify --family custom --alpha 1+0.1*x --beta exp(-t) --L 8 {out}",
+    ]
+    last, _ = _python(_RUN_COMMANDS, *commands)
+    assert json.loads(last) == [[0] * len(commands), False]
+
+
 def test_bare_import_loads_no_numpy():
     last, _ = _python("import sys, curvedlattice; print('numpy' in sys.modules)")
     assert last == "False"

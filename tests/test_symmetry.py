@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -276,7 +275,7 @@ def test_classify_linear_conformal_nonhermitian():
 def test_report_json_roundtrip():
     s = MetricModel.flat(L=6).sample()
     rep = classify(build(s, M=0.0, a=1.0), s)
-    data = json.loads(json.dumps(asdict(rep)))
+    data = json.loads(json.dumps(rep._asdict()))
     assert data["classification"] == "Hermitian"
     assert set(data) >= {
         "hermitian_residual",

@@ -77,12 +77,11 @@ class _Node:
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        values = dict(zip(self.__slots__, args), **kwargs)
-        if len(args) + len(kwargs) != len(self.__slots__) or values.keys() != set(self.__slots__):
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
-        for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

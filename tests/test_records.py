@@ -32,12 +32,6 @@ def test_assigning_to_an_immutable_record_raises(record, name):
     assert getattr(record, name, None) is before
 
 
-def test_a_metric_model_keeps_its_custom_profiles_cache():
-    model = MetricModel.custom("1+x", "exp(-t)", L=4)
-    assert model._custom is model._custom
-    assert model.time_dependent and not model.conformally_flat
-
-
 # (type, fields) of nodes that differ in their type or in one field
 _NODES = [(Num, (1.0,)), (Num, (2.0,)), (Var, ("x",)), (Var, ("t",)), (Param, ("x",)),
           (Param, ("t",)), (Neg, (Var("x"),)), (Neg, (Param("x"),)), (Call, ("sin", Var("x"))),

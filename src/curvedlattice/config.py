@@ -29,12 +29,6 @@ _INITIAL_FIELDS = {
     "gaussian": ("center", "width", "k", "branch"),
     "kick": ("site", "component"),
 }
-# fields that must hold a finite number or a list of them; the optional ones may be None
-_REALS = ("q", "r", "a", "M", "gamma", "e_min", "e_max", "t0", "t1", "dt", "tol")
-_OPTIONAL = ("q", "gamma", "e_min", "e_max")
-_INTEGERS = ("schema", "L", "n_e")
-_BOOLEANS = ("heatmap", "check_duality")
-_REAL_LISTS = ("times", "snapshot_times")
 _DEFAULT_INITIAL = {"kind": "plane_wave", "k": 0.0, "branch": 1}
 _MAX_LENGTH = sys.maxsize // 16  # the most entries whose complex array numpy can index
 
@@ -44,6 +38,17 @@ def _is_real(value) -> bool:
     of `validate`, and an infinite t1 would never end a run."""
     finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return finite and not isinstance(value, bool)
+
+
+# the JSON type that a field's annotation names, as the test of a value and
+# what the error says the field must be; a "<type> | None" field may also be
+# None.  `validate` checks the kinds in this order, each in field order.
+_TYPES = {
+    "float": (_is_real, "a finite number"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"),
+}
 
 
 class ConfigError(CurvedLatticeError):
@@ -72,7 +77,8 @@ def _check_initial(initial: dict) -> None:
 
 
 class RunConfig:
-    """One run's settings: each annotated name is a field, with its default.
+    """One run's settings: each annotated name is a field, with its default,
+    and its annotation is the JSON type `validate` checks it by (`_TYPES`).
     Built by keyword only; a list or dict default is copied per instance."""
 
     schema: int = SCHEMA_VERSION
@@ -163,22 +169,11 @@ class RunConfig:
     def validate(self) -> None:
         # a config file may hold any JSON type, and a string where a number
         # belongs would end in a TypeError inside a command
-        for name in _REALS:
-            value = getattr(self, name)
-            if not (_is_real(value) or value is None and name in _OPTIONAL):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in _INTEGERS:
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _BOOLEANS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
-        for name in _REAL_LISTS:
-            value = getattr(self, name)
-            if not (isinstance(value, list) and all(map(_is_real, value))):
-                raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
+        for kind, (test, must_be) in _TYPES.items():
+            for name, annotation in RunConfig.__annotations__.items():
+                value, optional = getattr(self, name), annotation == f"{kind} | None"
+                if (annotation == kind or optional) and not (test(value) or optional and value is None):
+                    raise ConfigError(f"{name} must be {must_be}, got {value!r}")
         if not (isinstance(self.params, dict) and all(map(_is_real, self.params.values()))):
             raise ConfigError(f"params must map names to finite numbers, got {self.params!r}")
         for name in ("alpha", "beta"):

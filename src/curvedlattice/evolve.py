@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import CurvedLatticeError, SpectralError
 from .metric import MetricDomainError, MetricModel, SampledMetric
-from .operator import LatticeOperator, build
+from .operator import LatticeOperator, build, column_norms
 from .spectral import expm_apply, propagator
 
 
@@ -58,6 +58,21 @@ class PropagationError(EvolveError):
         self.partial = partial
 
 
+_ROOT_TINY = math.sqrt(sys.float_info.min)  # the least norm whose sum of squares is normal
+
+
+def _norm(values: np.ndarray) -> float:
+    """‖values‖₂ as ``np.linalg.norm`` sums it, unless its sum of squares
+    overflows or falls below the normal range: then :func:`column_norms`
+    sums it again, scaled or lifted, so it is finite wherever it is
+    representable."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    if _ROOT_TINY <= norm < math.inf:
+        return norm
+    return float(column_norms(values[:, None])[0])
+
+
 class SpinorField(NamedTuple):
     """Site-major two-component field: values[2n+s] is component s at site n."""
 
@@ -66,7 +81,7 @@ class SpinorField(NamedTuple):
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return _norm(self.values)
 
 
 class EvolutionTrace(NamedTuple):
@@ -84,11 +99,17 @@ def _eta_norm(values: np.ndarray, beta: np.ndarray) -> float:
     evolution is quasi-unitary in the metric inner product.
 
     Sites with β_n = ∞ are left out: they are decoupled horizon sites, whose
-    row and column of H vanish, so their amplitude never changes.
+    row and column of H vanish, so their amplitude never changes.  A sum
+    that overflows or falls below the normal range is redone as the norm of
+    √β ψ by :func:`column_norms`.
     """
     w = np.repeat(beta, 2)
     keep = ~np.isinf(w)
-    return float(np.sqrt(np.real(np.sum(w[keep] * np.abs(values[keep]) ** 2))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a true norm beyond the float range is inf
+        total = float(np.real(np.sum(w[keep] * np.abs(values[keep]) ** 2)))
+        if sys.float_info.min <= total < math.inf:
+            return math.sqrt(total)
+        return float(column_norms((np.sqrt(w[keep]) * values[keep])[:, None])[0])
 
 
 def _time_steps(t0: float, t1: float, dt: float) -> tuple[int, int]:
@@ -211,8 +232,8 @@ class Route:
 
 def _discrepancy(a: np.ndarray, b: np.ndarray) -> float:
     """‖a − b‖/‖a‖, or 0.0 where ``a`` vanishes."""
-    na = np.linalg.norm(a)
-    return float(np.linalg.norm(a - b) / na) if na > 0 else 0.0
+    na = _norm(a)
+    return _norm(a - b) / na if na > 0 else 0.0
 
 
 def trace_rows(curved: Route, dual: Route | None = None,
@@ -226,7 +247,7 @@ def trace_rows(curved: Route, dual: Route | None = None,
     """
     while True:
         phys = curved.phys
-        row = [float(curved.t), float(np.linalg.norm(phys)), _eta_norm(phys, curved.metric.beta)]
+        row = [float(curved.t), _norm(phys), _eta_norm(phys, curved.metric.beta)]
         if dual is not None:
             row.append(_discrepancy(phys, dual.phys))
         yield row

@@ -1,6 +1,7 @@
 """`RunConfig` resolves a run once: one validation, one metric build, one
 check of the initial state, and one order for the output directory."""
 
+import argparse
 import json
 import re
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from curvedlattice import config, expr
-from curvedlattice.front import main
+from curvedlattice.front import _build_parser, main
 
 _CUSTOM = ["--family", "custom", "--alpha", "1+0.1*x", "--beta", "exp(-t)", "--L", "8"]
 
@@ -292,3 +293,79 @@ def test_a_boolean_schema_is_a_config_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "config error: schema must be an integer, got True\n"
     assert not (tmp_path / "out").exists()
+
+
+# what a field of each annotated JSON type must be, as a config error says it
+_MUST_BE = {"float": "a finite number", "float | None": "a finite number", "int": "an integer",
+            "bool": "true or false", "list": "a list of finite numbers"}
+_TYPED = [name for name, kind in config.RunConfig.__annotations__.items() if kind in _MUST_BE]
+# the fields whose checks are not about their annotated type
+_CHECKED_APART = ("family", "alpha", "beta", "params", "bc", "axis", "initial", "out_dir")
+
+
+def _classify_error(data, tmp_path, capsys):
+    """Exit code and stderr of a classify run of config ``data``."""
+    (tmp_path / "run.json").write_text(json.dumps(data))
+    code = main(["classify", "--config", str(tmp_path / "run.json"), "--out-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", _TYPED)
+def test_every_typed_field_is_checked_by_its_annotation(name, tmp_path, capsys):
+    must_be = _MUST_BE[config.RunConfig.__annotations__[name]]
+    assert _classify_error({name: "1"}, tmp_path, capsys) == (
+        2, f"config error: {name} must be {must_be}, got '1'\n")
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"r": "x", "q": "x"}, "q must be a finite number, got 'x'"),
+    ({"times": "x", "heatmap": "x", "n_e": "x", "tol": "x"}, "tol must be a finite number, got 'x'"),
+    ({"snapshot_times": "x", "check_duality": "x", "schema": "x"}, "schema must be an integer, got 'x'"),
+    ({"times": [None], "heatmap": 1}, "heatmap must be true or false, got 1"),
+    ({"params": "x", "initial": 1, "snapshot_times": [True]},
+     "snapshot_times must be a list of finite numbers, got [True]"),
+], ids=["q-before-r", "reals-first", "integers-before-switches", "switches-before-lists",
+        "lists-before-the-rest"])
+def test_type_errors_are_found_reals_integers_switches_then_lists(data, message, tmp_path, capsys):
+    # each kind in field order: the reals, the integers, the switches, then the lists
+    assert _classify_error(data, tmp_path, capsys) == (2, f"config error: {message}\n")
+
+
+def test_every_field_is_checked_by_its_type_or_apart():
+    # a new field whose annotation names no checked type must be checked apart
+    unchecked = [name for name in config.RunConfig.__annotations__
+                 if name not in _TYPED and name not in _CHECKED_APART]
+    assert unchecked == []
+    base = {"family": "custom", "alpha": "1", "beta": "1"}
+    for name in _CHECKED_APART:
+        with pytest.raises(config.ConfigError):
+            config.RunConfig.from_dict({**base, name: 1})
+
+
+def _flags():
+    """(command, action) of every flag of every command of the front end."""
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action) for name, sub in commands.choices.items()
+            for action in sub._actions if action.option_strings and action.dest != "help"]
+
+
+def test_the_front_ends_flags_agree_with_the_config_fields():
+    # the front end loads no numpy, so it cannot read the fields of RunConfig
+    fields = config.RunConfig.__annotations__
+    for command, action in _flags():
+        if action.dest in ("config", "k", "branch"):  # the file, and fields of initial
+            continue
+        kind = fields[action.dest]
+        if isinstance(action, argparse._StoreTrueAction):
+            expected = ("bool",)
+        elif action.type is float:
+            expected = ("list",) if action.nargs == "+" else ("float", "float | None")
+        elif action.type is int:
+            expected = ("int",)
+        else:
+            expected = ("str", "str | None")
+        assert kind in expected, (command, action.dest, kind)
+    flagged = {action.dest for _, action in _flags()}
+    assert set(fields) - flagged == {"schema", "params", "initial"}

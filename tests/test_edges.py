@@ -215,3 +215,19 @@ def test_a_scaled_weyl_metric_classifies_as_at_unit_scale(tmp_path, capsys):
     assert tiny["classification"] == unit["classification"] == "NonHermitian"
     for key in ("hermitian_residual", "quasi_hermitian_residual", "pt_residual"):
         assert tiny[key] == pytest.approx(unit[key], rel=1e-12, abs=0.0)
+
+
+def test_a_norm_beyond_the_plain_sum_of_squares_stays_finite(tmp_path, capsys):
+    # H = H_flat + 350i, so ‖ψ‖ = e^{350t} while the η-norm stays 1: at t = 1.02
+    # ‖ψ‖² ≈ 1.2e310 overflows its plain sum, though ‖ψ‖ itself is finite
+    argv = ["evolve", "--family", "custom", "--alpha", "exp(-700*t)", "--beta", "exp(-700*t)",
+            "--L", "4", "--M", "0", "--t1", "1.02", "--dt", "0.01", "--check-duality"]
+    code, _, err, caught = _run(argv, tmp_path, capsys)
+    assert (code, [str(w.message) for w in caught]) == (0, [])
+    assert "Warning" not in err
+    with open(tmp_path / "trace.csv") as fh:
+        rows = [list(map(float, row)) for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 103 and all(math.isfinite(v) for row in rows for v in row)
+    for t, _, eta, discrepancy in rows:
+        assert abs(eta - 1.0) <= 1e-12 and discrepancy <= 1e-12, t
+    assert rows[-1][1] == pytest.approx(math.exp(357.0), rel=1e-10)  # 1.1044092602661211e+155

@@ -171,9 +171,10 @@ class RunConfig:
         # belongs would end in a TypeError inside a command
         for kind, (test, must_be) in _TYPES.items():
             for name, annotation in RunConfig.__annotations__.items():
-                value, optional = getattr(self, name), annotation == f"{kind} | None"
-                if (annotation == kind or optional) and not (test(value) or optional and value is None):
-                    raise ConfigError(f"{name} must be {must_be}, got {value!r}")
+                if annotation in (kind, f"{kind} | None"):
+                    value = getattr(self, name)
+                    if not (test(value) or value is None and annotation != kind):
+                        raise ConfigError(f"{name} must be {must_be}, got {value!r}")
         if not (isinstance(self.params, dict) and all(map(_is_real, self.params.values()))):
             raise ConfigError(f"params must map names to finite numbers, got {self.params!r}")
         for name in ("alpha", "beta"):

@@ -413,7 +413,7 @@ def gaussian_packet(
     with np.errstate(over="ignore"):  # (x − c)² = inf gives the limit 0
         envelope = np.exp(-((x - center) ** 2) / spread)
     values = wave.values * envelope
-    nrm = np.linalg.norm(values)
+    nrm = _norm(values)
     if nrm == 0.0:
         raise EvolveError("packet has no support on the lattice")
     return SpinorField(values / nrm, 0.0)

@@ -21,6 +21,7 @@ float or raises: there is no silent NaN/inf propagation.
 from __future__ import annotations
 
 import math
+import re
 
 from .errors import CurvedLatticeError
 
@@ -137,140 +138,98 @@ _ONE = Num(1.0)
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Parser
 
+# One token after optional whitespace: a run of digits and dots with an
+# optional exponent (a number if float() takes it), a run of word characters
+# (a name if it starts with a letter or '_'), an operator or parenthesis, or
+# any other character, which is an error.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<name>\w+)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind  # "num" | "name" | "op" | "(" | ")" | "end"
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}", i) from None
-            tokens.append(_Token("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.offset)
-        return self.advance()
-
-    def binary(self, min_prec: int) -> Expr:
-        """Parse an operand followed by operators binding at least ``min_prec``."""
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            node = Neg(self.binary(_NEG_PREC))
-        else:
-            node = self.atom()
-        while (tok := self.peek()).kind == "op" and _PREC[tok.text] >= min_prec:
-            self.advance()
-            # a power's exponent is a unary operand, so ^ nests to the right
-            prec = _NEG_PREC if tok.text == "^" else _PREC[tok.text] + 1
-            node = BinOp(tok.text, node, self.binary(prec))
-        return node
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "(":
-                if tok.text not in _FUNCTIONS:
-                    raise ParseError(
-                        f"unknown function {tok.text!r}; expected one of {', '.join(FUNCTIONS)}",
-                        tok.offset,
-                    )
-                self.advance()
-                arg = self.binary(0)
-                self.expect(")", "')' closing function call")
-                return Call(tok.text, arg)
-            if tok.text in VARIABLES:
-                return Var(tok.text)
-            return Param(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.binary(0)
-            self.expect(")", "')' closing group")
-            return node
-        raise ParseError("expected a number, name, '(' or unary '-'", tok.offset)
+# The most nodes on a path from a parsed tree's root to a leaf.  A derivative
+# can be four times as deep (a chain of powers) and printing it takes two
+# frames a level: about 510 of the default recursion limit of 1000.  Text may
+# nest twice as deep, as each edge of a printed tree may open an operand and a group.
+_MAX_DEPTH = 64
 
 
 def parse(source: str) -> Expr:
     """Parse ``source`` into an expression AST.
 
-    Raises ParseError (with byte offset) on malformed input.
+    Raises ParseError (with byte offset) on malformed input, on a tree more
+    than ``_MAX_DEPTH`` nodes deep or on text nested twice as deep.
     """
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(source))
-    node = parser.binary(0)
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+    # str.isdigit takes digits that \d does not, such as '²': the pattern reads
+    # them as '0', and float() rejects the number's own text
+    scan = source.translate({ord(c): "0" for c in source if c.isdigit() and not c.isdecimal()})
+    tokens = []  # (kind, text, offset); the whole source, so a lexical error comes first
+    for match in _TOKEN.finditer(scan):
+        kind, offset = match.lastgroup, match.start(match.lastgroup)
+        text = source[offset:match.end()]
+        if kind == "num":
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(f"malformed number {text!r}", offset) from None
+        elif kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", offset)
+        tokens.append((kind, text, offset))
+    tokens.append(("end", "", len(source)))
+    pos = 0
+
+    def expect(text: str, what: str) -> None:
+        nonlocal pos
+        if tokens[pos][1] != text:
+            raise ParseError(f"expected {what}", tokens[pos][2])
+        pos += 1
+
+    def climb(min_prec: int, level: int) -> tuple[Expr, int]:
+        """The operand at ``pos`` and the operators binding at least
+        ``min_prec`` after it, with the height of their tree."""
+        nonlocal pos
+        kind, text, offset = tokens[pos]
+        if level > 2 * _MAX_DEPTH:
+            raise ParseError(f"expression text nested deeper than {2 * _MAX_DEPTH} levels", offset)
+        pos += 1
+        if text == "-":
+            arg, height = climb(_NEG_PREC, level + 1)
+            node, height = Neg(arg), height + 1
+        elif kind == "num":
+            node, height = Num(float(text)), 1
+        elif kind == "name" and tokens[pos][1] == "(":
+            if text not in _FUNCTIONS:
+                known = ", ".join(FUNCTIONS)
+                raise ParseError(f"unknown function {text!r}; expected one of {known}", offset)
+            pos += 1
+            arg, height = climb(0, level + 1)
+            expect(")", "')' closing function call")
+            node, height = Call(text, arg), height + 1
+        elif kind == "name":
+            node, height = (Var(text) if text in VARIABLES else Param(text)), 1
+        elif text == "(":
+            node, height = climb(0, level + 1)
+            expect(")", "')' closing group")
+        else:
+            raise ParseError("expected a number, name, '(' or unary '-'", offset)
+        while True:
+            if height > _MAX_DEPTH:
+                raise ParseError(f"expression tree deeper than {_MAX_DEPTH} levels", offset)
+            _, op, offset = tokens[pos]
+            if op not in _PREC or _PREC[op] < min_prec:
+                return node, height
+            pos += 1
+            # a power's exponent is a unary operand, so ^ nests to the right
+            rhs, rhs_height = climb(_NEG_PREC if op == "^" else _PREC[op] + 1, level + 1)
+            node, height = BinOp(op, node, rhs), max(height, rhs_height) + 1
+
+    node = climb(0, 1)[0]
+    kind, text, offset = tokens[pos]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", offset)
     return node
 
 

@@ -82,6 +82,13 @@ def _run(argv, out_dir, capsys):
      2, "config error: lattice extent (L-1)·a leaves the float range: L=3, a=1e+308\n"),
     *[([command, "--family", "flat", "--L", "2", "--a", "1e308"], 0, None)
       for command in ("spectrum", "ldos", "classify", "evolve", "dump")],
+    # custom expressions past the nesting bound: a sum of 500 terms, 700 groups, 600 negations
+    (["classify", "--family", "custom", "--alpha", "+".join(["x"] * 500), "--beta", "1", "--L", "4"],
+     2, "config error: expression tree deeper than 64 levels (at offset 127)\n"),
+    (["classify", "--family", "custom", "--alpha", "(" * 700 + "x" + ")" * 700, "--beta", "1",
+      "--L", "4"], 2, "config error: expression text nested deeper than 128 levels (at offset 128)\n"),
+    (["classify", "--family", "custom", "--alpha=" + "-" * 600 + "x", "--beta", "1", "--L", "4"],
+     2, "config error: expression text nested deeper than 128 levels (at offset 128)\n"),
 ], ids=["classify-weyl-tiny", "ldos-flat-a1e300", "spectrum-flat-a1e-320",
         "spectrum-rindler-M1e300", "classify-weyl-r1e300", "evolve-weyl-beta-underflow",
         "evolve-weyl-beta-underflow-duality", "classify-rindler-subnormal-hops",
@@ -93,7 +100,8 @@ def _run(argv, out_dir, capsys):
                                                              "dump")],
         "dump-weyl-extent-overflow",
         *[f"{command}-flat-extent-1e308" for command in ("spectrum", "ldos", "classify", "evolve",
-                                                          "dump")]])
+                                                          "dump")],
+        "classify-custom-long-sum", "classify-custom-deep-groups", "classify-custom-deep-negation"])
 def test_edge_value_keeps_the_cli_contract(argv, code, message, tmp_path, capsys):
     got, out, err, caught = _run(argv, tmp_path, capsys)
     assert got in (0, 2, 3)
@@ -134,6 +142,18 @@ def test_a_gaussian_at_the_float_range_edge_keeps_the_cli_contract(initial, code
         with open(path) as fh:
             assert not _NON_FINITE.search(fh.read()), path
 
+
+def test_a_packet_below_the_plain_sum_of_squares_is_normalized(tmp_path, capsys):
+    # sites 0 and 1 hold about 3.6e-272, whose squares underflow
+    initial = {"kind": "gaussian", "center": 0.5, "width": 0.01}
+    (tmp_path / "run.json").write_text(json.dumps({"initial": initial}))
+    argv = ["evolve", "--config", str(tmp_path / "run.json"), "--family", "flat", "--L", "4",
+            "--t1", "0.01"]
+    got, _, err, caught = _run(argv, tmp_path / "out", capsys)
+    assert (got, err, [str(w.message) for w in caught]) == (0, "", [])
+    with open(tmp_path / "out" / "trace.csv") as fh:
+        first = next(csv.DictReader(fh))
+    assert abs(float(first["norm"]) - 1.0) <= 1e-15
 
 def _non_finite(path) -> list[str]:
     """The non-finite values of an output file that the format does not declare."""

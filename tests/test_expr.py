@@ -5,16 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedlattice.cli import main
+from curvedlattice import expr
 from curvedlattice.expr import (
+    _FUNCTIONS,
+    _NEG_PREC,
+    _PREC,
     FUNCTIONS,
+    VARIABLES,
     BinOp,
     Call,
     DerivativeError,
     EvalError,
+    Expr,
     ExpressionError,
     Neg,
     Num,
@@ -315,6 +321,219 @@ def _trees(functions=FUNCTIONS):
 @given(tree=_trees())
 def test_hypothesis_print_parse_roundtrip(tree):
     assert parse(to_source(tree)) == tree
+
+
+
+# ---------------------------------------------------------------------------
+# The parser against the hand-scanned tokenizer and parser class it replaced,
+# kept verbatim as the reference
+
+
+class _Token:
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind = kind  # "num" | "name" | "op" | "(" | ")" | "end"
+        self.text = text
+        self.offset = offset
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+            j = i
+            while j < n and (source[j].isdigit() or source[j] == "."):
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    j = k
+                    while j < n and source[j].isdigit():
+                        j += 1
+            text = source[i:j]
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(f"malformed number {text!r}", i) from None
+            tokens.append(_Token("num", text, i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", source[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^":
+            tokens.append(_Token("op", c, i))
+            i += 1
+            continue
+        if c in "()":
+            tokens.append(_Token(c, c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}", tok.offset)
+        return self.advance()
+
+    def binary(self, min_prec: int) -> Expr:
+        """Parse an operand followed by operators binding at least ``min_prec``."""
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            node = Neg(self.binary(_NEG_PREC))
+        else:
+            node = self.atom()
+        while (tok := self.peek()).kind == "op" and _PREC[tok.text] >= min_prec:
+            self.advance()
+            # a power's exponent is a unary operand, so ^ nests to the right
+            prec = _NEG_PREC if tok.text == "^" else _PREC[tok.text] + 1
+            node = BinOp(tok.text, node, self.binary(prec))
+        return node
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return Num(float(tok.text))
+        if tok.kind == "name":
+            self.advance()
+            if self.peek().kind == "(":
+                if tok.text not in _FUNCTIONS:
+                    raise ParseError(
+                        f"unknown function {tok.text!r}; expected one of {', '.join(FUNCTIONS)}",
+                        tok.offset,
+                    )
+                self.advance()
+                arg = self.binary(0)
+                self.expect(")", "')' closing function call")
+                return Call(tok.text, arg)
+            if tok.text in VARIABLES:
+                return Var(tok.text)
+            return Param(tok.text)
+        if tok.kind == "(":
+            self.advance()
+            node = self.binary(0)
+            self.expect(")", "')' closing group")
+            return node
+        raise ParseError("expected a number, name, '(' or unary '-'", tok.offset)
+
+
+def _reference_parse(source: str) -> Expr:
+    """Parse ``source`` into an expression AST.
+
+    Raises ParseError (with byte offset) on malformed input.
+    """
+    if not source or not source.strip():
+        raise ParseError("empty expression", 0)
+    parser = _Parser(_tokenize(source))
+    node = parser.binary(0)
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+    return node
+
+
+def _outcome(parser, source):
+    """The tree parsed from ``source``, or the ParseError's text and offset."""
+    try:
+        return parser(source)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+# pieces of grammar and of every lexical error; '²' is a digit to str.isdigit
+# but not to float(), '٣' a decimal digit, and '\u2028' and '\x1c' are spaces
+_PIECES = ["x", "t", "q", "r_2", "é", "٣", "²", "½", "1", "0.5", ".5", "1e-3", "2E+", "1.2.3",
+           ".", "e", "sin", "exp", "abs", "foo", "(", ")", "+", "-", "*", "/", "^", " ", "\t",
+           "\u2028", "\x1c", "$"]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(source=st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+    _trees().map(to_source),
+))
+@example("²")
+@example("x²")
+@example("1e²")
+@example("٣*x٣")
+@example("\u2028x\x1c+\t1")
+@example("x $ ²")
+def test_parse_matches_the_previous_front_end(source):
+    # each source is far below the nesting bound: the same tree, or the same error
+    assert _outcome(parse, source) == _outcome(_reference_parse, source)
+
+
+def _nested(shape, depth):
+    """A tree ``depth`` nodes deep over t: a chain of products or powers to the
+    left, or of products to the right, or nested negations or sines."""
+    node = Var("t")
+    for _ in range(depth - 1):
+        node = {"*": BinOp("*", node, Var("t")), "^": BinOp("^", node, Var("t")),
+                "right*": BinOp("*", Var("t"), node), "-": Neg(node),
+                "sin": Call("sin", node)}[shape]
+    return node
+
+
+@pytest.mark.parametrize("shape", ["*", "^", "right*", "-", "sin"])
+def test_a_tree_at_the_nesting_bound_parses_differentiates_evaluates_and_prints(shape):
+    tree = _nested(shape, expr._MAX_DEPTH)
+    assert parse(to_source(tree)) == tree
+    dtree = diff_t(tree)
+    assert math.isfinite(evaluate(tree, x=0.0, t=1.0))
+    assert math.isfinite(evaluate(dtree, x=0.0, t=1.0))
+    assert to_source(dtree)
+
+
+@pytest.mark.parametrize("shape", ["*", "^", "-", "sin"])
+def test_a_tree_one_level_past_the_nesting_bound_is_rejected(shape):
+    depth = expr._MAX_DEPTH
+    source = to_source(_nested(shape, depth + 1))
+    # crossed at the last product, the last power, or the outermost prefix
+    offset = {"*": 2 * depth - 1, "^": len(source) - 2, "-": 0, "sin": 0}[shape]
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == f"expression tree deeper than {depth} levels (at offset {offset})"
+
+
+def test_text_past_twice_the_nesting_bound_is_rejected():
+    # the whole source is one level, and each group opens one more
+    levels = 2 * expr._MAX_DEPTH
+    assert parse("(" * (levels - 1) + "x" + ")" * (levels - 1)) == Var("x")
+    with pytest.raises(ParseError) as err:
+        parse("(" * levels + "x" + ")" * levels)
+    assert str(err.value) == f"expression text nested deeper than {levels} levels (at offset {levels})"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

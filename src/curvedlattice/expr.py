@@ -53,7 +53,7 @@ class ExpressionError(CurvedLatticeError):
 
 
 class ParseError(ExpressionError):
-    """Malformed source text; carries the byte offset of the failure."""
+    """Malformed source text; carries the offset of the failure in characters."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -158,7 +158,7 @@ _MAX_DEPTH = 64
 def parse(source: str) -> Expr:
     """Parse ``source`` into an expression AST.
 
-    Raises ParseError (with byte offset) on malformed input, on a tree more
+    Raises ParseError (with its offset) on malformed input, on a tree more
     than ``_MAX_DEPTH`` nodes deep or on text nested twice as deep.
     """
     if not source or not source.strip():

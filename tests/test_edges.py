@@ -155,6 +155,7 @@ def test_a_packet_below_the_plain_sum_of_squares_is_normalized(tmp_path, capsys)
         first = next(csv.DictReader(fh))
     assert abs(float(first["norm"]) - 1.0) <= 1e-15
 
+
 def _non_finite(path) -> list[str]:
     """The non-finite values of an output file that the format does not declare."""
     name = os.path.basename(path)

@@ -498,11 +498,13 @@ def test_parse_matches_the_previous_front_end(source):
 def _nested(shape, depth):
     """A tree ``depth`` nodes deep over t: a chain of products or powers to the
     left, or of products to the right, or nested negations or sines."""
-    node = Var("t")
+    t = Var("t")
+    grow = {"*": lambda node: BinOp("*", node, t), "^": lambda node: BinOp("^", node, t),
+            "right*": lambda node: BinOp("*", t, node), "-": Neg,
+            "sin": lambda node: Call("sin", node)}[shape]
+    node = t
     for _ in range(depth - 1):
-        node = {"*": BinOp("*", node, Var("t")), "^": BinOp("^", node, Var("t")),
-                "right*": BinOp("*", Var("t"), node), "-": Neg(node),
-                "sin": Call("sin", node)}[shape]
+        node = grow(node)
     return node
 
 
